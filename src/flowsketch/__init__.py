@@ -1,110 +1,4 @@
 """flowsketch: fixed-memory streaming traffic sketches, per-bucket
 anomaly detectors, and a configuration sweep with Pareto comparison."""
 
-from .detectors import (
-    BaselineModel,
-    DetectorSetting,
-    EwmaDetector,
-    Verdict,
-    detect_ewma,
-    detect_threshold,
-    detect_zscore,
-    fit_baseline,
-    run_detector,
-)
-from .evaluation import (
-    BenchResult,
-    GroundTruthGrid,
-    ParetoPoint,
-    QualityScores,
-    ResourceCost,
-    SweepReport,
-    SweepRow,
-    bench_throughput,
-    pareto_front,
-    resource_model,
-    score,
-    sweep,
-)
-from .hashing import FlowKey, KeySpec, extract_key, shift_xor_hash
-from .ingest import (
-    AnomalyKind,
-    AnomalyProfile,
-    Label,
-    PacketRecord,
-    SyntheticProfile,
-    TraceFormatError,
-    TraceMeta,
-    generate_synthetic,
-    parse_trace,
-    read_trace,
-    trace_meta,
-    write_trace,
-)
-from .oracle import ExactTracker, FlowStats, merge_flow_stats
-from .sketch import (
-    CELL_BYTES,
-    UPDATE_OPS,
-    EpochSnapshot,
-    FeatureVector,
-    Sketch,
-    SketchConfig,
-    StageCell,
-    collect_epochs,
-    replay_epochs,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnomalyKind",
-    "AnomalyProfile",
-    "BaselineModel",
-    "BenchResult",
-    "CELL_BYTES",
-    "DetectorSetting",
-    "EpochSnapshot",
-    "EwmaDetector",
-    "ExactTracker",
-    "FeatureVector",
-    "FlowKey",
-    "FlowStats",
-    "GroundTruthGrid",
-    "KeySpec",
-    "Label",
-    "PacketRecord",
-    "ParetoPoint",
-    "QualityScores",
-    "ResourceCost",
-    "Sketch",
-    "SketchConfig",
-    "StageCell",
-    "SweepReport",
-    "SweepRow",
-    "SyntheticProfile",
-    "TraceFormatError",
-    "TraceMeta",
-    "UPDATE_OPS",
-    "Verdict",
-    "bench_throughput",
-    "collect_epochs",
-    "detect_ewma",
-    "detect_threshold",
-    "detect_zscore",
-    "extract_key",
-    "fit_baseline",
-    "generate_synthetic",
-    "merge_flow_stats",
-    "pareto_front",
-    "parse_trace",
-    "read_trace",
-    "replay_epochs",
-    "resource_model",
-    "run_detector",
-    "score",
-    "shift_xor_hash",
-    "sweep",
-    "trace_meta",
-    "write_trace",
-    "__version__",
-]

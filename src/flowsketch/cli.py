@@ -32,7 +32,6 @@ from .ingest import (
     AnomalyKind,
     AnomalyProfile,
     SyntheticProfile,
-    TraceFormatError,
     generate_synthetic,
     read_trace,
     write_trace,
@@ -141,25 +140,26 @@ def _sketch_config(opts: dict) -> SketchConfig:
     )
 
 
+# Parameters each detector kind uses, with their types.  Only these are
+# passed on, so the canonical parameter string stays minimal.
+_DETECTOR_PARAMS = {
+    "threshold": {"threshold": float},
+    "zscore": {"k": float, "train_epochs": int},
+    "ewma": {"k": float, "alpha": float},
+}
+
+
 def _detector_setting(opts: dict) -> DetectorSetting:
     kind = str(opts["detector"])
-    setting = DetectorSetting(
-        kind=kind,
-        feature=str(opts["feature"]),
-        threshold=None if opts["threshold"] is None else float(opts["threshold"]),
-        k=None if opts["k"] is None else float(opts["k"]),
-        alpha=None if opts["alpha"] is None else float(opts["alpha"]),
-        train_epochs=None if opts["train_epochs"] is None else int(opts["train_epochs"]),
+    params = _DETECTOR_PARAMS.get(kind, {})
+    return DetectorSetting(
+        kind,
+        str(opts["feature"]),
+        **{
+            name: None if opts[name] is None else cast(opts[name])
+            for name, cast in params.items()
+        },
     )
-    # Drop parameters the chosen detector does not use so the canonical
-    # parameter string stays minimal.
-    if kind == "threshold":
-        return DetectorSetting(kind, setting.feature, threshold=setting.threshold)
-    if kind == "zscore":
-        return DetectorSetting(kind, setting.feature, k=setting.k, train_epochs=setting.train_epochs)
-    if kind == "ewma":
-        return DetectorSetting(kind, setting.feature, k=setting.k, alpha=setting.alpha)
-    return setting
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
@@ -404,9 +404,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except TraceFormatError as exc:
-        print(f"flowsketch: trace error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except FileNotFoundError as exc:
         print(f"flowsketch: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .ingest import csv_line, parse_flag, read_csv, write_csv
 from .sketch import EpochSnapshot, StageCell
 
 FEATURES = ("pkt_count", "byte_sum", "byte_avg", "iat_avg_ns")
@@ -259,35 +260,16 @@ VERDICT_HEADER = "detector_id,epoch_index,bucket,score,anomalous"
 
 
 def write_verdicts(path, verdicts: Sequence[Verdict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(VERDICT_HEADER + "\n")
-        for v in verdicts:
-            flag = "true" if v.anomalous else "false"
-            fh.write(f"{v.detector_id},{v.epoch_index},{v.bucket},{v.score!r},{flag}\n")
+    write_csv(
+        path,
+        VERDICT_HEADER,
+        (csv_line(v.detector_id, v.epoch_index, v.bucket, v.score, v.anomalous) for v in verdicts),
+    )
+
+
+def _verdict_row(f: list[str]) -> Verdict:
+    return Verdict(f[0], int(f[1]), int(f[2]), float(f[3]), parse_flag(f[4]))
 
 
 def parse_verdicts(lines: Iterable[str]) -> list[Verdict]:
-    it = iter(lines)
-    header = next(it, None)
-    if header is None or header.rstrip("\n") != VERDICT_HEADER:
-        raise ValueError(f"bad verdict header: expected {VERDICT_HEADER!r}")
-    out = []
-    for raw in it:
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ValueError(f"expected 5 fields, got {len(fields)}")
-        if fields[4] not in ("true", "false"):
-            raise ValueError(f"bad anomalous flag {fields[4]!r}")
-        out.append(
-            Verdict(
-                detector_id=fields[0],
-                epoch_index=int(fields[1]),
-                bucket=int(fields[2]),
-                score=float(fields[3]),
-                anomalous=fields[4] == "true",
-            )
-        )
-    return out
+    return list(read_csv(lines, VERDICT_HEADER, _verdict_row))

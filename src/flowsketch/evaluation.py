@@ -15,13 +15,13 @@ import gc
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .detectors import DetectorSetting, Verdict, run_detector
 from .hashing import KeySpec
-from .ingest import PacketRecord
+from .ingest import PacketRecord, csv_line, opt_float, opt_int, parse_flag, read_csv, write_csv
 from .oracle import ExactTracker
 from .sketch import (
     CELL_BYTES,
@@ -360,101 +360,56 @@ REPORT_HEADER = (
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_report_csv(path, rows: Sequence[SweepRow]) -> None:
     """Write sweep rows as CSV.  Failed rows keep their config columns
     and leave the quality fields empty; error details live in the JSON
     report."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.config_id},{r.hash_width},{r.mem_stages},{r.epoch_ns},"
-                f"{r.key_spec},{r.detector_id},{r.detector_params},"
-                f"{_fmt(r.tp)},{_fmt(r.fp)},{_fmt(r.fn)},{_fmt(r.tn)},"
-                f"{_fmt(r.precision)},{_fmt(r.recall)},{_fmt(r.f1)},"
-                f"{_fmt(r.memory_bytes)},{_fmt(r.update_ops)},{_fmt(r.measured_pps)},"
-                f"{'true' if r.on_front else 'false'}\n"
+    write_csv(
+        path,
+        REPORT_HEADER,
+        (
+            csv_line(
+                r.config_id, r.hash_width, r.mem_stages, r.epoch_ns, r.key_spec,
+                r.detector_id, r.detector_params, r.tp, r.fp, r.fn, r.tn,
+                r.precision, r.recall, r.f1, r.memory_bytes, r.update_ops,
+                r.measured_pps, r.on_front,
             )
+            for r in rows
+        ),
+    )
+
+
+def _report_row(f: list[str]) -> SweepRow:
+    return SweepRow(
+        config_id=f[0],
+        hash_width=int(f[1]),
+        mem_stages=int(f[2]),
+        epoch_ns=int(f[3]),
+        key_spec=f[4],
+        detector_id=f[5],
+        detector_params=f[6],
+        tp=opt_int(f[7]),
+        fp=opt_int(f[8]),
+        fn=opt_int(f[9]),
+        tn=opt_int(f[10]),
+        precision=opt_float(f[11]),
+        recall=opt_float(f[12]),
+        f1=opt_float(f[13]),
+        memory_bytes=opt_int(f[14]),
+        update_ops=opt_int(f[15]),
+        measured_pps=opt_float(f[16]),
+        on_front=parse_flag(f[17]),
+    )
 
 
 def parse_report_csv(lines: Iterable[str]) -> list[SweepRow]:
-    it = iter(lines)
-    header = next(it, None)
-    if header is None or header.rstrip("\n") != REPORT_HEADER:
-        raise ValueError(f"bad report header: expected {REPORT_HEADER!r}")
-    rows = []
-    for raw in it:
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 18:
-            raise ValueError(f"expected 18 fields, got {len(fields)}")
-        opt_int = lambda s: None if s == "" else int(s)
-        opt_float = lambda s: None if s == "" else float(s)
-        if fields[17] not in ("true", "false"):
-            raise ValueError(f"bad on_front flag {fields[17]!r}")
-        rows.append(
-            SweepRow(
-                config_id=fields[0],
-                hash_width=int(fields[1]),
-                mem_stages=int(fields[2]),
-                epoch_ns=int(fields[3]),
-                key_spec=fields[4],
-                detector_id=fields[5],
-                detector_params=fields[6],
-                tp=opt_int(fields[7]),
-                fp=opt_int(fields[8]),
-                fn=opt_int(fields[9]),
-                tn=opt_int(fields[10]),
-                precision=opt_float(fields[11]),
-                recall=opt_float(fields[12]),
-                f1=opt_float(fields[13]),
-                memory_bytes=opt_int(fields[14]),
-                update_ops=opt_int(fields[15]),
-                measured_pps=opt_float(fields[16]),
-                on_front=fields[17] == "true",
-            )
-        )
-    return rows
+    return list(read_csv(lines, REPORT_HEADER, _report_row))
 
 
 def write_report_json(path, rows: Sequence[SweepRow]) -> None:
     """Machine-readable report: same fields as the CSV plus per-row
     error messages."""
-    payload = []
-    for r in rows:
-        payload.append(
-            {
-                "config_id": r.config_id,
-                "hash_width": r.hash_width,
-                "mem_stages": r.mem_stages,
-                "epoch_ns": r.epoch_ns,
-                "key_spec": r.key_spec,
-                "detector_id": r.detector_id,
-                "detector_params": r.detector_params,
-                "tp": r.tp,
-                "fp": r.fp,
-                "fn": r.fn,
-                "tn": r.tn,
-                "precision": r.precision,
-                "recall": r.recall,
-                "f1": r.f1,
-                "memory_bytes": r.memory_bytes,
-                "update_ops": r.update_ops,
-                "measured_pps": r.measured_pps,
-                "on_front": r.on_front,
-                "error": r.error,
-            }
-        )
+    payload = [asdict(r) for r in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -90,7 +90,7 @@ def extract_key(packet, spec: KeySpec) -> FlowKey:
     return FlowKey(value, spec.total_bits)
 
 
-def _check_width(width_bits: int) -> None:
+def check_width(width_bits: int) -> None:
     if not MIN_HASH_WIDTH <= width_bits <= MAX_HASH_WIDTH:
         raise ValueError(
             f"hash width must be in [{MIN_HASH_WIDTH}, {MAX_HASH_WIDTH}], got {width_bits}"
@@ -104,7 +104,7 @@ def shift_xor_hash(key: FlowKey, width_bits: int) -> int:
     split into consecutive windows left to right, and the windows are
     XORed together.  An all-zero key therefore hashes to bucket 0.
     """
-    _check_width(width_bits)
+    check_width(width_bits)
     windows = -(-key.width // width_bits)
     padded = windows * width_bits
     value = key.value << (padded - key.width)
@@ -127,7 +127,7 @@ def fold_plan(key_bits: int, width_bits: int) -> tuple[int, tuple[int, ...] | No
     halving_shifts is None and callers fold window by window.  Both
     routes agree with shift_xor_hash.
     """
-    _check_width(width_bits)
+    check_width(width_bits)
     if key_bits < 0:
         raise ValueError("key width must be nonnegative")
     windows = max(1, -(-key_bits // width_bits))

@@ -1,9 +1,11 @@
-"""Packet trace ingestion and generation.
+"""Packet trace ingestion and generation, and the CSV codec.
 
 Traces are CSV files with a fixed header, one packet per row, sorted by
 timestamp.  This module parses and serializes that format (round-trips
 are byte-identical) and provides a seeded synthetic trace generator
-that can inject labeled flood and port-scan anomalies.
+that can inject labeled flood and port-scan anomalies.  The framing
+helpers (read_csv, write_csv, csv_line) serve every CSV format in the
+package: traces, snapshots, verdicts and sweep reports.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 TRACE_HEADER = "timestamp_ns,src_ip,dst_ip,src_port,dst_port,protocol,length_bytes,tcp_seq,label"
 
@@ -74,27 +77,104 @@ class TraceMeta:
 
 
 class TraceFormatError(ValueError):
-    """Malformed trace input.  line_no is 1-based and counts the header."""
+    """Malformed CSV input: a trace, snapshot, verdict or report file.
+    line_no is 1-based and counts the header."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
+_Row = TypeVar("_Row")
+
+
+def read_csv(
+    lines: Iterable[str], header: str, build: Callable[[list[str]], _Row]
+) -> Iterator[_Row]:
+    """Parse header-first CSV lines, yielding build(fields) per row.
+
+    The header must match exactly, blank lines are skipped, and every
+    row must have as many fields as the header.  Any ValueError, one
+    raised by build included, becomes a TraceFormatError naming the
+    1-based line.
+    """
+    width = header.count(",") + 1
+    it = iter(lines)
+    first = next(it, None)
+    if first is None:
+        raise TraceFormatError(1, "missing header")
+    if first.rstrip("\n") != header:
+        raise TraceFormatError(1, f"bad header: expected {header!r}")
+    for line_no, raw in enumerate(it, 2):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise TraceFormatError(line_no, f"expected {width} fields, got {len(fields)}")
+        try:
+            row = build(fields)
+        except ValueError as exc:
+            raise TraceFormatError(line_no, str(exc)) from None
+        yield row
+
+
+def write_csv(path, header: str, lines: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def csv_line(*values) -> str:
+    """One CSV row: None is an empty field, booleans are true/false, and
+    anything else is str(), which round-trips ints and floats."""
+    return ",".join(map(_csv_field, values))
+
+
+def opt_int(text: str) -> int | None:
+    return None if text == "" else int(text)
+
+
+def opt_float(text: str) -> float | None:
+    return None if text == "" else float(text)
+
+
+def parse_flag(text: str) -> bool:
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    raise ValueError(f"bad boolean flag {text!r}")
+
+
 def format_ip(value: int) -> str:
     return f"{(value >> 24) & 255}.{(value >> 16) & 255}.{(value >> 8) & 255}.{value & 255}"
 
 
+# The canonical spelling of every octet: ASCII digits, no leading zeros.
+_OCTETS = {str(i): i for i in range(256)}
+
+
 def parse_ip(text: str) -> int:
+    """Parse a dotted-quad IPv4 address in the canonical form format_ip
+    writes.  Leading zeros (ambiguous: some parsers read them as octal)
+    and non-ASCII digits are rejected."""
     parts = text.split(".")
     if len(parts) != 4:
         raise ValueError(f"bad IPv4 address {text!r}")
     value = 0
     for part in parts:
-        if not part.isdigit():
-            raise ValueError(f"bad IPv4 address {text!r}")
-        octet = int(part)
-        if octet > 255:
+        octet = _OCTETS.get(part)
+        if octet is None:
             raise ValueError(f"bad IPv4 address {text!r}")
         value = (value << 8) | octet
     return value
@@ -115,51 +195,34 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
     header, malformed fields, out-of-range values, or a timestamp
     regression.
     """
-    it = iter(lines)
-    try:
-        header = next(it)
-    except StopIteration:
-        raise TraceFormatError(1, "missing header") from None
-    if header.rstrip("\n") != TRACE_HEADER:
-        raise TraceFormatError(1, f"bad header: expected {TRACE_HEADER!r}")
     prev_ts = -1
-    line_no = 1
-    for raw in it:
-        line_no += 1
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 9:
-            raise TraceFormatError(line_no, f"expected 9 fields, got {len(fields)}")
-        try:
-            label_text = fields[8]
-            if label_text == "benign":
-                label = Label.BENIGN
-            elif label_text == "anomalous":
-                label = Label.ANOMALOUS
-            else:
-                raise ValueError(f"bad label {label_text!r}")
-            record = PacketRecord(
-                timestamp_ns=int(fields[0]),
-                src_ip=parse_ip(fields[1]),
-                dst_ip=parse_ip(fields[2]),
-                src_port=int(fields[3]),
-                dst_port=int(fields[4]),
-                protocol=int(fields[5]),
-                length_bytes=int(fields[6]),
-                tcp_seq=int(fields[7]),
-                label=label,
-            )
-        except ValueError as exc:
-            raise TraceFormatError(line_no, str(exc)) from None
+
+    def build(fields: list[str]) -> PacketRecord:
+        nonlocal prev_ts
+        label_text = fields[8]
+        if label_text == "benign":
+            label = Label.BENIGN
+        elif label_text == "anomalous":
+            label = Label.ANOMALOUS
+        else:
+            raise ValueError(f"bad label {label_text!r}")
+        record = PacketRecord(
+            timestamp_ns=int(fields[0]),
+            src_ip=parse_ip(fields[1]),
+            dst_ip=parse_ip(fields[2]),
+            src_port=int(fields[3]),
+            dst_port=int(fields[4]),
+            protocol=int(fields[5]),
+            length_bytes=int(fields[6]),
+            tcp_seq=int(fields[7]),
+            label=label,
+        )
         if record.timestamp_ns < prev_ts:
-            raise TraceFormatError(
-                line_no,
-                f"timestamp regression: {record.timestamp_ns} after {prev_ts}",
-            )
+            raise ValueError(f"timestamp regression: {record.timestamp_ns} after {prev_ts}")
         prev_ts = record.timestamp_ns
-        yield record
+        return record
+
+    return read_csv(lines, TRACE_HEADER, build)
 
 
 def trace_meta(records: Sequence[PacketRecord]) -> TraceMeta:
@@ -176,10 +239,7 @@ def read_trace(path) -> tuple[list[PacketRecord], TraceMeta]:
 
 
 def write_trace(path, records: Sequence[PacketRecord]) -> TraceMeta:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for record in records:
-            fh.write(format_row(record) + "\n")
+    write_csv(path, TRACE_HEADER, map(format_row, records))
     return trace_meta(records)
 
 
@@ -258,7 +318,10 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
             raise ValueError("anomaly rate_multiplier must be positive")
 
     rng = random.Random(seed)
-    records: list[PacketRecord] = []
+    # Rows are (offset, fields...) tuples; records are built only after
+    # the sort, so they (and their timestamps) sit in memory in stream
+    # order and a pass over the trace reads memory sequentially.
+    rows: list[tuple] = []
 
     for i in range(profile.flows):
         src = (_BENIGN_SRC_BASE + i) & 0xFFFFFFFF
@@ -278,18 +341,9 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
         seq = rng.randrange(1 << 32) if protocol == _PROTO_TCP else 0
         times = _flow_times(rng, profile)
         for ts in times:
-            records.append(
-                PacketRecord(
-                    timestamp_ns=profile.start_ts_ns + ts,
-                    src_ip=src,
-                    dst_ip=dst,
-                    src_port=src_port,
-                    dst_port=dst_port,
-                    protocol=protocol,
-                    length_bytes=rng.choice(_BENIGN_LENGTHS),
-                    tcp_seq=seq,
-                    label=Label.BENIGN,
-                )
+            rows.append(
+                (ts, src, dst, src_port, dst_port, protocol,
+                 rng.choice(_BENIGN_LENGTHS), seq, Label.BENIGN)
             )
             if protocol == _PROTO_TCP:
                 seq = (seq + 1) & 0xFFFFFFFF
@@ -306,19 +360,11 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
                 dst_port = 80
             else:
                 dst_port = 1 + (j % 65535)
-            records.append(
-                PacketRecord(
-                    timestamp_ns=profile.start_ts_ns + ts,
-                    src_ip=_ATTACK_SRC,
-                    dst_ip=_DST_BASE,
-                    src_port=40000,
-                    dst_port=dst_port,
-                    protocol=_PROTO_TCP,
-                    length_bytes=60,
-                    tcp_seq=(seq + j) & 0xFFFFFFFF,
-                    label=Label.ANOMALOUS,
-                )
+            rows.append(
+                (ts, _ATTACK_SRC, _DST_BASE, 40000, dst_port, _PROTO_TCP,
+                 60, (seq + j) & 0xFFFFFFFF, Label.ANOMALOUS)
             )
 
-    records.sort(key=lambda r: r.timestamp_ns)
-    return records
+    rows.sort(key=itemgetter(0))
+    start = profile.start_ts_ns
+    return [PacketRecord(start + ts, *fields) for ts, *fields in rows]

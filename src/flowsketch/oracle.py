@@ -13,7 +13,7 @@ sketch internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .hashing import FlowKey, extract_key, shift_xor_hash
@@ -22,22 +22,13 @@ from .sketch import SketchConfig, StageCell
 
 
 @dataclass
-class FlowStats:
+class FlowStats(StageCell):
     """Exact metrics of one flow within one epoch.  Inter-arrival gaps
     are measured between consecutive packets of the same flow in the
     same epoch, so iat_count == max(pkt_count - 1, 0)."""
 
-    key: FlowKey
-    epoch_index: int
-    pkt_count: int = 0
-    byte_sum: int = 0
-    byte_min: int | None = None
-    byte_max: int | None = None
-    last_ts_ns: int | None = None
-    iat_sum_ns: int = 0
-    iat_count: int = 0
-    iat_min_ns: int | None = None
-    iat_max_ns: int | None = None
+    key: FlowKey = field(kw_only=True)
+    epoch_index: int = field(kw_only=True)
 
     def observe(self, timestamp_ns: int, length_bytes: int) -> None:
         self.pkt_count += 1

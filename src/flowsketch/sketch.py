@@ -20,7 +20,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .hashing import FlowKey, KeySpec, FIELD_WIDTHS, fold_plan, shift_xor_hash
+from .hashing import FlowKey, KeySpec, FIELD_WIDTHS, check_width, fold_plan, shift_xor_hash
+from .ingest import csv_line, opt_int, read_csv, write_csv
 
 # Resource model constants: a cell holds 9 metric words of 8 bytes, and
 # one update mutates at most 9 metric fields.
@@ -35,9 +36,6 @@ DEFAULT_MAX_CELLS = 1 << 26
 # key cardinality outgrows this, keeping memory bounded either way.
 FOLD_MEMO_MAX = 1 << 16
 
-# Slot layout of the internal list-backed cells.
-_PKT, _BYTES, _BMIN, _BMAX, _LAST, _ISUM, _ICNT, _IMIN, _IMAX = range(9)
-
 
 @dataclass(frozen=True)
 class SketchConfig:
@@ -50,8 +48,7 @@ class SketchConfig:
     key_spec: KeySpec
 
     def __post_init__(self):
-        if not 1 <= self.hash_width <= 24:
-            raise ValueError(f"hash width must be in [1, 24], got {self.hash_width}")
+        check_width(self.hash_width)
         if self.mem_stages < 1:
             raise ValueError("mem_stages must be at least 1")
         if self.epoch_ns <= 0:
@@ -107,35 +104,22 @@ class FeatureVector:
     stage: int
 
 
-def _cell_to_stagecell(cell: list | None) -> StageCell:
-    if cell is None:
-        return StageCell()
-    return StageCell(
-        pkt_count=cell[_PKT],
-        byte_sum=cell[_BYTES],
-        byte_min=cell[_BMIN],
-        byte_max=cell[_BMAX],
-        last_ts_ns=cell[_LAST],
-        iat_sum_ns=cell[_ISUM],
-        iat_count=cell[_ICNT],
-        iat_min_ns=cell[_IMIN],
-        iat_max_ns=cell[_IMAX],
-    )
+def _copy_cell(cell: StageCell | None) -> StageCell:
+    return StageCell() if cell is None else StageCell(**vars(cell))
 
 
-def _cell_features(cell: list | None, stage: int) -> FeatureVector:
-    if cell is None or cell[_PKT] == 0:
+def _cell_features(cell: StageCell | None, stage: int) -> FeatureVector:
+    if cell is None or cell.pkt_count == 0:
         return FeatureVector(0, 0, None, None, None, None, None, None, stage)
-    iat_count = cell[_ICNT]
     return FeatureVector(
-        pkt_count=cell[_PKT],
-        byte_sum=cell[_BYTES],
-        byte_avg=Fraction(cell[_BYTES], cell[_PKT]),
-        byte_min=cell[_BMIN],
-        byte_max=cell[_BMAX],
-        iat_avg_ns=Fraction(cell[_ISUM], iat_count) if iat_count else None,
-        iat_min_ns=cell[_IMIN],
-        iat_max_ns=cell[_IMAX],
+        pkt_count=cell.pkt_count,
+        byte_sum=cell.byte_sum,
+        byte_avg=Fraction(cell.byte_sum, cell.pkt_count),
+        byte_min=cell.byte_min,
+        byte_max=cell.byte_max,
+        iat_avg_ns=Fraction(cell.iat_sum_ns, cell.iat_count) if cell.iat_count else None,
+        iat_min_ns=cell.iat_min_ns,
+        iat_max_ns=cell.iat_max_ns,
         stage=stage,
     )
 
@@ -152,7 +136,7 @@ class Sketch:
         self._bucket_count = config.bucket_count
         self._mask = self._bucket_count - 1
         # Cells materialize lazily: untouched buckets stay None.
-        self._stages: list[list] = [
+        self._stages: list[list[StageCell | None]] = [
             [None] * self._bucket_count for _ in range(config.mem_stages)
         ]
         self._epoch_start: int | None = None
@@ -220,13 +204,19 @@ class Sketch:
 
         return rows()
 
-    def update_many(self, packets: Iterable) -> int:
+    def update_many(
+        self,
+        packets: Iterable,
+        visit: Callable[[Sketch, int, bool], None] | None = None,
+    ) -> int:
         """Fold a timestamp-sorted batch of packets; returns the count.
 
         This is the hot path: the per-packet work is one field fetch, a
         memoized hash fold, one cell fetch, and nine field updates.
         Raises ValueError on a timestamp regression, including against
-        packets from earlier calls.
+        packets from earlier calls.  With a visitor, every epoch that
+        closes is passed to visit(sketch, epoch_index, True) just before
+        its rotation; see replay_epochs.
         """
         config = self._config
         epoch_ns = config.epoch_ns
@@ -252,7 +242,7 @@ class Sketch:
                     boundary = ts + epoch_ns
                 elif ts >= boundary:
                     self._epoch_start = epoch_start
-                    self._advance_epochs(ts)
+                    self._advance_epochs(ts, visit)
                     epoch_start = self._epoch_start
                     boundary = epoch_start + epoch_ns
                     stage0 = stages[0]
@@ -273,47 +263,50 @@ class Sketch:
                     fold_memo[v] = b
                 cell = stage0[b]
                 if cell is None:
-                    cell = stage0[b] = [0, 0, None, None, None, 0, 0, None, None]
-                cell[0] += 1
-                cell[1] += nbytes
-                lo = cell[2]
+                    cell = stage0[b] = StageCell()
+                cell.pkt_count += 1
+                cell.byte_sum += nbytes
+                lo = cell.byte_min
                 if lo is None or nbytes < lo:
-                    cell[2] = nbytes
-                if cell[3] is None or nbytes > cell[3]:
-                    cell[3] = nbytes
-                prev = cell[4]
+                    cell.byte_min = nbytes
+                hi = cell.byte_max
+                if hi is None or nbytes > hi:
+                    cell.byte_max = nbytes
+                prev = cell.last_ts_ns
                 if prev is not None:
                     gap = ts - prev
-                    cell[5] += gap
-                    cell[6] += 1
-                    lo = cell[7]
+                    cell.iat_sum_ns += gap
+                    cell.iat_count += 1
+                    lo = cell.iat_min_ns
                     if lo is None or gap < lo:
-                        cell[7] = gap
-                    if cell[8] is None or gap > cell[8]:
-                        cell[8] = gap
-                cell[4] = ts
+                        cell.iat_min_ns = gap
+                    hi = cell.iat_max_ns
+                    if hi is None or gap > hi:
+                        cell.iat_max_ns = gap
+                cell.last_ts_ns = ts
                 count += 1
         finally:
             self._last_ts = last_ts if last_ts >= 0 else None
             self._epoch_start = epoch_start
         return count
 
-    def _advance_epochs(self, ts: int) -> None:
-        """Rotate until the current epoch contains ts.  Gaps of at least
-        mem_stages epochs clear every stage in one step, which is
-        equivalent to rotating once per elapsed epoch."""
+    def _advance_epochs(self, ts: int, visit: Callable | None) -> None:
+        """Rotate until the current epoch contains ts, visiting each
+        closing epoch first when there is a visitor.  Without one, gaps
+        of at least mem_stages epochs clear every stage in one step,
+        which is equivalent to rotating once per elapsed epoch."""
         epoch_ns = self._config.epoch_ns
         gap = (ts - self._epoch_start) // epoch_ns
-        if gap >= self._config.mem_stages:
+        if visit is None and gap >= self._config.mem_stages:
             for s in range(len(self._stages)):
                 self._stages[s] = [None] * self._bucket_count
             self._epoch_index += gap
             self._epoch_start += gap * epoch_ns
-        else:
-            boundary = self._epoch_start + epoch_ns
-            while ts >= boundary:
-                self.rotate_epoch(boundary)
-                boundary += epoch_ns
+            return
+        for _ in range(gap):
+            if visit is not None:
+                visit(self, self._epoch_index, True)
+            self.rotate_epoch(self._epoch_start + epoch_ns)
 
     def rotate_epoch(self, new_epoch_start_ns: int) -> None:
         """Shift the stages by one epoch and start a fresh stage 0.
@@ -338,24 +331,17 @@ class Sketch:
         bucket = shift_xor_hash(key, self._config.hash_width)
         return _cell_features(self._stages[stage][bucket], stage)
 
-    def bucket_features(self, bucket: int, stage: int = 0) -> FeatureVector:
-        if not 0 <= stage < self._config.mem_stages:
-            raise ValueError(f"stage must be in [0, {self._config.mem_stages})")
-        if not 0 <= bucket < self._bucket_count:
-            raise ValueError("bucket out of range")
-        return _cell_features(self._stages[stage][bucket], stage)
-
     def stage_cells(self, stage: int) -> list[StageCell]:
         """Copies of every cell in a stage, indexed by bucket."""
         if not 0 <= stage < self._config.mem_stages:
             raise ValueError(f"stage must be in [0, {self._config.mem_stages})")
-        return [_cell_to_stagecell(c) for c in self._stages[stage]]
+        return [_copy_cell(c) for c in self._stages[stage]]
 
     def stage_packet_total(self, stage: int) -> int:
         """Sum of pkt_count over a stage, cheap even at large widths."""
         if not 0 <= stage < self._config.mem_stages:
             raise ValueError(f"stage must be in [0, {self._config.mem_stages})")
-        return sum(c[_PKT] for c in self._stages[stage] if c is not None)
+        return sum(c.pkt_count for c in self._stages[stage] if c is not None)
 
     def snapshot(self) -> list[tuple[int, int, StageCell]]:
         """Every cell as (stage, bucket, StageCell), stages then buckets
@@ -364,7 +350,7 @@ class Sketch:
         for stage in range(self._config.mem_stages):
             cells = self._stages[stage]
             for bucket in range(self._bucket_count):
-                rows.append((stage, bucket, _cell_to_stagecell(cells[bucket])))
+                rows.append((stage, bucket, _copy_cell(cells[bucket])))
         return rows
 
 
@@ -387,19 +373,10 @@ def replay_epochs(
     """Stream packets through the sketch, calling visit(sketch,
     epoch_index, complete) for each finished epoch while its state is
     still in stage 0, and once more for the trailing partial epoch.
-
-    The boundary arithmetic here mirrors update_many so both paths see
-    identical epoch assignment.  Returns the packet count.
+    Every elapsed epoch is visited, empty ones across gaps included.
+    Returns the packet count.
     """
-    epoch_ns = sketch.config.epoch_ns
-    count = 0
-    for pkt in packets:
-        ts = pkt.timestamp_ns
-        while sketch.epoch_start_ns is not None and ts >= sketch.epoch_start_ns + epoch_ns:
-            visit(sketch, sketch.epoch_index, True)
-            sketch.rotate_epoch(sketch.epoch_start_ns + epoch_ns)
-        sketch.update(pkt)
-        count += 1
+    count = sketch.update_many(packets, visit)
     if sketch.epoch_start_ns is not None:
         visit(sketch, sketch.epoch_index, False)
     return count
@@ -423,51 +400,35 @@ def collect_epochs(sketch: Sketch, packets: Iterable) -> list[EpochSnapshot]:
 SNAPSHOT_HEADER = "stage,bucket,pkt_count,byte_sum,byte_min,byte_max,iat_count,iat_sum_ns,iat_min_ns,iat_max_ns"
 
 
-def _opt(value: int | None) -> str:
-    return "" if value is None else str(value)
-
-
 def write_snapshot(path, rows: Sequence[tuple[int, int, StageCell]]) -> None:
     """Serialize snapshot rows to CSV.  last_ts_ns is transient stream
     state and is not exported."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SNAPSHOT_HEADER + "\n")
-        for stage, bucket, cell in rows:
-            fh.write(
-                f"{stage},{bucket},{cell.pkt_count},{cell.byte_sum},"
-                f"{_opt(cell.byte_min)},{_opt(cell.byte_max)},{cell.iat_count},"
-                f"{cell.iat_sum_ns},{_opt(cell.iat_min_ns)},{_opt(cell.iat_max_ns)}\n"
+    write_csv(
+        path,
+        SNAPSHOT_HEADER,
+        (
+            csv_line(
+                stage, bucket, c.pkt_count, c.byte_sum, c.byte_min, c.byte_max,
+                c.iat_count, c.iat_sum_ns, c.iat_min_ns, c.iat_max_ns,
             )
+            for stage, bucket, c in rows
+        ),
+    )
+
+
+def _snapshot_row(f: list[str]) -> tuple[int, int, StageCell]:
+    cell = StageCell(
+        pkt_count=int(f[2]),
+        byte_sum=int(f[3]),
+        byte_min=opt_int(f[4]),
+        byte_max=opt_int(f[5]),
+        iat_count=int(f[6]),
+        iat_sum_ns=int(f[7]),
+        iat_min_ns=opt_int(f[8]),
+        iat_max_ns=opt_int(f[9]),
+    )
+    return int(f[0]), int(f[1]), cell
 
 
 def parse_snapshot(lines: Iterable[str]) -> list[tuple[int, int, StageCell]]:
-    it = iter(lines)
-    header = next(it, None)
-    if header is None or header.rstrip("\n") != SNAPSHOT_HEADER:
-        raise ValueError(f"bad snapshot header: expected {SNAPSHOT_HEADER!r}")
-    rows = []
-    for raw in it:
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 10:
-            raise ValueError(f"expected 10 fields, got {len(fields)}")
-        opt = lambda s: None if s == "" else int(s)
-        rows.append(
-            (
-                int(fields[0]),
-                int(fields[1]),
-                StageCell(
-                    pkt_count=int(fields[2]),
-                    byte_sum=int(fields[3]),
-                    byte_min=opt(fields[4]),
-                    byte_max=opt(fields[5]),
-                    iat_count=int(fields[6]),
-                    iat_sum_ns=int(fields[7]),
-                    iat_min_ns=opt(fields[8]),
-                    iat_max_ns=opt(fields[9]),
-                ),
-            )
-        )
-    return rows
+    return list(read_csv(lines, SNAPSHOT_HEADER, _snapshot_row))

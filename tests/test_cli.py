@@ -199,6 +199,20 @@ def test_pareto_command_prints_front(tmp_path, capsys):
     assert "on the front" in out
 
 
+def test_pareto_on_corrupt_report_exits_2_naming_line(tmp_path, capsys):
+    trace = gen_trace(tmp_path, "--anomaly", "flood")
+    out_dir = tmp_path / "sweep"
+    assert run("sweep", "--trace", str(trace), "--out-dir", str(out_dir),
+               "--hash-widths", "4,5", "--detector", "threshold", "--threshold", "9") == 0
+    capsys.readouterr()
+    report = out_dir / "report.csv"
+    lines = report.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",maybe"
+    report.write_text("\n".join(lines) + "\n")
+    assert run("pareto", "--report", str(report)) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_bench_command(tmp_path, capsys):
     path = tmp_path / "big.csv"
     assert run("generate", "--out", str(path), "--flows", "100",

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from flowsketch.detectors import (
+    VERDICT_HEADER,
     DetectorSetting,
     EwmaDetector,
     detect_ewma,
@@ -17,6 +18,7 @@ from flowsketch.detectors import (
     run_detector,
     write_verdicts,
 )
+from flowsketch.ingest import TraceFormatError
 from flowsketch.sketch import StageCell
 
 from conftest import count_snapshot
@@ -276,3 +278,10 @@ def test_verdict_csv_round_trip(tmp_path):
     assert path.read_bytes() == first
     with pytest.raises(ValueError):
         parse_verdicts(["wrong,header"])
+
+
+@pytest.mark.parametrize("bad", ["zscore,1,0", "zscore,1,0,0.5,maybe", "zscore,1,x,0.5,true"])
+def test_parse_verdicts_names_bad_line(bad):
+    with pytest.raises(TraceFormatError) as err:
+        parse_verdicts([VERDICT_HEADER, "zscore,0,0,inf,true", bad])
+    assert err.value.line_no == 3

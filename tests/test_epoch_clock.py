@@ -1,0 +1,92 @@
+"""Differential guard for the epoch clock: replay_epochs and update_many
+must agree with a straightforward per-packet replay, including across
+gaps shorter and at least as long as the stage count."""
+
+from hypothesis import given, settings, strategies as st
+
+from flowsketch.hashing import KeySpec
+from flowsketch.sketch import Sketch, SketchConfig, replay_epochs
+
+from conftest import make_packet
+
+KEY_SPECS = (KeySpec(("src_ip",)), KeySpec(("src_ip", "dst_port")), KeySpec(("dst_port", "protocol")))
+
+
+def per_packet_replay(sketch, packets, visit):
+    """Reference epoch replay: rotate packet by packet, visiting each
+    finished epoch before its rotation, then the trailing partial one."""
+    epoch_ns = sketch.config.epoch_ns
+    count = 0
+    for pkt in packets:
+        ts = pkt.timestamp_ns
+        while sketch.epoch_start_ns is not None and ts >= sketch.epoch_start_ns + epoch_ns:
+            visit(sketch, sketch.epoch_index, True)
+            sketch.rotate_epoch(sketch.epoch_start_ns + epoch_ns)
+        sketch.update(pkt)
+        count += 1
+    if sketch.epoch_start_ns is not None:
+        visit(sketch, sketch.epoch_index, False)
+    return count
+
+
+@st.composite
+def gapped_streams(draw):
+    width = draw(st.integers(1, 8))
+    stages = draw(st.integers(1, 4))
+    epoch_ns = draw(st.integers(1, 1000))
+    config = SketchConfig(width, stages, epoch_ns, draw(st.sampled_from(KEY_SPECS)))
+    short = st.integers(0, stages * epoch_ns - 1)
+    long = st.integers(stages * epoch_ns, (stages + 3) * epoch_ns)
+    gaps = draw(st.lists(st.one_of(short, long), max_size=30))
+    ts = draw(st.integers(0, 10**6))
+    packets = []
+    for gap in [0] + gaps:
+        ts += gap
+        packets.append(
+            make_packet(
+                ts=ts,
+                src=draw(st.integers(1, 6)),
+                dport=draw(st.sampled_from((53, 80, 443))),
+                proto=draw(st.sampled_from((6, 17))),
+                length=draw(st.sampled_from((60, 576, 1500))),
+            )
+        )
+    return config, packets
+
+
+def visit_log(replay, config, packets):
+    log = []
+
+    def visit(sk, index, complete):
+        log.append((index, complete, sk.epoch_start_ns, sk.snapshot()))
+
+    sketch = Sketch(config)
+    count = replay(sketch, packets, visit)
+    return count, log, sketch.snapshot(), sketch.epoch_index
+
+
+@settings(max_examples=150, deadline=None)
+@given(gapped_streams())
+def test_replay_epochs_matches_per_packet_replay(stream):
+    config, packets = stream
+    assert visit_log(replay_epochs, config, packets) == visit_log(
+        per_packet_replay, config, packets
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(gapped_streams(), st.lists(st.integers(0, 31), max_size=6))
+def test_update_many_batch_splits_agree(stream, cuts):
+    config, packets = stream
+    whole = Sketch(config)
+    assert whole.update_many(packets) == len(packets)
+    reference = Sketch(config)
+    per_packet_replay(reference, packets, lambda *args: None)
+    assert whole.snapshot() == reference.snapshot()
+    split = Sketch(config)
+    bounds = [0, *sorted(c % (len(packets) + 1) for c in cuts), len(packets)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        split.update_many(packets[lo:hi])
+    assert split.snapshot() == whole.snapshot()
+    assert split.epoch_index == whole.epoch_index
+    assert split.epoch_start_ns == whole.epoch_start_ns

@@ -104,6 +104,17 @@ def test_malformed_rows_report_line(row):
     assert err.value.line_no == 3
 
 
+@pytest.mark.parametrize(
+    "address", ["010.0.0.1", "10.0.0.01", "10.0.0.\u0661", "\uff11.0.0.1", "+1.0.0.1"]
+)
+def test_non_canonical_ip_reports_line(address):
+    # leading zeros read as octal elsewhere; isdigit() admits non-ASCII digits
+    assert parse_ip("0.10.100.255") == 0x000A64FF
+    with pytest.raises(TraceFormatError) as err:
+        parse_rows(EXAMPLE_ROW, EXAMPLE_ROW.replace("10.0.0.1", address))
+    assert err.value.line_no == 3
+
+
 def test_write_read_round_trip(tmp_path):
     profile = SyntheticProfile(
         flows=12,

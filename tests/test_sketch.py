@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from flowsketch.hashing import FlowKey, KeySpec, extract_key, shift_xor_hash
-from flowsketch.ingest import SyntheticProfile, generate_synthetic
+from flowsketch.ingest import SyntheticProfile, TraceFormatError, generate_synthetic
 from flowsketch.sketch import (
     CELL_BYTES,
+    SNAPSHOT_HEADER,
     UPDATE_OPS,
     Sketch,
     SketchConfig,
@@ -263,6 +264,14 @@ def test_parse_snapshot_rejects_garbage(tmp_path):
         parse_snapshot(["nope"])
     with pytest.raises(ValueError):
         parse_snapshot(["stage,bucket", "1,2"])
+
+
+@pytest.mark.parametrize("bad", ["0,1,2", "0,1,2,60,6.5,60,0,0,,", "0,1,x,60,60,60,0,0,,"])
+def test_parse_snapshot_names_bad_line(bad):
+    good = "0,0,1,60,60,60,0,0,,"
+    with pytest.raises(TraceFormatError) as err:
+        parse_snapshot([SNAPSHOT_HEADER, good, bad])
+    assert err.value.line_no == 3
 
 
 def test_collect_epochs_counts_and_flags():
