@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate, extract, detect, sweep, bench, pareto.  Every
-flag can also be supplied through a JSON config document (--config);
-explicit command-line flags win over the document, which wins over
-built-in defaults.
+option except the input and output paths can also be set in a JSON
+config document (--config); explicit command-line flags win over the
+document, which wins over built-in defaults.
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration error,
 3 sweep completed with failed cells.
@@ -15,9 +15,10 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from typing import Sequence
 
-from .detectors import DetectorSetting, run_detector, write_verdicts
+from .detectors import DETECTOR_PARAMS, FEATURES, DetectorSetting, run_detector, write_verdicts
 from .evaluation import (
     ParetoPoint,
     bench_throughput,
@@ -43,51 +44,35 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
-_GENERATE_DEFAULTS = {
-    "flows": 10,
-    "packets_per_flow": 100,
-    "duration_ns": 10_000_000_000,
-    "timing": "uniform",
-    "start_ts_ns": 0,
-    "anomaly": "none",
-    "rate_multiplier": 50.0,
-    "window_start": 0.4,
-    "window_stop": 0.5,
-    "seed": 0,
+# The config document sections each subcommand reads.
+_SECTIONS = {
+    "generate": ("generate",),
+    "extract": ("sketch",),
+    "detect": ("sketch", "detector"),
+    "sweep": ("sweep",),
+    "bench": ("sketch",),
 }
 
-_SKETCH_DEFAULTS = {
-    "hash_width": 4,
-    "mem_stages": 1,
-    "epoch_ns": 1_000_000_000,
-    "key_spec": "src_ip",
-}
+# Options that only the command line sets: the input and output paths,
+# and the document itself.
+_COMMAND_LINE_ONLY = {"config", "trace", "out", "out_dir"}
 
-_DETECTOR_DEFAULTS = {
-    "detector": "zscore",
-    "feature": "pkt_count",
-    "threshold": None,
-    "k": 3.0,
-    "alpha": 0.3,
-    "train_epochs": 2,
-}
+# The keys of one entry of a sweep's detectors list: one detector setting.
+_DETECTOR_KEYS = {"detector", "feature", *chain.from_iterable(DETECTOR_PARAMS.values())}
 
-_SWEEP_DEFAULTS = {
-    "hash_widths": [4, 5],
-    "mem_stages": [1],
-    "epoch_ns": [1_000_000_000],
-    "key_specs": ["src_ip"],
-    "bench": False,
-    "bench_repetitions": 3,
-}
+
+class _UsageError(Exception):
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors by default; remap to 1 so 2
-    # stays reserved for data errors.
+    # Raise rather than exit, so the caller picks the exit code: 1 for a
+    # bad command line (argparse would exit 2, which is kept for data
+    # errors) and 2 for a bad value in a config document.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise _UsageError(self, message)
 
 
 def _int_list(text: str) -> list[int]:
@@ -101,65 +86,90 @@ def _str_list(text: str) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
-def _load_config_doc(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config_doc(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
+    known = set(chain.from_iterable(_SECTIONS.values()))
+    for name, section in doc.items():
+        if name not in known:
+            raise ValueError(f"unknown config section {name!r}")
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {name!r} must be a JSON object")
     return doc
 
 
-def _merge(defaults: dict, doc: dict, args: argparse.Namespace) -> dict:
-    """Resolve option values: CLI flag > config document > default."""
-    merged = dict(defaults)
-    for key, value in doc.items():
-        if key not in defaults:
+def _config_tokens(
+    args: argparse.Namespace, rest: list[str], settings: dict, keys: set[str]
+) -> list[str]:
+    """Render config settings as --flag=value tokens (the = keeps a
+    negative number a value), each checked by the command's own parser
+    so that a bad key or value is reported by its name."""
+    tokens = []
+    for key, value in settings.items():
+        if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
-        merged[key] = value
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
+            token = [flag] if value else []
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            token = [f"{flag}={text}"]
+        try:
+            args.parser.parse_args(token + rest)
+        except _UsageError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+        tokens += token
+    return tokens
 
 
-def _parse_key_spec(value) -> KeySpec:
-    if isinstance(value, (list, tuple)):
-        return KeySpec(tuple(value))
-    return KeySpec.parse(str(value))
+def _detector_given(parser: argparse.ArgumentParser, rest: list[str]) -> bool:
+    # argparse fills in a default only where the namespace has no value
+    # yet, so the None survives unless the command line sets --detector.
+    return parser.parse_args(rest, argparse.Namespace(detector=None)).detector is not None
 
 
-def _sketch_config(opts: dict) -> SketchConfig:
-    return SketchConfig(
-        hash_width=int(opts["hash_width"]),
-        mem_stages=int(opts["mem_stages"]),
-        epoch_ns=int(opts["epoch_ns"]),
-        key_spec=_parse_key_spec(opts["key_spec"]),
-    )
+def _with_config(args: argparse.Namespace, argv: list[str]) -> list[argparse.Namespace]:
+    """Parse the command line again behind the config document's
+    settings.  argparse keeps an option's last occurrence, so a flag
+    wins over the document, which wins over the default, and each
+    document value passes the flag's own type and choices.
+
+    A sweep gives one namespace per entry of its detectors list, where
+    an entry's key wins over the same key in the sweep section, unless
+    --detector on the command line replaces the list."""
+    if getattr(args, "config", None) is None:
+        return [args]
+    doc = _load_config_doc(args.config)
+    rest = argv[argv.index(args.command) + 1 :]
+    settings: dict = {}
+    for section in _SECTIONS[args.command]:
+        settings.update(doc.get(section, {}))
+    entries = settings.pop("detectors", None) if args.command == "sweep" else None
+    tokens = _config_tokens(args, rest, settings, vars(args).keys() - _COMMAND_LINE_ONLY)
+    if entries is None or _detector_given(args.parser, rest):
+        return [args.parser.parse_args(tokens + rest)]
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("config key 'detectors' must be a nonempty list")
+    namespaces = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"a detectors entry must be a JSON object, got {entry!r}")
+        entry_tokens = _config_tokens(args, rest, entry, _DETECTOR_KEYS)
+        namespaces.append(args.parser.parse_args(tokens + entry_tokens + rest))
+    return namespaces
 
 
-# Parameters each detector kind uses, with their types.  Only these are
-# passed on, so the canonical parameter string stays minimal.
-_DETECTOR_PARAMS = {
-    "threshold": {"threshold": float},
-    "zscore": {"k": float, "train_epochs": int},
-    "ewma": {"k": float, "alpha": float},
-}
+def _sketch_config(args: argparse.Namespace) -> SketchConfig:
+    return SketchConfig(args.hash_width, args.mem_stages, args.epoch_ns, KeySpec.parse(args.key_spec))
 
 
-def _detector_setting(opts: dict) -> DetectorSetting:
-    kind = str(opts["detector"])
-    params = _DETECTOR_PARAMS.get(kind, {})
-    return DetectorSetting(
-        kind,
-        str(opts["feature"]),
-        **{
-            name: None if opts[name] is None else cast(opts[name])
-            for name, cast in params.items()
-        },
-    )
+def _detector_setting(args: argparse.Namespace) -> DetectorSetting:
+    params = {name: getattr(args, name) for name in DETECTOR_PARAMS[args.detector]}
+    return DetectorSetting(args.detector, args.feature, **params)
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
@@ -167,46 +177,46 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sketch_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hash-width", type=int, dest="hash_width")
-    parser.add_argument("--mem-stages", type=int, dest="mem_stages")
-    parser.add_argument("--epoch-ns", type=int, dest="epoch_ns")
-    parser.add_argument("--key-spec", dest="key_spec", help='e.g. "src_ip" or "src_ip+dst_port"')
+    parser.add_argument("--hash-width", type=int, default=4)
+    parser.add_argument("--mem-stages", type=int, default=1)
+    parser.add_argument("--epoch-ns", type=int, default=1_000_000_000)
+    parser.add_argument("--key-spec", default="src_ip", help='e.g. "src_ip" or "src_ip+dst_port"')
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--detector", choices=("threshold", "zscore", "ewma"))
-    parser.add_argument("--feature", choices=("pkt_count", "byte_sum", "byte_avg", "iat_avg_ns"))
+    parser.add_argument("--detector", choices=DETECTOR_PARAMS, default="zscore")
+    parser.add_argument("--feature", choices=FEATURES, default="pkt_count")
     parser.add_argument("--threshold", type=float)
-    parser.add_argument("--k", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--train-epochs", type=int, dest="train_epochs")
+    parser.add_argument("--k", type=float, default=3.0)
+    parser.add_argument("--alpha", type=float, default=0.3)
+    parser.add_argument("--train-epochs", type=int, default=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flowsketch", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[], help="write a synthetic labeled trace")
+    p = sub.add_parser("generate", help="write a synthetic labeled trace")
     p.add_argument("--out", required=True)
-    p.add_argument("--flows", type=int)
-    p.add_argument("--packets-per-flow", type=int, dest="packets_per_flow")
-    p.add_argument("--duration-ns", type=int, dest="duration_ns")
-    p.add_argument("--timing", choices=("uniform", "periodic"))
-    p.add_argument("--start-ts-ns", type=int, dest="start_ts_ns")
-    p.add_argument("--anomaly", choices=("none", "flood", "portscan"))
-    p.add_argument("--rate-multiplier", type=float, dest="rate_multiplier")
-    p.add_argument("--window-start", type=float, dest="window_start")
-    p.add_argument("--window-stop", type=float, dest="window_stop")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--flows", type=int, default=10)
+    p.add_argument("--packets-per-flow", type=int, default=100)
+    p.add_argument("--duration-ns", type=int, default=10_000_000_000)
+    p.add_argument("--timing", choices=("uniform", "periodic"), default="uniform")
+    p.add_argument("--start-ts-ns", type=int, default=0)
+    p.add_argument("--anomaly", choices=("none", "flood", "portscan"), default="none")
+    p.add_argument("--rate-multiplier", type=float, default=50.0)
+    p.add_argument("--window-start", type=float, default=0.4)
+    p.add_argument("--window-stop", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0)
     _add_config_flag(p)
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_cmd_generate, parser=p)
 
     p = sub.add_parser("extract", help="replay a trace and dump per-epoch sketch snapshots")
     p.add_argument("--trace", required=True)
-    p.add_argument("--out-dir", required=True, dest="out_dir")
+    p.add_argument("--out-dir", required=True)
     _add_sketch_flags(p)
     _add_config_flag(p)
-    p.set_defaults(func=_cmd_extract)
+    p.set_defaults(func=_cmd_extract, parser=p)
 
     p = sub.add_parser("detect", help="run one detector over a trace's completed epochs")
     p.add_argument("--trace", required=True)
@@ -214,27 +224,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sketch_flags(p)
     _add_detector_flags(p)
     _add_config_flag(p)
-    p.set_defaults(func=_cmd_detect)
+    p.set_defaults(func=_cmd_detect, parser=p)
 
     p = sub.add_parser("sweep", help="evaluate a grid of configurations on a labeled trace")
     p.add_argument("--trace", required=True)
-    p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--hash-widths", type=_int_list, dest="hash_widths")
-    p.add_argument("--mem-stages", type=_int_list, dest="mem_stages")
-    p.add_argument("--epoch-ns", type=_int_list, dest="epoch_ns")
-    p.add_argument("--key-specs", type=_str_list, dest="key_specs")
-    p.add_argument("--bench", action="store_true", default=None)
-    p.add_argument("--bench-repetitions", type=int, dest="bench_repetitions")
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--hash-widths", type=_int_list, default=[4, 5])
+    p.add_argument("--mem-stages", type=_int_list, default=[1])
+    p.add_argument("--epoch-ns", type=_int_list, default=[1_000_000_000])
+    p.add_argument("--key-specs", type=_str_list, default=["src_ip"])
+    p.add_argument("--bench", action="store_true")
+    p.add_argument("--bench-repetitions", type=int, default=3)
     _add_detector_flags(p)
     _add_config_flag(p)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, parser=p)
 
     p = sub.add_parser("bench", help="measure sketch update throughput on a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--repetitions", type=int, default=3)
     _add_sketch_flags(p)
     _add_config_flag(p)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, parser=p)
 
     p = sub.add_parser("pareto", help="recompute the Pareto front from a sweep report")
     p.add_argument("--report", required=True)
@@ -244,25 +254,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    doc = _load_config_doc(args.config)
-    opts = _merge(_GENERATE_DEFAULTS, doc.get("generate", {}), args)
     anomaly = None
-    if opts["anomaly"] != "none":
+    if args.anomaly != "none":
         anomaly = AnomalyProfile(
-            kind=AnomalyKind(opts["anomaly"]),
-            rate_multiplier=float(opts["rate_multiplier"]),
-            window_start=float(opts["window_start"]),
-            window_stop=float(opts["window_stop"]),
+            kind=AnomalyKind(args.anomaly),
+            rate_multiplier=args.rate_multiplier,
+            window_start=args.window_start,
+            window_stop=args.window_stop,
         )
     profile = SyntheticProfile(
-        flows=int(opts["flows"]),
-        packets_per_flow=int(opts["packets_per_flow"]),
-        duration_ns=int(opts["duration_ns"]),
-        timing=str(opts["timing"]),
-        start_ts_ns=int(opts["start_ts_ns"]),
+        flows=args.flows,
+        packets_per_flow=args.packets_per_flow,
+        duration_ns=args.duration_ns,
+        timing=args.timing,
+        start_ts_ns=args.start_ts_ns,
         anomaly=anomaly,
     )
-    records = generate_synthetic(profile, int(opts["seed"]))
+    records = generate_synthetic(profile, args.seed)
     meta = write_trace(args.out, records)
     print(
         f"wrote {meta.record_count} records ({meta.anomalous_count} anomalous) "
@@ -272,8 +280,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    doc = _load_config_doc(args.config)
-    config = _sketch_config(_merge(_SKETCH_DEFAULTS, doc.get("sketch", {}), args))
+    config = _sketch_config(args)
     records, _ = read_trace(args.trace)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
@@ -290,9 +297,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    doc = _load_config_doc(args.config)
-    config = _sketch_config(_merge(_SKETCH_DEFAULTS, doc.get("sketch", {}), args))
-    setting = _detector_setting(_merge(_DETECTOR_DEFAULTS, doc.get("detector", {}), args))
+    config = _sketch_config(args)
+    setting = _detector_setting(args)
     records, _ = read_trace(args.trace)
     snapshots = [s for s in collect_epochs(Sketch(config), records) if s.complete]
     verdicts = run_detector(setting, snapshots)
@@ -305,44 +311,24 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_detectors(doc: dict, args: argparse.Namespace) -> list[DetectorSetting]:
-    listed = doc.get("detectors")
-    if listed is not None and getattr(args, "detector", None) is None:
-        settings = []
-        for entry in listed:
-            unknown = set(entry) - {"detector", "feature", "threshold", "k", "alpha", "train_epochs"}
-            if unknown:
-                raise ValueError(f"unknown detector keys {sorted(unknown)}")
-            merged = dict(_DETECTOR_DEFAULTS)
-            merged.update(entry)
-            settings.append(_detector_setting(merged))
-        if not settings:
-            raise ValueError("config lists no detectors")
-        return settings
-    merged = _merge(_DETECTOR_DEFAULTS, {k: v for k, v in doc.items() if k in _DETECTOR_DEFAULTS}, args)
-    return [_detector_setting(merged)]
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    doc = _load_config_doc(args.config)
-    sweep_doc = dict(doc.get("sweep", {}))
-    detector_doc = {k: sweep_doc.pop(k) for k in list(sweep_doc) if k in _DETECTOR_DEFAULTS or k == "detectors"}
-    opts = _merge(_SWEEP_DEFAULTS, sweep_doc, args)
-    settings = _sweep_detectors(detector_doc, args)
+def _cmd_sweep(*runs: argparse.Namespace) -> int:
+    # One namespace per detector setting; only their detector options differ.
+    args = runs[0]
+    settings = [_detector_setting(run) for run in runs]
     configs = [
-        SketchConfig(w, s, e, _parse_key_spec(k))
-        for w in opts["hash_widths"]
-        for s in opts["mem_stages"]
-        for e in opts["epoch_ns"]
-        for k in opts["key_specs"]
+        SketchConfig(w, s, e, KeySpec.parse(k))
+        for w in args.hash_widths
+        for s in args.mem_stages
+        for e in args.epoch_ns
+        for k in args.key_specs
     ]
     records, meta = read_trace(args.trace)
     report = sweep(
         records,
         configs,
         settings,
-        bench=bool(opts["bench"]),
-        bench_repetitions=int(opts["bench_repetitions"]),
+        bench=args.bench,
+        bench_repetitions=args.bench_repetitions,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "report.csv")
@@ -367,8 +353,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    doc = _load_config_doc(args.config)
-    config = _sketch_config(_merge(_SKETCH_DEFAULTS, doc.get("sketch", {}), args))
+    config = _sketch_config(args)
     records, _ = read_trace(args.trace)
     result = bench_throughput(config, records, repetitions=args.repetitions)
     runs = ", ".join(f"{r:.0f}" for r in result.runs)
@@ -397,13 +382,18 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except _UsageError as exc:
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        return args.func(args)
+        return args.func(*_with_config(args, argv))
     except FileNotFoundError as exc:
         print(f"flowsketch: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -22,6 +22,14 @@ from .sketch import EpochSnapshot, StageCell
 
 FEATURES = ("pkt_count", "byte_sum", "byte_avg", "iat_avg_ns")
 
+# The detector kinds, each with the parameters it requires.  Only these
+# are set on a DetectorSetting, so its parameter string stays minimal.
+DETECTOR_PARAMS = {
+    "threshold": ("threshold",),
+    "zscore": ("k", "train_epochs"),
+    "ewma": ("k", "alpha"),
+}
+
 # Floor for the EWMA deviation denominator, so a settled series does
 # not divide by zero.
 EWMA_EPS = 1e-9
@@ -187,8 +195,8 @@ def detect_ewma(
 class DetectorSetting:
     """Declarative description of one detector run.
 
-    kind is "threshold", "zscore", or "ewma"; only the parameters that
-    kind uses need to be set.
+    kind is a key of DETECTOR_PARAMS; only the parameters listed there
+    for it need to be set.
     """
 
     kind: str
@@ -225,19 +233,18 @@ def run_detector(
     """
     if setting.feature not in FEATURES:
         raise ValueError(f"unknown feature selector {setting.feature!r}")
+    if setting.kind not in DETECTOR_PARAMS:
+        raise ValueError(f"unknown detector kind {setting.kind!r}")
+    for name in DETECTOR_PARAMS[setting.kind]:
+        if getattr(setting, name) is None:
+            raise ValueError(f"{setting.kind} detector needs {name}")
     if setting.kind == "threshold":
-        if setting.threshold is None:
-            raise ValueError("threshold detector needs a threshold")
         out: list[Verdict] = []
         for snap in snapshots:
             out.extend(detect_threshold(snap, setting.feature, setting.threshold))
         return out
     if setting.kind == "zscore":
-        if setting.k is None:
-            raise ValueError("zscore detector needs k")
         train = setting.train_epochs
-        if train is None:
-            raise ValueError("zscore detector needs train_epochs")
         if train > len(snapshots):
             raise ValueError(
                 f"train_epochs={train} exceeds available epochs ({len(snapshots)})"
@@ -247,13 +254,7 @@ def run_detector(
         for snap in snapshots:
             out.extend(detect_zscore(snap, model, setting.k))
         return out
-    if setting.kind == "ewma":
-        if setting.k is None:
-            raise ValueError("ewma detector needs k")
-        if setting.alpha is None:
-            raise ValueError("ewma detector needs alpha")
-        return detect_ewma(snapshots, setting.feature, setting.alpha, setting.k)
-    raise ValueError(f"unknown detector kind {setting.kind!r}")
+    return detect_ewma(snapshots, setting.feature, setting.alpha, setting.k)
 
 
 VERDICT_HEADER = "detector_id,epoch_index,bucket,score,anomalous"

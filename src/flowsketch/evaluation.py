@@ -25,7 +25,6 @@ from .ingest import PacketRecord, csv_line, opt_float, opt_int, parse_flag, read
 from .oracle import ExactTracker
 from .sketch import (
     CELL_BYTES,
-    DEFAULT_MAX_CELLS,
     UPDATE_OPS,
     Sketch,
     SketchConfig,
@@ -136,7 +135,6 @@ def bench_throughput(
     config: SketchConfig,
     records: Sequence[PacketRecord],
     repetitions: int = 3,
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> BenchResult:
     """Measure sketch update throughput on a fixed trace.
 
@@ -152,13 +150,13 @@ def bench_throughput(
         )
     if repetitions < 3:
         raise ValueError("benchmark needs at least 3 repetitions")
-    Sketch(config, max_cells=max_cells).update_many(records)  # warmup
+    Sketch(config).update_many(records)  # warmup
     runs = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repetitions):
-            sketch = Sketch(config, max_cells=max_cells)
+            sketch = Sketch(config)
             start = time.perf_counter_ns()
             sketch.update_many(records)
             elapsed = time.perf_counter_ns() - start
@@ -271,7 +269,6 @@ def sweep(
     detector_settings: Sequence[DetectorSetting],
     bench: bool = False,
     bench_repetitions: int = 3,
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> SweepReport:
     """Evaluate every (sketch config, detector setting) cell on a trace.
 
@@ -297,16 +294,14 @@ def sweep(
         grid = None
         bench_pps: float | None = None
         try:
-            snapshots = collect_epochs(Sketch(config, max_cells=max_cells), records)
+            snapshots = collect_epochs(Sketch(config), records)
             completed = [s for s in snapshots if s.complete]
             tracker = ExactTracker(config)
             for record in records:
                 tracker.update(record)
             grid = GroundTruthGrid.from_tracker(tracker, len(completed))
             if bench:
-                bench_pps = bench_throughput(
-                    config, records, repetitions=bench_repetitions, max_cells=max_cells
-                ).pps
+                bench_pps = bench_throughput(config, records, repetitions=bench_repetitions).pps
         except ValueError as exc:
             shared_error = str(exc)
         for setting in detector_settings:

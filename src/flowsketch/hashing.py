@@ -37,8 +37,6 @@ class KeySpec:
     fields: tuple[str, ...]
 
     def __post_init__(self):
-        # Tolerate lists coming from config documents.
-        object.__setattr__(self, "fields", tuple(self.fields))
         if not self.fields:
             raise ValueError("key spec must select at least one field")
         seen = set()

@@ -180,6 +180,14 @@ def parse_ip(text: str) -> int:
     return value
 
 
+def _parse_uint(text: str) -> int:
+    """Parse a nonnegative integer in the one form str() writes: ASCII
+    digits with no sign, separator, padding or leading zero."""
+    if text.isdigit() and text.isascii() and (text[0] != "0" or text == "0"):
+        return int(text)
+    raise ValueError(f"non-canonical integer {text!r}")
+
+
 def format_row(record: PacketRecord) -> str:
     return (
         f"{record.timestamp_ns},{format_ip(record.src_ip)},{format_ip(record.dst_ip)},"
@@ -207,14 +215,14 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
         else:
             raise ValueError(f"bad label {label_text!r}")
         record = PacketRecord(
-            timestamp_ns=int(fields[0]),
+            timestamp_ns=_parse_uint(fields[0]),
             src_ip=parse_ip(fields[1]),
             dst_ip=parse_ip(fields[2]),
-            src_port=int(fields[3]),
-            dst_port=int(fields[4]),
-            protocol=int(fields[5]),
-            length_bytes=int(fields[6]),
-            tcp_seq=int(fields[7]),
+            src_port=_parse_uint(fields[3]),
+            dst_port=_parse_uint(fields[4]),
+            protocol=_parse_uint(fields[5]),
+            length_bytes=_parse_uint(fields[6]),
+            tcp_seq=_parse_uint(fields[7]),
             label=label,
         )
         if record.timestamp_ns < prev_ts:

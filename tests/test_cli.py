@@ -228,3 +228,72 @@ def test_bench_short_trace_exits_2(tmp_path, capsys):
     trace = gen_trace(tmp_path)
     assert run("bench", "--trace", str(trace)) == 2
     assert "10000" in capsys.readouterr().err
+
+
+def run_with_config(tmp_path, command, doc, *extra):
+    """Run a trace-reading command with doc as its --config; return the
+    exit code and the path it wrote."""
+    trace = gen_trace(tmp_path, "--anomaly", "flood")
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    dest = "--out" if command == "detect" else "--out-dir"
+    code = run(command, "--trace", str(trace), dest, str(out), "--config", str(config), *extra)
+    return code, out
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, code, needle",
+    [
+        # comma text is parsed like the flag's own text
+        ("sweep", {"sweep": {"hash_widths": "4,5"}}, (), 0, "W5-S1"),
+        # a float for an integer option is not truncated
+        ("detect", {"sketch": {"hash_width": 4.7}}, (), 2, "hash_width"),
+        # a misspelled section is not ignored
+        ("extract", {"sketh": {"hash_width": 5}}, (), 2, "sketh"),
+        # a flag reaches every entry of the detectors list
+        ("sweep", {"sweep": {"detectors": [{"detector": "zscore"}]}}, ("--k", "100"), 0, "k=100.0"),
+        # bool("no") is True; only true and false are accepted
+        ("sweep", {"sweep": {"bench": "no"}}, (), 2, "bench"),
+        # an unknown detector is a config error, not a failed cell
+        ("sweep", {"sweep": {"detector": "bogus"}}, (), 2, "detector"),
+    ],
+    ids=["comma-text", "float-width", "unknown-section", "flag-over-list", "bench-no", "bad-kind"],
+)
+def test_config_values_pass_the_flags_checks(tmp_path, capsys, command, doc, extra, code, needle):
+    assert run_with_config(tmp_path, command, doc, *extra)[0] == code
+    if code == 0:
+        assert needle in (tmp_path / "out" / "report.csv").read_text()
+    else:
+        assert repr(needle) in capsys.readouterr().err
+
+
+def sweep_params(tmp_path, doc, *extra):
+    code, out = run_with_config(tmp_path, "sweep", doc, *extra)
+    assert code == 0
+    with open(out / "report.csv", newline="") as fh:
+        return {r.detector_id: r.detector_params for r in parse_report_csv(fh)}
+
+
+def test_detectors_list_precedence(tmp_path):
+    doc = {"sweep": {
+        "hash_widths": [4], "k": 2.0, "train_epochs": 2,
+        "detectors": [{"detector": "zscore"}, {"detector": "ewma", "k": 4.0}],
+    }}
+    assert sweep_params(tmp_path, doc) == {
+        "zscore": "feature=pkt_count;k=2.0;train_epochs=2",
+        "ewma": "feature=pkt_count;k=4.0;alpha=0.3",
+    }
+    assert sweep_params(tmp_path, doc, "--k", "5") == {
+        "zscore": "feature=pkt_count;k=5.0;train_epochs=2",
+        "ewma": "feature=pkt_count;k=5.0;alpha=0.3",
+    }
+
+
+def test_detector_flag_replaces_detectors_list(tmp_path):
+    doc = {"sweep": {
+        "hash_widths": [4],
+        "detectors": [{"detector": "zscore"}, {"detector": "ewma"}],
+    }}
+    params = sweep_params(tmp_path, doc, "--detector", "threshold", "--threshold", "9")
+    assert params == {"threshold": "feature=pkt_count;threshold=9.0"}

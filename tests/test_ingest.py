@@ -115,6 +115,28 @@ def test_non_canonical_ip_reports_line(address):
     assert err.value.line_no == 3
 
 
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        (0, "1_000"),  # digit separator
+        (3, "+5"),  # sign
+        (4, "-0"),
+        (5, " 6"),  # padding
+        (6, "1500 "),
+        (7, "0123"),  # leading zero
+        (0, "\u0661"),  # non-ASCII digit
+        (3, "\uff14\uff14\uff13"),
+    ],
+)
+def test_non_canonical_integer_reports_line(field, text):
+    assert parse_rows(EXAMPLE_ROW.replace(",6,", ",0,"))[0].protocol == 0
+    fields = EXAMPLE_ROW.split(",")
+    fields[field] = text
+    with pytest.raises(TraceFormatError) as err:
+        parse_rows(",".join(fields))
+    assert err.value.line_no == 2
+
+
 def test_write_read_round_trip(tmp_path):
     profile = SyntheticProfile(
         flows=12,
