@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
-from .ingest import csv_line, parse_flag, read_csv, write_csv
+from .ingest import csv_line, parse_flag, parse_uint, read_csv, write_csv
 from .sketch import EpochSnapshot, StageCell
 
 FEATURES = ("pkt_count", "byte_sum", "byte_avg", "iat_avg_ns")
@@ -75,14 +76,12 @@ def detect_threshold(
 @dataclass(frozen=True)
 class BaselineModel:
     """Per-bucket mean and population standard deviation of one feature
-    over a training prefix of epochs.  Buckets that saw no traffic in
-    training are flagged cold."""
+    over a training prefix of epochs."""
 
     feature: str
     training_epochs: int
     means: tuple[float, ...]
     stds: tuple[float, ...]
-    cold: tuple[bool, ...]
 
     @property
     def bucket_count(self) -> int:
@@ -100,23 +99,23 @@ def fit_baseline(snapshots: Sequence[EpochSnapshot], feature: str) -> BaselineMo
             raise ValueError("training snapshots disagree on bucket count")
     means = []
     stds = []
-    cold = []
     for b in range(bucket_count):
         values = [feature_value(snap.cells[b], feature) for snap in snapshots]
         mean = sum(values) / n
         var = sum((x - mean) ** 2 for x in values) / n
         means.append(mean)
         stds.append(math.sqrt(var))
-        cold.append(all(snap.cells[b].pkt_count == 0 for snap in snapshots))
-    return BaselineModel(feature, n, tuple(means), tuple(stds), tuple(cold))
+    return BaselineModel(feature, n, tuple(means), tuple(stds))
 
 
 def detect_zscore(snapshot: EpochSnapshot, model: BaselineModel, k: float) -> list[Verdict]:
     """Score each bucket by |x - mean| / std against the baseline.
 
-    Degenerate cases: a zero-std bucket scores 0 when x equals its mean
-    and +inf otherwise; a cold bucket scores +inf for any traffic and 0
-    for none.
+    A zero-std bucket scores 0 when x equals its mean and +inf
+    otherwise.  That covers a bucket with no training traffic: every
+    feature of an empty cell is 0 and no feature is negative, so its
+    mean and std are 0 and it scores +inf for any traffic and 0 for
+    none.
     """
     if len(snapshot.cells) != model.bucket_count:
         raise ValueError(
@@ -125,14 +124,11 @@ def detect_zscore(snapshot: EpochSnapshot, model: BaselineModel, k: float) -> li
     out = []
     for bucket, cell in enumerate(snapshot.cells):
         x = feature_value(cell, model.feature)
-        if model.cold[bucket]:
-            score = _INF if x > 0 else 0.0
+        std = model.stds[bucket]
+        if std == 0.0:
+            score = 0.0 if x == model.means[bucket] else _INF
         else:
-            std = model.stds[bucket]
-            if std == 0.0:
-                score = 0.0 if x == model.means[bucket] else _INF
-            else:
-                score = abs(x - model.means[bucket]) / std
+            score = abs(x - model.means[bucket]) / std
         out.append(Verdict("zscore", snapshot.epoch_index, bucket, score, score > k))
     return out
 
@@ -178,17 +174,6 @@ class EwmaDetector:
             self._means[b] = alpha * x + (1.0 - alpha) * m_prev
             self._devs[b] = alpha * delta + (1.0 - alpha) * d_prev
         return out
-
-
-def detect_ewma(
-    snapshots: Iterable[EpochSnapshot], feature: str, alpha: float, k: float
-) -> list[Verdict]:
-    """Run an EwmaDetector over a snapshot stream, concatenating verdicts."""
-    detector = EwmaDetector(feature, alpha, k)
-    out: list[Verdict] = []
-    for snap in snapshots:
-        out.extend(detector.observe(snap))
-    return out
 
 
 @dataclass(frozen=True)
@@ -239,22 +224,21 @@ def run_detector(
         if getattr(setting, name) is None:
             raise ValueError(f"{setting.kind} detector needs {name}")
     if setting.kind == "threshold":
-        out: list[Verdict] = []
-        for snap in snapshots:
-            out.extend(detect_threshold(snap, setting.feature, setting.threshold))
-        return out
-    if setting.kind == "zscore":
+        observe = partial(detect_threshold, feature=setting.feature, threshold=setting.threshold)
+    elif setting.kind == "zscore":
         train = setting.train_epochs
         if train > len(snapshots):
             raise ValueError(
                 f"train_epochs={train} exceeds available epochs ({len(snapshots)})"
             )
         model = fit_baseline(snapshots[:train], setting.feature)
-        out = []
-        for snap in snapshots:
-            out.extend(detect_zscore(snap, model, setting.k))
-        return out
-    return detect_ewma(snapshots, setting.feature, setting.alpha, setting.k)
+        observe = partial(detect_zscore, model=model, k=setting.k)
+    else:
+        observe = EwmaDetector(setting.feature, setting.alpha, setting.k).observe
+    out: list[Verdict] = []
+    for snap in snapshots:
+        out.extend(observe(snap))
+    return out
 
 
 VERDICT_HEADER = "detector_id,epoch_index,bucket,score,anomalous"
@@ -269,7 +253,7 @@ def write_verdicts(path, verdicts: Sequence[Verdict]) -> None:
 
 
 def _verdict_row(f: list[str]) -> Verdict:
-    return Verdict(f[0], int(f[1]), int(f[2]), float(f[3]), parse_flag(f[4]))
+    return Verdict(f[0], parse_uint(f[1]), parse_uint(f[2]), float(f[3]), parse_flag(f[4]))
 
 
 def parse_verdicts(lines: Iterable[str]) -> list[Verdict]:

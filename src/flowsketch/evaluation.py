@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .detectors import DetectorSetting, Verdict, run_detector
 from .hashing import KeySpec
-from .ingest import PacketRecord, csv_line, opt_float, opt_int, parse_flag, read_csv, write_csv
+from .ingest import PacketRecord, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
 from .oracle import ExactTracker
 from .sketch import (
     CELL_BYTES,
@@ -43,9 +43,6 @@ class GroundTruthGrid:
     bucket_count: int
     epoch_count: int
     anomalous: frozenset[tuple[int, int]]
-
-    def is_anomalous(self, bucket: int, epoch_index: int) -> bool:
-        return (bucket, epoch_index) in self.anomalous
 
     @classmethod
     def from_tracker(cls, tracker: ExactTracker, epoch_count: int) -> "GroundTruthGrid":
@@ -131,6 +128,15 @@ class BenchResult:
     mean_packet_bytes: float
 
 
+def _check_bench(packet_count: int, repetitions: int) -> None:
+    if packet_count < BENCH_MIN_PACKETS:
+        raise ValueError(
+            f"benchmark needs at least {BENCH_MIN_PACKETS} packets, got {packet_count}"
+        )
+    if repetitions < 3:
+        raise ValueError("benchmark needs at least 3 repetitions")
+
+
 def bench_throughput(
     config: SketchConfig,
     records: Sequence[PacketRecord],
@@ -144,12 +150,7 @@ def bench_throughput(
     reported figure is the median over repetitions.
     """
     n = len(records)
-    if n < BENCH_MIN_PACKETS:
-        raise ValueError(
-            f"benchmark needs at least {BENCH_MIN_PACKETS} packets, got {n}"
-        )
-    if repetitions < 3:
-        raise ValueError("benchmark needs at least 3 repetitions")
+    _check_bench(n, repetitions)
     Sketch(config).update_many(records)  # warmup
     runs = []
     gc_was_enabled = gc.isenabled()
@@ -275,12 +276,16 @@ def sweep(
     Only completed epochs are scored; a trailing partial epoch is
     excluded from both verdicts and ground truth.  A failing cell does
     not abort the sweep: the failure is recorded on its row and the
-    remaining cells still run.  Rows are ordered by config id.
+    remaining cells still run.  Benchmark preconditions depend only on
+    the trace, so they are checked before any cell runs.  Rows are
+    ordered by config id.
     """
     if not sketch_configs or not detector_settings:
         raise ValueError("sweep needs at least one sketch config and one detector setting")
     if not records:
         raise ValueError("sweep needs a nonempty trace")
+    if bench:
+        _check_bench(len(records), bench_repetitions)
     ids = {
         _config_id(c, s) for c in sketch_configs for s in detector_settings
     }
@@ -377,9 +382,9 @@ def write_report_csv(path, rows: Sequence[SweepRow]) -> None:
 def _report_row(f: list[str]) -> SweepRow:
     return SweepRow(
         config_id=f[0],
-        hash_width=int(f[1]),
-        mem_stages=int(f[2]),
-        epoch_ns=int(f[3]),
+        hash_width=parse_uint(f[1]),
+        mem_stages=parse_uint(f[2]),
+        epoch_ns=parse_uint(f[3]),
         key_spec=f[4],
         detector_id=f[5],
         detector_params=f[6],

@@ -82,10 +82,12 @@ class FlowKey:
 
 def extract_key(packet, spec: KeySpec) -> FlowKey:
     """Concatenate the spec's fields from a packet record, big-endian."""
-    value = 0
+    value = bits = 0
     for name in spec.fields:
-        value = (value << FIELD_WIDTHS[name]) | getattr(packet, name)
-    return FlowKey(value, spec.total_bits)
+        width = FIELD_WIDTHS[name]
+        value = (value << width) | getattr(packet, name)
+        bits += width
+    return FlowKey(value, bits)
 
 
 def check_width(width_bits: int) -> None:

@@ -5,7 +5,8 @@ timestamp.  This module parses and serializes that format (round-trips
 are byte-identical) and provides a seeded synthetic trace generator
 that can inject labeled flood and port-scan anomalies.  The framing
 helpers (read_csv, write_csv, csv_line) serve every CSV format in the
-package: traces, snapshots, verdicts and sweep reports.
+package: traces, snapshots, verdicts and sweep reports, and parse_uint
+reads all of their integers in the one canonical form.
 """
 
 from __future__ import annotations
@@ -140,8 +141,16 @@ def csv_line(*values) -> str:
     return ",".join(map(_csv_field, values))
 
 
+def parse_uint(text: str) -> int:
+    """Parse a nonnegative integer in the one form str() writes: ASCII
+    digits with no sign, separator, padding or leading zero."""
+    if text.isdigit() and text.isascii() and (text[0] != "0" or text == "0"):
+        return int(text)
+    raise ValueError(f"non-canonical integer {text!r}")
+
+
 def opt_int(text: str) -> int | None:
-    return None if text == "" else int(text)
+    return None if text == "" else parse_uint(text)
 
 
 def opt_float(text: str) -> float | None:
@@ -180,14 +189,6 @@ def parse_ip(text: str) -> int:
     return value
 
 
-def _parse_uint(text: str) -> int:
-    """Parse a nonnegative integer in the one form str() writes: ASCII
-    digits with no sign, separator, padding or leading zero."""
-    if text.isdigit() and text.isascii() and (text[0] != "0" or text == "0"):
-        return int(text)
-    raise ValueError(f"non-canonical integer {text!r}")
-
-
 def format_row(record: PacketRecord) -> str:
     return (
         f"{record.timestamp_ns},{format_ip(record.src_ip)},{format_ip(record.dst_ip)},"
@@ -215,14 +216,14 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
         else:
             raise ValueError(f"bad label {label_text!r}")
         record = PacketRecord(
-            timestamp_ns=_parse_uint(fields[0]),
+            timestamp_ns=parse_uint(fields[0]),
             src_ip=parse_ip(fields[1]),
             dst_ip=parse_ip(fields[2]),
-            src_port=_parse_uint(fields[3]),
-            dst_port=_parse_uint(fields[4]),
-            protocol=_parse_uint(fields[5]),
-            length_bytes=_parse_uint(fields[6]),
-            tcp_seq=_parse_uint(fields[7]),
+            src_port=parse_uint(fields[3]),
+            dst_port=parse_uint(fields[4]),
+            protocol=parse_uint(fields[5]),
+            length_bytes=parse_uint(fields[6]),
+            tcp_seq=parse_uint(fields[7]),
             label=label,
         )
         if record.timestamp_ns < prev_ts:

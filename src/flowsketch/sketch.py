@@ -11,17 +11,21 @@ Epochs are anchored at the first packet's timestamp, so boundaries sit
 at first_ts + k * epoch_ns.  Gaps in traffic still shift once per
 elapsed epoch.  Inter-arrival tracking restarts each epoch: the first
 packet a bucket sees in an epoch contributes no gap sample.
+
+A bucket's state is one StageCell of nine raw metrics.  query,
+stage_cells, snapshot and the per-epoch snapshots all return copies of
+cells; derived features such as averages are read from a cell by
+detectors.feature_value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .hashing import FlowKey, KeySpec, FIELD_WIDTHS, check_width, fold_plan, shift_xor_hash
-from .ingest import csv_line, opt_int, read_csv, write_csv
+from .ingest import csv_line, opt_int, parse_uint, read_csv, write_csv
 
 # Resource model constants: a cell holds 9 metric words of 8 bytes, and
 # one update mutates at most 9 metric fields.
@@ -83,45 +87,9 @@ class StageCell:
     iat_min_ns: int | None = None
     iat_max_ns: int | None = None
 
-    @property
-    def is_empty(self) -> bool:
-        return self.pkt_count == 0
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Queried view of a cell.  Averages are exact rationals computed
-    from the stored sums at query time; absent values are None."""
-
-    pkt_count: int
-    byte_sum: int
-    byte_avg: Fraction | None
-    byte_min: int | None
-    byte_max: int | None
-    iat_avg_ns: Fraction | None
-    iat_min_ns: int | None
-    iat_max_ns: int | None
-    stage: int
-
 
 def _copy_cell(cell: StageCell | None) -> StageCell:
     return StageCell() if cell is None else StageCell(**vars(cell))
-
-
-def _cell_features(cell: StageCell | None, stage: int) -> FeatureVector:
-    if cell is None or cell.pkt_count == 0:
-        return FeatureVector(0, 0, None, None, None, None, None, None, stage)
-    return FeatureVector(
-        pkt_count=cell.pkt_count,
-        byte_sum=cell.byte_sum,
-        byte_avg=Fraction(cell.byte_sum, cell.pkt_count),
-        byte_min=cell.byte_min,
-        byte_max=cell.byte_max,
-        iat_avg_ns=Fraction(cell.iat_sum_ns, cell.iat_count) if cell.iat_count else None,
-        iat_min_ns=cell.iat_min_ns,
-        iat_max_ns=cell.iat_max_ns,
-        stage=stage,
-    )
 
 
 class Sketch:
@@ -164,14 +132,6 @@ class Sketch:
         return self._config
 
     @property
-    def bucket_count(self) -> int:
-        return self._bucket_count
-
-    @property
-    def cell_count(self) -> int:
-        return self._config.cell_count
-
-    @property
     def epoch_start_ns(self) -> int | None:
         """Start of the current (stage 0) epoch; None before any update."""
         return self._epoch_start
@@ -180,9 +140,6 @@ class Sketch:
     def epoch_index(self) -> int:
         """Index of the current epoch; equals the number of completed epochs."""
         return self._epoch_index
-
-    def bucket_of(self, key: FlowKey) -> int:
-        return shift_xor_hash(key, self._config.hash_width)
 
     def update(self, packet) -> None:
         """Fold one packet into the sketch, rotating epochs as needed."""
@@ -324,34 +281,28 @@ class Sketch:
         self._epoch_start = new_epoch_start_ns
         self._epoch_index += 1
 
-    def query(self, key: FlowKey, stage: int = 0) -> FeatureVector:
-        """Features of the bucket this key hashes to, at the given stage."""
+    def _stage(self, stage: int) -> list[StageCell | None]:
         if not 0 <= stage < self._config.mem_stages:
             raise ValueError(f"stage must be in [0, {self._config.mem_stages})")
-        bucket = shift_xor_hash(key, self._config.hash_width)
-        return _cell_features(self._stages[stage][bucket], stage)
+        return self._stages[stage]
+
+    def query(self, key: FlowKey, stage: int = 0) -> StageCell:
+        """Copy of the cell this key hashes to, at the given stage; an
+        untouched bucket gives StageCell()."""
+        return _copy_cell(self._stage(stage)[shift_xor_hash(key, self._config.hash_width)])
 
     def stage_cells(self, stage: int) -> list[StageCell]:
         """Copies of every cell in a stage, indexed by bucket."""
-        if not 0 <= stage < self._config.mem_stages:
-            raise ValueError(f"stage must be in [0, {self._config.mem_stages})")
-        return [_copy_cell(c) for c in self._stages[stage]]
-
-    def stage_packet_total(self, stage: int) -> int:
-        """Sum of pkt_count over a stage, cheap even at large widths."""
-        if not 0 <= stage < self._config.mem_stages:
-            raise ValueError(f"stage must be in [0, {self._config.mem_stages})")
-        return sum(c.pkt_count for c in self._stages[stage] if c is not None)
+        return [_copy_cell(c) for c in self._stage(stage)]
 
     def snapshot(self) -> list[tuple[int, int, StageCell]]:
         """Every cell as (stage, bucket, StageCell), stages then buckets
         ascending.  Always mem_stages * 2**hash_width rows."""
-        rows = []
-        for stage in range(self._config.mem_stages):
-            cells = self._stages[stage]
-            for bucket in range(self._bucket_count):
-                rows.append((stage, bucket, _copy_cell(cells[bucket])))
-        return rows
+        return [
+            (stage, bucket, cell)
+            for stage in range(self._config.mem_stages)
+            for bucket, cell in enumerate(self.stage_cells(stage))
+        ]
 
 
 @dataclass(frozen=True)
@@ -418,16 +369,16 @@ def write_snapshot(path, rows: Sequence[tuple[int, int, StageCell]]) -> None:
 
 def _snapshot_row(f: list[str]) -> tuple[int, int, StageCell]:
     cell = StageCell(
-        pkt_count=int(f[2]),
-        byte_sum=int(f[3]),
+        pkt_count=parse_uint(f[2]),
+        byte_sum=parse_uint(f[3]),
         byte_min=opt_int(f[4]),
         byte_max=opt_int(f[5]),
-        iat_count=int(f[6]),
-        iat_sum_ns=int(f[7]),
+        iat_count=parse_uint(f[6]),
+        iat_sum_ns=parse_uint(f[7]),
         iat_min_ns=opt_int(f[8]),
         iat_max_ns=opt_int(f[9]),
     )
-    return int(f[0]), int(f[1]), cell
+    return parse_uint(f[0]), parse_uint(f[1]), cell
 
 
 def parse_snapshot(lines: Iterable[str]) -> list[tuple[int, int, StageCell]]:

@@ -39,7 +39,6 @@ from flowsketch.ingest import (
 )
 from flowsketch.oracle import ExactTracker
 from flowsketch.sketch import (
-    FeatureVector,
     Sketch,
     SketchConfig,
     collect_epochs,
@@ -81,22 +80,6 @@ def seeded_trace(seed: int):
     return generate_synthetic(profile, seed=seed)
 
 
-def expected_features(stats) -> FeatureVector:
-    """Exact per-flow feature vector a collision-free bucket must hold."""
-    iat = stats.iat_count
-    return FeatureVector(
-        pkt_count=stats.pkt_count,
-        byte_sum=stats.byte_sum,
-        byte_avg=Fraction(stats.byte_sum, stats.pkt_count),
-        byte_min=stats.byte_min,
-        byte_max=stats.byte_max,
-        iat_avg_ns=Fraction(stats.iat_sum_ns, iat) if iat else None,
-        iat_min_ns=stats.iat_min_ns,
-        iat_max_ns=stats.iat_max_ns,
-        stage=0,
-    )
-
-
 def test_criterion_01_collision_free_oracle_equivalence(capfd):
     with criterion(capfd, 1, "collision-free per-flow equivalence at hash width 20"):
         config = SketchConfig(20, 1, EPOCH_NS, FIVE_TUPLE)
@@ -114,8 +97,7 @@ def test_criterion_01_collision_free_oracle_equivalence(capfd):
                     # bucket at this width; a collision here would void
                     # the per-flow comparison below
                     assert tracker.collision_free(bucket, epoch_index)
-                    stats = tracker.flow(key, epoch_index)
-                    assert sk.query(key) == expected_features(stats)
+                    assert sk.query(key) == tracker.expected_bucket(bucket, epoch_index)
 
             replay_epochs(Sketch(config), records, visit)
 
@@ -161,7 +143,7 @@ def test_criterion_03_rotation_shifts_stages(capfd):
                 sketch.rotate_epoch(sketch.epoch_start_ns + EPOCH_NS)
                 for s in range(1, stages):
                     assert sketch.stage_cells(s) == before[s - 1]
-                assert all(c.is_empty for c in sketch.stage_cells(0))
+                assert all(c.pkt_count == 0 for c in sketch.stage_cells(0))
 
 
 def test_criterion_04_per_epoch_packet_conservation(capfd):
@@ -176,7 +158,7 @@ def test_criterion_04_per_epoch_packet_conservation(capfd):
                 seen = []
 
                 def visit(sk, epoch_index, complete):
-                    assert sk.stage_packet_total(0) == per_epoch[epoch_index]
+                    assert sum(c.pkt_count for c in sk.stage_cells(0)) == per_epoch[epoch_index]
                     seen.append(per_epoch[epoch_index])
 
                 replay_epochs(Sketch(config), records, visit)

@@ -230,6 +230,25 @@ def test_bench_short_trace_exits_2(tmp_path, capsys):
     assert "10000" in capsys.readouterr().err
 
 
+def test_sweep_bench_short_trace_exits_2_before_the_grid(tmp_path, capsys):
+    trace = gen_trace(tmp_path, "--anomaly", "flood")
+    out_dir = tmp_path / "sweep"
+    assert run("sweep", "--trace", str(trace), "--out-dir", str(out_dir), "--bench") == 2
+    assert "10000" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_sweep_bench_two_repetitions_exits_2_before_the_grid(tmp_path, capsys):
+    trace = tmp_path / "big.csv"
+    assert run("generate", "--out", str(trace), "--flows", "100",
+               "--packets-per-flow", "100", "--seed", "1") == 0
+    out_dir = tmp_path / "sweep"
+    assert run("sweep", "--trace", str(trace), "--out-dir", str(out_dir),
+               "--bench", "--bench-repetitions", "2") == 2
+    assert "3 repetitions" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def run_with_config(tmp_path, command, doc, *extra):
     """Run a trace-reading command with doc as its --config; return the
     exit code and the path it wrote."""

@@ -4,12 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowsketch.detectors import (
+    FEATURES,
     VERDICT_HEADER,
     DetectorSetting,
     EwmaDetector,
-    detect_ewma,
+    Verdict,
     detect_threshold,
     detect_zscore,
     feature_value,
@@ -19,7 +21,7 @@ from flowsketch.detectors import (
     write_verdicts,
 )
 from flowsketch.ingest import TraceFormatError
-from flowsketch.sketch import StageCell
+from flowsketch.sketch import EpochSnapshot, StageCell
 
 from conftest import count_snapshot
 
@@ -74,7 +76,7 @@ def test_fit_baseline_frozen_values():
     # bucket 1 sees 8, 12, 8: mean 28/3, population variance 32/9
     assert model.means[1] == pytest.approx(28 / 3)
     assert model.stds[1] == pytest.approx(math.sqrt(32 / 9))
-    assert model.cold == (False, False, True)
+    assert model.means[2] == 0.0 and model.stds[2] == 0.0  # no training traffic
 
 
 def test_fit_baseline_two_epoch_example():
@@ -114,11 +116,73 @@ def test_zscore_zero_std():
 
 def test_zscore_cold_bucket():
     model = fit_baseline([count_snapshot(0, [0, 5]), count_snapshot(1, [0, 5])], "pkt_count")
-    assert model.cold == (True, False)
+    assert model.means[0] == 0.0 and model.stds[0] == 0.0
     verdicts = detect_zscore(count_snapshot(2, [3, 5]), model, k=3.0)
     assert verdicts[0].score == math.inf and verdicts[0].anomalous
     verdicts = detect_zscore(count_snapshot(2, [0, 5]), model, k=3.0)
     assert verdicts[0].score == 0.0 and not verdicts[0].anomalous
+
+
+def reference_zscore(snapshots, feature, k, train_epochs):
+    """Independent z-score reference with an explicit cold-bucket rule:
+    a bucket that saw no packet in training scores +inf for any traffic
+    and 0 for none; other zero-std buckets score 0 at their mean and
+    +inf elsewhere."""
+    train = snapshots[:train_epochs]
+    model = []
+    for b in range(len(snapshots[0].cells)):
+        values = [feature_value(s.cells[b], feature) for s in train]
+        mean = sum(values) / len(values)
+        std = math.sqrt(sum((x - mean) ** 2 for x in values) / len(values))
+        cold = all(s.cells[b].pkt_count == 0 for s in train)
+        model.append((mean, std, cold))
+    out = []
+    for snap in snapshots:
+        for b, cell in enumerate(snap.cells):
+            x = feature_value(cell, feature)
+            mean, std, cold = model[b]
+            if cold:
+                score = math.inf if x > 0 else 0.0
+            elif std == 0.0:
+                score = 0.0 if x == mean else math.inf
+            else:
+                score = abs(x - mean) / std
+            out.append(Verdict("zscore", snap.epoch_index, b, score, score > k))
+    return out
+
+
+@st.composite
+def sketch_cells(draw):
+    """A cell as the sketch builds it: empty, or with packets, nonnegative
+    sums and at most pkt_count - 1 gaps.  Small ranges make ties, zero
+    deviations and buckets idle through training common."""
+    pkt = draw(st.integers(0, 3))
+    if pkt == 0:
+        return StageCell()
+    gaps = draw(st.integers(0, pkt - 1))
+    return StageCell(
+        pkt_count=pkt,
+        byte_sum=draw(st.integers(0, 3 * pkt)),
+        iat_count=gaps,
+        iat_sum_ns=draw(st.integers(0, 3 * gaps)),
+    )
+
+
+@st.composite
+def zscore_runs(draw):
+    buckets = draw(st.integers(1, 4))
+    epochs = draw(st.integers(2, 6))
+    row = st.lists(sketch_cells(), min_size=buckets, max_size=buckets)
+    snaps = [EpochSnapshot(e, e * 1000, True, tuple(draw(row))) for e in range(epochs)]
+    return snaps, draw(st.integers(2, epochs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zscore_runs(), st.sampled_from(FEATURES), st.sampled_from((-1.0, 0.0, 0.5, 3.0)))
+def test_zscore_matches_cold_rule_reference(run, feature, k):
+    snaps, train = run
+    setting = DetectorSetting("zscore", feature, k=k, train_epochs=train)
+    assert run_detector(setting, snaps) == reference_zscore(snaps, feature, k, train)
 
 
 def test_zscore_shift_invariance():
@@ -205,9 +269,9 @@ def test_ewma_validation():
         det.observe(count_snapshot(1, [1, 2, 3]))
 
 
-def test_detect_ewma_wrapper():
+def test_run_detector_ewma_order():
     snaps = [count_snapshot(e, [1, 2]) for e in range(3)]
-    verdicts = detect_ewma(snaps, "pkt_count", alpha=0.5, k=1.0)
+    verdicts = run_detector(DetectorSetting("ewma", "pkt_count", alpha=0.5, k=1.0), snaps)
     assert len(verdicts) == 6
     assert all(v.detector_id == "ewma" for v in verdicts)
     assert [v.epoch_index for v in verdicts] == [0, 0, 1, 1, 2, 2]
@@ -284,4 +348,14 @@ def test_verdict_csv_round_trip(tmp_path):
 def test_parse_verdicts_names_bad_line(bad):
     with pytest.raises(TraceFormatError) as err:
         parse_verdicts([VERDICT_HEADER, "zscore,0,0,inf,true", bad])
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("field, text", [(1, "+1"), (2, "0_7"), (1, "01"), (2, " 3"), (1, "-0")])
+def test_parse_verdicts_rejects_non_canonical_integer(field, text):
+    good = "zscore,1,7,0.5,false"
+    fields = good.split(",")
+    fields[field] = text
+    with pytest.raises(TraceFormatError) as err:
+        parse_verdicts([VERDICT_HEADER, good, ",".join(fields)])
     assert err.value.line_no == 3

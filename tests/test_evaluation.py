@@ -113,7 +113,7 @@ def test_grid_from_tracker_matches_manual_projection():
             if epoch < 5:
                 manual.add((shift_xor_hash(extract_key(r, SRC_KEY), 4), epoch))
     assert set(grid.anomalous) == manual
-    assert grid.is_anomalous(*next(iter(manual)))
+    assert next(iter(manual)) in grid.anomalous
 
 
 def test_resource_model_frozen_sizes():
@@ -440,4 +440,17 @@ def test_parse_report_names_bad_line(flag):
     row = "a,4,1,1000,src_ip,zscore,k=3.0,1,0,0,15,1.0,1.0,1.0,1152,9,,"
     with pytest.raises(TraceFormatError) as err:
         parse_report_csv([REPORT_HEADER, row + "true", row + flag])
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [(1, "+8"), (3, "1_000"), (2, "01"), (7, " 1"), (10, "015"), (14, "-0")],
+)
+def test_parse_report_rejects_non_canonical_integer(field, text):
+    good = "a,4,1,1000,src_ip,zscore,k=3.0,1,0,0,15,1.0,1.0,1.0,1152,9,,true"
+    fields = good.split(",")
+    fields[field] = text
+    with pytest.raises(TraceFormatError) as err:
+        parse_report_csv([REPORT_HEADER, good, ",".join(fields)])
     assert err.value.line_no == 3

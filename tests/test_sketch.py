@@ -1,10 +1,10 @@
 """Sketch update, epoch rotation, query, and snapshot behavior."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
+from flowsketch.detectors import feature_value
 from flowsketch.hashing import FlowKey, KeySpec, extract_key, shift_xor_hash
 from flowsketch.ingest import SyntheticProfile, TraceFormatError, generate_synthetic
 from flowsketch.sketch import (
@@ -60,7 +60,7 @@ def test_single_update():
     sk = Sketch(cfg())
     pkt = make_packet(ts=500, length=60)
     sk.update(pkt)
-    cell = sk.stage_cells(0)[sk.bucket_of(extract_key(pkt, SRC_KEY))]
+    cell = sk.stage_cells(0)[shift_xor_hash(extract_key(pkt, SRC_KEY), 4)]
     assert cell == StageCell(
         pkt_count=1, byte_sum=60, byte_min=60, byte_max=60, last_ts_ns=500,
         iat_sum_ns=0, iat_count=0, iat_min_ns=None, iat_max_ns=None,
@@ -74,7 +74,7 @@ def test_accumulation_within_epoch():
     for ts, length in ((1000, 60), (4000, 1500), (9000, 60)):
         sk.update(make_packet(ts=ts, length=length))
     key = extract_key(make_packet(), SRC_KEY)
-    cell = sk.stage_cells(0)[sk.bucket_of(key)]
+    cell = sk.stage_cells(0)[shift_xor_hash(key, 4)]
     assert cell.pkt_count == 3
     assert cell.byte_sum == 1620
     assert cell.byte_min == 60
@@ -85,18 +85,32 @@ def test_accumulation_within_epoch():
     assert cell.iat_min_ns == 3000
     assert cell.iat_max_ns == 5000
     fv = sk.query(key)
-    assert fv.byte_avg == Fraction(1620, 3) == 540
-    assert fv.iat_avg_ns == Fraction(8000, 2) == 4000
+    assert fv == cell
+    assert feature_value(fv, "byte_avg") == 1620 / 3 == 540
+    assert feature_value(fv, "iat_avg_ns") == 8000 / 2 == 4000
 
 
 def test_empty_bucket_query():
     sk = Sketch(cfg())
     fv = sk.query(FlowKey(12345, 32))
     assert fv.pkt_count == 0 and fv.byte_sum == 0
-    assert fv.byte_avg is None and fv.iat_avg_ns is None
+    assert fv == StageCell()
     assert fv.byte_min is None and fv.iat_max_ns is None
     with pytest.raises(ValueError):
         sk.query(FlowKey(1, 32), stage=1)
+
+
+def test_query_returns_a_copy():
+    sk = Sketch(cfg())
+    pkt = make_packet(ts=500, length=60)
+    sk.update(pkt)
+    key = extract_key(pkt, SRC_KEY)
+    before = sk.stage_cells(0)
+    fv = sk.query(key)
+    fv.pkt_count += 5
+    fv.byte_min = 0
+    assert sk.stage_cells(0) == before
+    assert sk.query(key) == before[shift_xor_hash(key, 4)]
 
 
 def test_timestamp_regression_rejected():
@@ -208,7 +222,7 @@ def test_iat_restarts_each_epoch():
     sk.update(make_packet(ts=0))
     sk.update(make_packet(ts=900))
     sk.update(make_packet(ts=1100))
-    cell = sk.stage_cells(0)[sk.bucket_of(extract_key(make_packet(), SRC_KEY))]
+    cell = sk.stage_cells(0)[shift_xor_hash(extract_key(make_packet(), SRC_KEY), 4)]
     assert cell.pkt_count == 1
     assert cell.iat_count == 0
     assert cell.iat_min_ns is None
@@ -227,13 +241,15 @@ def test_colliding_keys_share_a_cell():
     fv = sk.query(ka)
     assert fv.pkt_count == 3
     assert fv.byte_sum == 300
-    assert fv.iat_avg_ns == Fraction(20, 2)  # bucket-level gaps, both flows
+    # bucket-level gaps, both flows
+    assert fv.iat_count == 2 and fv.iat_sum_ns == 20
+    assert feature_value(fv, "iat_avg_ns") == 20 / 2
 
 
 def test_memory_is_fixed():
     rng = random.Random(51)
     sk = Sketch(cfg(width=3, stages=2, epoch_ns=500))
-    assert sk.cell_count == 16
+    assert sk.config.cell_count == 16
     sk.update_many(random_records(rng, 2000, span_ns=20_000, pool=32))
     rows = sk.snapshot()
     assert len(rows) == 16
@@ -271,6 +287,19 @@ def test_parse_snapshot_names_bad_line(bad):
     good = "0,0,1,60,60,60,0,0,,"
     with pytest.raises(TraceFormatError) as err:
         parse_snapshot([SNAPSHOT_HEADER, good, bad])
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [(2, "+3"), (3, "1_0"), (4, " 60"), (5, "03"), (0, "-0"), (9, "\u0661")],
+)
+def test_parse_snapshot_rejects_non_canonical_integer(field, text):
+    good = "0,0,2,120,60,60,1,5,5,5"
+    fields = good.split(",")
+    fields[field] = text
+    with pytest.raises(TraceFormatError) as err:
+        parse_snapshot([SNAPSHOT_HEADER, good, ",".join(fields)])
     assert err.value.line_no == 3
 
 
