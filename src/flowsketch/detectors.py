@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
 
-from .ingest import csv_line, parse_flag, parse_uint, read_csv, write_csv
+from .ingest import csv_line, parse_flag, parse_float, parse_uint, read_csv, write_csv
 from .sketch import EpochSnapshot, StageCell
 
 FEATURES = ("pkt_count", "byte_sum", "byte_avg", "iat_avg_ns")
@@ -195,16 +195,14 @@ class DetectorSetting:
         return self.kind
 
     def params_str(self) -> str:
-        """Canonical parameter string, stable across runs."""
+        """Canonical parameter string, stable across runs: the feature,
+        then the kind's parameters that are set, in DETECTOR_PARAMS
+        order."""
         parts = [f"feature={self.feature}"]
-        if self.threshold is not None:
-            parts.append(f"threshold={self.threshold!r}")
-        if self.k is not None:
-            parts.append(f"k={self.k!r}")
-        if self.alpha is not None:
-            parts.append(f"alpha={self.alpha!r}")
-        if self.train_epochs is not None:
-            parts.append(f"train_epochs={self.train_epochs}")
+        for name in DETECTOR_PARAMS.get(self.kind, ()):
+            value = getattr(self, name)
+            if value is not None:
+                parts.append(f"{name}={value!r}")
         return ";".join(parts)
 
 
@@ -253,7 +251,7 @@ def write_verdicts(path, verdicts: Sequence[Verdict]) -> None:
 
 
 def _verdict_row(f: list[str]) -> Verdict:
-    return Verdict(f[0], parse_uint(f[1]), parse_uint(f[2]), float(f[3]), parse_flag(f[4]))
+    return Verdict(f[0], parse_uint(f[1]), parse_uint(f[2]), parse_float(f[3]), parse_flag(f[4]))
 
 
 def parse_verdicts(lines: Iterable[str]) -> list[Verdict]:

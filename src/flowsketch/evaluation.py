@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .detectors import DetectorSetting, Verdict, run_detector
-from .hashing import KeySpec
 from .ingest import PacketRecord, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
 from .oracle import ExactTracker
 from .sketch import (
@@ -379,6 +378,13 @@ def write_report_csv(path, rows: Sequence[SweepRow]) -> None:
     )
 
 
+def _opt_ratio(text: str) -> float | None:
+    value = opt_float(text)
+    if value is not None and not 0.0 <= value <= 1.0:
+        raise ValueError(f"ratio {text!r} outside [0, 1]")
+    return value
+
+
 def _report_row(f: list[str]) -> SweepRow:
     return SweepRow(
         config_id=f[0],
@@ -392,9 +398,9 @@ def _report_row(f: list[str]) -> SweepRow:
         fp=opt_int(f[8]),
         fn=opt_int(f[9]),
         tn=opt_int(f[10]),
-        precision=opt_float(f[11]),
-        recall=opt_float(f[12]),
-        f1=opt_float(f[13]),
+        precision=_opt_ratio(f[11]),
+        recall=_opt_ratio(f[12]),
+        f1=_opt_ratio(f[13]),
         memory_bytes=opt_int(f[14]),
         update_ops=opt_int(f[15]),
         measured_pps=opt_float(f[16]),

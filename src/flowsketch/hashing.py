@@ -1,16 +1,17 @@
-"""Shift-and-XOR folding of flow keys onto bucket indices.
+"""Flow-key layout and shift-and-XOR folding of keys onto bucket indices.
 
 A flow key is the big-endian concatenation of selected packet header
-fields.  The bucket index is obtained by zero-padding the key on the
-right to a whole number of hash-width windows and XOR-folding the
-windows together, so the whole hash costs only shifts and XORs.  The
-fold is linear over GF(2): hash(a ^ b) == hash(a) ^ hash(b) for keys of
-equal width.
+fields; KeySpec.layout says where each field sits.  The bucket index is
+obtained by zero-padding the key on the right to a whole number of
+hash-width windows and XOR-folding the windows together (fold), so the
+whole hash costs only shifts and XORs.  The fold is linear over GF(2):
+hash(a ^ b) == hash(a) ^ hash(b) for keys of equal width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 MIN_HASH_WIDTH = 1
 MAX_HASH_WIDTH = 24
@@ -47,9 +48,20 @@ class KeySpec:
                 raise ValueError(f"duplicate key field {name!r}")
             seen.add(name)
 
-    @property
+    @cached_property
     def total_bits(self) -> int:
         return sum(FIELD_WIDTHS[f] for f in self.fields)
+
+    @cached_property
+    def layout(self) -> tuple[tuple[str, int], ...]:
+        """(field, left shift) pairs in concatenation order: the key is
+        the OR of every field's value shifted left by its shift."""
+        pairs = []
+        shift = self.total_bits
+        for name in self.fields:
+            shift -= FIELD_WIDTHS[name]
+            pairs.append((name, shift))
+        return tuple(pairs)
 
     @classmethod
     def parse(cls, text: str) -> "KeySpec":
@@ -82,12 +94,10 @@ class FlowKey:
 
 def extract_key(packet, spec: KeySpec) -> FlowKey:
     """Concatenate the spec's fields from a packet record, big-endian."""
-    value = bits = 0
-    for name in spec.fields:
-        width = FIELD_WIDTHS[name]
-        value = (value << width) | getattr(packet, name)
-        bits += width
-    return FlowKey(value, bits)
+    value = 0
+    for name, shift in spec.layout:
+        value |= getattr(packet, name) << shift
+    return FlowKey(value, spec.total_bits)
 
 
 def check_width(width_bits: int) -> None:
@@ -97,47 +107,29 @@ def check_width(width_bits: int) -> None:
         )
 
 
-def shift_xor_hash(key: FlowKey, width_bits: int) -> int:
-    """Fold a key into a bucket index in [0, 2**width_bits).
+def fold(value: int, key_bits: int, width_bits: int) -> int:
+    """Fold a key_bits-wide key value into a bucket index in
+    [0, 2**width_bits).
 
-    The key is zero-padded on the right to a multiple of width_bits,
-    split into consecutive windows left to right, and the windows are
-    XORed together.  An all-zero key therefore hashes to bucket 0.
+    The value is zero-padded on the right to a whole number of
+    width_bits windows and the windows are XORed together.  An all-zero
+    key therefore hashes to bucket 0.  The checks are inline because the
+    sketch calls this on every fold-memo miss.
     """
-    check_width(width_bits)
-    windows = -(-key.width // width_bits)
-    padded = windows * width_bits
-    value = key.value << (padded - key.width)
+    if value < 0 or not MIN_HASH_WIDTH <= width_bits <= MAX_HASH_WIDTH:
+        raise ValueError(
+            f"cannot fold {value} at hash width {width_bits}: the value must be"
+            f" nonnegative and the width in [{MIN_HASH_WIDTH}, {MAX_HASH_WIDTH}]"
+        )
     mask = (1 << width_bits) - 1
+    value <<= -key_bits % width_bits
     acc = 0
-    shift = padded
-    while shift > 0:
-        shift -= width_bits
-        acc ^= (value >> shift) & mask
+    while value:
+        acc ^= value & mask
+        value >>= width_bits
     return acc
 
 
-def fold_plan(key_bits: int, width_bits: int) -> tuple[int, tuple[int, ...] | None]:
-    """Precompute a fold strategy for keys of a fixed bit length.
-
-    Returns (pad_shift, halving_shifts).  pad_shift is the left shift
-    that right-pads a key value to a whole number of windows.  When the
-    padded window count is a power of two the fold collapses into a
-    chain of halving shift-XOR steps (v ^= v >> s for each s); otherwise
-    halving_shifts is None and callers fold window by window.  Both
-    routes agree with shift_xor_hash.
-    """
-    check_width(width_bits)
-    if key_bits < 0:
-        raise ValueError("key width must be nonnegative")
-    windows = max(1, -(-key_bits // width_bits))
-    padded = windows * width_bits
-    pad_shift = padded - key_bits
-    if windows & (windows - 1) == 0:
-        shifts = []
-        span = padded
-        while span > width_bits:
-            span //= 2
-            shifts.append(span)
-        return pad_shift, tuple(shifts)
-    return pad_shift, None
+def shift_xor_hash(key: FlowKey, width_bits: int) -> int:
+    """The bucket index of a key at a hash width; see fold."""
+    return fold(key.value, key.width, width_bits)

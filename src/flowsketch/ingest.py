@@ -5,8 +5,8 @@ timestamp.  This module parses and serializes that format (round-trips
 are byte-identical) and provides a seeded synthetic trace generator
 that can inject labeled flood and port-scan anomalies.  The framing
 helpers (read_csv, write_csv, csv_line) serve every CSV format in the
-package: traces, snapshots, verdicts and sweep reports, and parse_uint
-reads all of their integers in the one canonical form.
+package: traces, snapshots, verdicts and sweep reports; parse_uint and
+parse_float read all of their numbers in the one canonical form.
 """
 
 from __future__ import annotations
@@ -153,8 +153,22 @@ def opt_int(text: str) -> int | None:
     return None if text == "" else parse_uint(text)
 
 
+def parse_float(text: str) -> float:
+    """Parse a float in the one form str() writes, repr(): no sign on a
+    positive value, separator, padding or exponent where repr() has none,
+    and no trailing zero.  inf and -inf are accepted; nan is not."""
+    try:
+        value = float(text)
+    except ValueError:
+        pass
+    else:
+        if value == value and repr(value) == text:
+            return value
+    raise ValueError(f"non-canonical float {text!r}")
+
+
 def opt_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+    return None if text == "" else parse_float(text)
 
 
 def parse_flag(text: str) -> bool:

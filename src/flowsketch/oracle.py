@@ -127,9 +127,6 @@ class ExactTracker:
     def flows(self) -> Iterator[FlowStats]:
         return iter(self._flows.values())
 
-    def flow(self, key: FlowKey, epoch_index: int) -> FlowStats | None:
-        return self._flows.get((key, epoch_index))
-
     def keys_in_epoch(self, epoch_index: int) -> list[FlowKey]:
         return [k for (k, e) in self._flows if e == epoch_index]
 

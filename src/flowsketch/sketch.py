@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .hashing import FlowKey, KeySpec, FIELD_WIDTHS, check_width, fold_plan, shift_xor_hash
+from .hashing import FlowKey, KeySpec, check_width, fold, shift_xor_hash
 from .ingest import csv_line, opt_int, parse_uint, read_csv, write_csv
 
 # Resource model constants: a cell holds 9 metric words of 8 bytes, and
@@ -32,8 +32,7 @@ from .ingest import csv_line, opt_int, parse_uint, read_csv, write_csv
 CELL_BYTES = 72
 UPDATE_OPS = 9
 
-# Refuse configs whose cell count exceeds this unless the caller raises
-# the budget explicitly.
+# Refuse configs whose cell count exceeds this.
 DEFAULT_MAX_CELLS = 1 << 26
 
 # Bucket folds are memoized per raw key value; the memo is cleared if
@@ -95,14 +94,13 @@ def _copy_cell(cell: StageCell | None) -> StageCell:
 class Sketch:
     """Fixed-memory feature extractor over a timestamp-sorted stream."""
 
-    def __init__(self, config: SketchConfig, max_cells: int = DEFAULT_MAX_CELLS):
-        if config.cell_count > max_cells:
+    def __init__(self, config: SketchConfig):
+        if config.cell_count > DEFAULT_MAX_CELLS:
             raise ValueError(
-                f"config needs {config.cell_count} cells, budget is {max_cells}"
+                f"config needs {config.cell_count} cells, budget is {DEFAULT_MAX_CELLS}"
             )
         self._config = config
         self._bucket_count = config.bucket_count
-        self._mask = self._bucket_count - 1
         # Cells materialize lazily: untouched buckets stay None.
         self._stages: list[list[StageCell | None]] = [
             [None] * self._bucket_count for _ in range(config.mem_stages)
@@ -110,19 +108,11 @@ class Sketch:
         self._epoch_start: int | None = None
         self._epoch_index = 0
         self._last_ts: int | None = None
-        key_bits = config.key_spec.total_bits
-        self._pad_shift, self._halving_shifts = fold_plan(key_bits, config.hash_width)
-        # (field name, left shift) pairs, big-endian concatenation order
-        plan = []
-        shift = key_bits
-        for name in config.key_spec.fields:
-            shift -= FIELD_WIDTHS[name]
-            plan.append((name, shift))
-        self._field_plan = tuple(plan)
+        fields = config.key_spec.fields
         # Single-field keys read all three packet fields in one C call.
         self._getter = (
-            attrgetter("timestamp_ns", "length_bytes", plan[0][0])
-            if len(plan) == 1
+            attrgetter("timestamp_ns", "length_bytes", fields[0])
+            if len(fields) == 1
             else None
         )
         self._fold_memo: dict[int, int] = {}
@@ -141,21 +131,17 @@ class Sketch:
         """Index of the current epoch; equals the number of completed epochs."""
         return self._epoch_index
 
-    def update(self, packet) -> None:
-        """Fold one packet into the sketch, rotating epochs as needed."""
-        self.update_many((packet,))
-
     def _rows(self, packets: Iterable) -> Iterator[tuple[int, int, int]]:
         """Yield (timestamp, length, raw key) per packet.  Single-field
         keys go through one attrgetter call; wider keys concatenate."""
         if self._getter is not None:
             return map(self._getter, packets)
-        field_plan = self._field_plan
+        layout = self._config.key_spec.layout
 
         def rows():
             for pkt in packets:
                 v = 0
-                for name, shift in field_plan:
+                for name, shift in layout:
                     v |= getattr(pkt, name) << shift
                 yield pkt.timestamp_ns, pkt.length_bytes, v
 
@@ -178,9 +164,7 @@ class Sketch:
         config = self._config
         epoch_ns = config.epoch_ns
         width = config.hash_width
-        mask = self._mask
-        pad_shift = self._pad_shift
-        halving = self._halving_shifts
+        key_bits = config.key_spec.total_bits
         memo_get = self._fold_memo.get
         fold_memo = self._fold_memo
         stages = self._stages
@@ -205,16 +189,7 @@ class Sketch:
                     stage0 = stages[0]
                 b = memo_get(v)
                 if b is None:
-                    x = v << pad_shift
-                    if halving is not None:
-                        for s in halving:
-                            x ^= x >> s
-                        b = x & mask
-                    else:
-                        b = 0
-                        while x:
-                            b ^= x & mask
-                            x >>= width
+                    b = fold(v, key_bits, width)
                     if len(fold_memo) >= FOLD_MEMO_MAX:
                         fold_memo.clear()
                     fold_memo[v] = b
@@ -249,21 +224,19 @@ class Sketch:
 
     def _advance_epochs(self, ts: int, visit: Callable | None) -> None:
         """Rotate until the current epoch contains ts, visiting each
-        closing epoch first when there is a visitor.  Without one, gaps
-        of at least mem_stages epochs clear every stage in one step,
-        which is equivalent to rotating once per elapsed epoch."""
+        closing epoch first when there is a visitor.  Without one, at
+        most mem_stages rotations are made: by then every stage is
+        empty, so further rotations would change nothing but the epoch
+        index and start, which move forward by arithmetic."""
         epoch_ns = self._config.epoch_ns
         gap = (ts - self._epoch_start) // epoch_ns
-        if visit is None and gap >= self._config.mem_stages:
-            for s in range(len(self._stages)):
-                self._stages[s] = [None] * self._bucket_count
-            self._epoch_index += gap
-            self._epoch_start += gap * epoch_ns
-            return
-        for _ in range(gap):
+        rotations = gap if visit is not None else min(gap, self._config.mem_stages)
+        for _ in range(rotations):
             if visit is not None:
                 visit(self, self._epoch_index, True)
             self.rotate_epoch(self._epoch_start + epoch_ns)
+        self._epoch_index += gap - rotations
+        self._epoch_start += (gap - rotations) * epoch_ns
 
     def rotate_epoch(self, new_epoch_start_ns: int) -> None:
         """Shift the stages by one epoch and start a fresh stage 0.

@@ -359,3 +359,34 @@ def test_parse_verdicts_rejects_non_canonical_integer(field, text):
     with pytest.raises(TraceFormatError) as err:
         parse_verdicts([VERDICT_HEADER, good, ",".join(fields)])
     assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("text", ["+0.5", "1_0.5", " 2.5", "5E-1", "0.50", "nan", "Infinity", ".5"])
+def test_parse_verdicts_rejects_non_canonical_float(text):
+    good = "zscore,1,7,0.5,false"
+    with pytest.raises(TraceFormatError) as err:
+        parse_verdicts([VERDICT_HEADER, good, f"zscore,1,8,{text},false"])
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "0.0", "1e-05", "12345.678"])
+def test_parse_verdicts_accepts_canonical_float(text):
+    (verdict,) = parse_verdicts([VERDICT_HEADER, f"zscore,1,8,{text},true"])
+    assert repr(verdict.score) == text
+
+
+def test_params_str_follows_detector_params():
+    assert DetectorSetting("threshold", threshold=9.0).params_str() == "feature=pkt_count;threshold=9.0"
+    assert (
+        DetectorSetting("zscore", "byte_avg", k=3.0, train_epochs=2).params_str()
+        == "feature=byte_avg;k=3.0;train_epochs=2"
+    )
+    assert (
+        DetectorSetting("ewma", k=3.0, alpha=0.3).params_str()
+        == "feature=pkt_count;k=3.0;alpha=0.3"
+    )
+    # A parameter the kind does not take has no effect on the run, so it
+    # is not part of the id either.
+    assert DetectorSetting("threshold", threshold=9.0, k=1.0).params_str() == (
+        "feature=pkt_count;threshold=9.0"
+    )

@@ -22,7 +22,7 @@ def per_packet_replay(sketch, packets, visit):
         while sketch.epoch_start_ns is not None and ts >= sketch.epoch_start_ns + epoch_ns:
             visit(sketch, sketch.epoch_index, True)
             sketch.rotate_epoch(sketch.epoch_start_ns + epoch_ns)
-        sketch.update(pkt)
+        sketch.update_many((pkt,))
         count += 1
     if sketch.epoch_start_ns is not None:
         visit(sketch, sketch.epoch_index, False)

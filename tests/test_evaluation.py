@@ -454,3 +454,20 @@ def test_parse_report_rejects_non_canonical_integer(field, text):
     with pytest.raises(TraceFormatError) as err:
         parse_report_csv([REPORT_HEADER, good, ",".join(fields)])
     assert err.value.line_no == 3
+
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [(11, "+1_0.0"), (11, "10.0"), (12, "-0.5"), (13, "1.5"), (13, "1.00"), (12, "nan"),
+     (13, "inf"), (16, "5E+3"), (16, " 12.5"), (12, "1e0")],
+)
+def test_parse_report_rejects_non_canonical_float(field, text):
+    good = "a,4,1,1000,src_ip,zscore,k=3.0,1,0,0,15,1.0,0.5,0.6666666666666666,1152,9,1250000.0,true"
+    fields = good.split(",")
+    fields[field] = text
+    rows = parse_report_csv([REPORT_HEADER, good])
+    assert (rows[0].precision, rows[0].f1, rows[0].measured_pps) == (1.0, 0.6666666666666666, 1250000.0)
+    with pytest.raises(TraceFormatError) as err:
+        parse_report_csv([REPORT_HEADER, good, ",".join(fields)])
+    assert err.value.line_no == 3

@@ -3,15 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowsketch.hashing import (
-    FIELD_WIDTHS,
-    FlowKey,
-    KeySpec,
-    extract_key,
-    fold_plan,
-    shift_xor_hash,
-)
+from flowsketch.hashing import FlowKey, KeySpec, extract_key, fold, shift_xor_hash
 
 from conftest import make_packet
 
@@ -22,21 +16,20 @@ W5_EXAMPLE_BUCKET = 27
 # Same key at width 4 pads to 101100110100: 1011 ^ 0011 ^ 0100 = 1100.
 W4_PADDED_BUCKET = 0b1100
 
+# Header field widths in bits, written out here so the layout checks do
+# not lean on the library's own table.
+HEADER_BITS = {"src_ip": 32, "dst_ip": 32, "src_port": 16, "dst_port": 16, "protocol": 8}
 
-def apply_plan(key: FlowKey, width: int) -> int:
-    """Fold a key using the precomputed plan, as the sketch hot loop does."""
-    pad_shift, halving = fold_plan(key.width, width)
-    v = key.value << pad_shift
-    if halving is not None:
-        for s in halving:
-            v ^= v >> s
-        return v & ((1 << width) - 1)
-    mask = (1 << width) - 1
-    b = 0
-    while v:
-        b ^= v & mask
-        v >>= width
-    return b
+
+def bit_string_fold(value: int, key_bits: int, width: int) -> int:
+    """Reference fold on text: write the key as key_bits binary digits,
+    pad with zeros on the right to whole windows, XOR the windows."""
+    bits = format(value, f"0{key_bits}b") if key_bits else ""
+    bits += "0" * (-len(bits) % width)
+    acc = 0
+    for i in range(0, len(bits), width):
+        acc ^= int(bits[i : i + width], 2)
+    return acc
 
 
 def test_extract_key_single_field():
@@ -130,6 +123,8 @@ def test_hash_width_bounds():
         shift_xor_hash(key, 0)
     with pytest.raises(ValueError):
         shift_xor_hash(key, 25)
+    with pytest.raises(ValueError):
+        fold(-1, 8, 4)  # would never shift down to zero
     assert 0 <= shift_xor_hash(key, 1) < 2
     assert 0 <= shift_xor_hash(key, 24) < (1 << 24)
 
@@ -153,24 +148,53 @@ def test_hash_gf2_linearity():
         assert shift_xor_hash(a ^ b, width) == shift_xor_hash(a, width) ^ shift_xor_hash(b, width)
 
 
-def test_fold_plan_matches_reference():
-    rng = random.Random(23)
-    saw_halving = saw_generic = False
-    for _ in range(3000):
-        width = rng.randrange(1, 25)
-        bits = rng.randrange(1, 72)
-        _, halving = fold_plan(bits, width)
-        saw_halving |= halving is not None
-        saw_generic |= halving is None
-        key = FlowKey(rng.getrandbits(bits), bits)
-        assert apply_plan(key, width) == shift_xor_hash(key, width)
-    assert saw_halving and saw_generic
+@st.composite
+def keys_and_widths(draw):
+    key_bits = draw(st.integers(0, 104))
+    value = draw(st.integers(0, (1 << key_bits) - 1))
+    return value, key_bits, draw(st.integers(1, 24))
 
 
-def test_fold_plan_32_bit_key_width_4_uses_halving():
-    pad_shift, halving = fold_plan(32, 4)
-    assert pad_shift == 0
-    assert halving == (16, 8, 4)
+@settings(max_examples=600, deadline=None)
+@given(keys_and_widths())
+def test_fold_matches_bit_string_reference(case):
+    # Window counts that are powers of two and ones that are not, padded
+    # and unpadded, all go through the one fold.
+    value, key_bits, width = case
+    want = bit_string_fold(value, key_bits, width)
+    assert fold(value, key_bits, width) == want
+    assert shift_xor_hash(FlowKey(value, key_bits), width) == want
+
+
+@st.composite
+def specs_and_packets(draw):
+    order = draw(st.permutations(tuple(HEADER_BITS)))
+    fields = order[: draw(st.integers(1, len(order)))]
+    pkt = make_packet(
+        src=draw(st.integers(0, (1 << 32) - 1)),
+        dst=draw(st.integers(0, (1 << 32) - 1)),
+        sport=draw(st.integers(0, (1 << 16) - 1)),
+        dport=draw(st.integers(0, (1 << 16) - 1)),
+        proto=draw(st.integers(0, 255)),
+    )
+    return KeySpec(fields), pkt
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs_and_packets())
+def test_layout_and_extract_key_match_bit_string_reference(case):
+    spec, pkt = case
+    bits = "".join(format(getattr(pkt, f), f"0{HEADER_BITS[f]}b") for f in spec.fields)
+    # A field starting at string offset i sits len(bits) - i - width
+    # bits up from the least significant end.
+    want_layout = []
+    offset = 0
+    for name in spec.fields:
+        offset += HEADER_BITS[name]
+        want_layout.append((name, len(bits) - offset))
+    assert spec.layout == tuple(want_layout)
+    assert spec.total_bits == len(bits)
+    assert extract_key(pkt, spec) == FlowKey(int(bits, 2), len(bits))
 
 
 def test_hash_uniformity_on_random_keys():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from flowsketch.hashing import FlowKey, KeySpec, extract_key, shift_xor_hash
+from flowsketch.hashing import FlowKey, KeySpec, shift_xor_hash
 from flowsketch.ingest import Label
 from flowsketch.oracle import ExactTracker, FlowStats, merge_flow_stats
 from flowsketch.sketch import SketchConfig, StageCell
@@ -37,8 +37,8 @@ def test_interleaved_flows_keep_per_flow_gaps():
     tr.update(make_packet(ts=0, src=1))
     tr.update(make_packet(ts=10, src=2))
     tr.update(make_packet(ts=30, src=1))
-    a = tr.flow(FlowKey(1, 32), 0)
-    b = tr.flow(FlowKey(2, 32), 0)
+    a, b = sorted(tr.flows(), key=lambda fs: fs.key.value)
+    assert (a.key, a.epoch_index, b.key, b.epoch_index) == (FlowKey(1, 32), 0, FlowKey(2, 32), 0)
     assert a.iat_count == 1 and a.iat_sum_ns == 30  # not 20: flow-level gap
     assert b.iat_count == 0
 
@@ -75,7 +75,8 @@ def test_expected_bucket_single_flow_identity():
         tr.update(make_packet(ts=ts, src=9, length=100 + ts))
     bucket = tr.bucket_of(FlowKey(9, 32))
     cell = tr.expected_bucket(bucket, 0)
-    fs = tr.flow(FlowKey(9, 32), 0)
+    (fs,) = tr.flows()
+    assert fs.key == FlowKey(9, 32) and fs.epoch_index == 0
     assert cell.pkt_count == fs.pkt_count == 3
     assert cell.byte_sum == fs.byte_sum
     assert cell.byte_min == fs.byte_min and cell.byte_max == fs.byte_max

@@ -7,8 +7,11 @@ import pytest
 from flowsketch.detectors import feature_value
 from flowsketch.hashing import FlowKey, KeySpec, extract_key, shift_xor_hash
 from flowsketch.ingest import SyntheticProfile, TraceFormatError, generate_synthetic
+import flowsketch.sketch as sketch_module
+from flowsketch.oracle import ExactTracker
 from flowsketch.sketch import (
     CELL_BYTES,
+    DEFAULT_MAX_CELLS,
     SNAPSHOT_HEADER,
     UPDATE_OPS,
     Sketch,
@@ -51,15 +54,18 @@ def test_cell_counts():
 
 
 def test_memory_budget_enforced():
-    with pytest.raises(ValueError):
-        Sketch(cfg(width=10), max_cells=100)
-    Sketch(cfg(width=10), max_cells=1024)
+    # 5 * 2**24 cells is over DEFAULT_MAX_CELLS; the check runs before
+    # any stage is allocated.
+    assert cfg(width=24, stages=5).cell_count > DEFAULT_MAX_CELLS
+    with pytest.raises(ValueError, match="budget"):
+        Sketch(cfg(width=24, stages=5))
+    Sketch(cfg(width=10))
 
 
 def test_single_update():
     sk = Sketch(cfg())
     pkt = make_packet(ts=500, length=60)
-    sk.update(pkt)
+    sk.update_many((pkt,))
     cell = sk.stage_cells(0)[shift_xor_hash(extract_key(pkt, SRC_KEY), 4)]
     assert cell == StageCell(
         pkt_count=1, byte_sum=60, byte_min=60, byte_max=60, last_ts_ns=500,
@@ -72,7 +78,7 @@ def test_single_update():
 def test_accumulation_within_epoch():
     sk = Sketch(cfg(epoch_ns=1_000_000))
     for ts, length in ((1000, 60), (4000, 1500), (9000, 60)):
-        sk.update(make_packet(ts=ts, length=length))
+        sk.update_many((make_packet(ts=ts, length=length),))
     key = extract_key(make_packet(), SRC_KEY)
     cell = sk.stage_cells(0)[shift_xor_hash(key, 4)]
     assert cell.pkt_count == 3
@@ -103,7 +109,7 @@ def test_empty_bucket_query():
 def test_query_returns_a_copy():
     sk = Sketch(cfg())
     pkt = make_packet(ts=500, length=60)
-    sk.update(pkt)
+    sk.update_many((pkt,))
     key = extract_key(pkt, SRC_KEY)
     before = sk.stage_cells(0)
     fv = sk.query(key)
@@ -115,13 +121,13 @@ def test_query_returns_a_copy():
 
 def test_timestamp_regression_rejected():
     sk = Sketch(cfg())
-    sk.update(make_packet(ts=100))
+    sk.update_many((make_packet(ts=100),))
     with pytest.raises(ValueError):
-        sk.update(make_packet(ts=99))
+        sk.update_many((make_packet(ts=99),))
     with pytest.raises(ValueError):
         sk.update_many([make_packet(ts=200), make_packet(ts=150)])
     # packets before the regression stay applied, so 200 is the floor
-    sk.update(make_packet(ts=200))  # equal timestamps are fine
+    sk.update_many((make_packet(ts=200),))  # equal timestamps are fine
 
 
 def test_update_many_matches_single_updates():
@@ -132,10 +138,57 @@ def test_update_many_matches_single_updates():
         b = Sketch(cfg(stages=stages))
         assert a.update_many(records) == len(records)
         for r in records:
-            b.update(r)
+            b.update_many((r,))
         assert a.snapshot() == b.snapshot()
         assert a.epoch_index == b.epoch_index
         assert a.epoch_start_ns == b.epoch_start_ns
+
+
+FIVE_TUPLE = KeySpec(("src_ip", "dst_ip", "src_port", "dst_port", "protocol"))
+
+
+@pytest.mark.parametrize(
+    "width, key",
+    # src_ip folds into 4 and 2 windows at W=8 and 16 (powers of two)
+    # and 3, padded, at W=12; the 104-bit 5-tuple into 9, padded, at
+    # W=12 and exactly 8 at W=13.
+    [(8, SRC_KEY), (16, SRC_KEY), (12, SRC_KEY), (12, FIVE_TUPLE), (13, FIVE_TUPLE)],
+    ids=["src_ip-W8", "src_ip-W16", "src_ip-W12", "5tuple-W12", "5tuple-W13"],
+)
+def test_sketch_matches_oracle_with_a_tiny_fold_memo(monkeypatch, width, key):
+    # A two-entry memo is cleared on every third distinct key, so most
+    # packets take the fold on a memo miss.
+    monkeypatch.setattr(sketch_module, "FOLD_MEMO_MAX", 2)
+    folds = []
+    real_fold = sketch_module.fold
+
+    def counting_fold(value, key_bits, width_bits):
+        folds.append(value)
+        return real_fold(value, key_bits, width_bits)
+
+    monkeypatch.setattr(sketch_module, "fold", counting_fold)
+    records = random_records(random.Random(width), 600, span_ns=3_000, pool=24)
+    config = cfg(width=width, epoch_ns=1000, key=key)
+    tracker = ExactTracker(config)
+    for r in records:
+        tracker.update(r)
+
+    def visit(sk, epoch_index, complete):
+        cells = sk.stage_cells(0)
+        touched = {b for b, c in enumerate(cells) if c.pkt_count}
+        assert touched == {tracker.bucket_of(k) for k in tracker.keys_in_epoch(epoch_index)}
+        for bucket in touched:
+            want = tracker.expected_bucket(bucket, epoch_index)
+            got = cells[bucket]
+            if tracker.collision_free(bucket, epoch_index):
+                assert got == want
+            else:
+                assert (got.pkt_count, got.byte_sum, got.byte_min, got.byte_max, got.last_ts_ns) == (
+                    want.pkt_count, want.byte_sum, want.byte_min, want.byte_max, want.last_ts_ns,
+                )
+
+    replay_epochs(Sketch(config), records, visit)
+    assert len(folds) > len(records) // 2
 
 
 def test_rotation_shifts_stages_bit_for_bit():
@@ -156,7 +209,7 @@ def test_rotation_shifts_stages_bit_for_bit():
 
 def test_rotation_drops_oldest_stage():
     sk = Sketch(cfg(stages=2, epoch_ns=1000))
-    sk.update(make_packet(ts=0, length=111))
+    sk.update_many((make_packet(ts=0, length=111),))
     sk.rotate_epoch(1000)
     oldest = sk.stage_cells(1)
     assert sum(c.pkt_count for c in oldest) == 1
@@ -168,7 +221,7 @@ def test_stage_contents_across_five_epochs():
     # One packet per epoch with a distinct size; S=3 keeps the last three.
     sk = Sketch(cfg(stages=3, epoch_ns=1000))
     for epoch in range(5):
-        sk.update(make_packet(ts=epoch * 1000, length=60 + epoch))
+        sk.update_many((make_packet(ts=epoch * 1000, length=60 + epoch),))
     for stage, expected_len in ((0, 64), (1, 63), (2, 62)):
         sums = [c.byte_sum for c in sk.stage_cells(stage) if c.pkt_count]
         assert sums == [expected_len]
@@ -177,8 +230,8 @@ def test_stage_contents_across_five_epochs():
 
 def test_auto_rotation_skips_empty_epochs():
     sk = Sketch(cfg(stages=3, epoch_ns=1000))
-    sk.update(make_packet(ts=100))
-    sk.update(make_packet(ts=3100))  # epochs 1 and 2 are empty
+    sk.update_many((make_packet(ts=100),))
+    sk.update_many((make_packet(ts=3100),))  # epochs 1 and 2 are empty
     assert sk.epoch_index == 3
     assert sk.epoch_start_ns == 3100 - (3100 - 100) % 1000
     assert sum(c.pkt_count for c in sk.stage_cells(0)) == 1
@@ -187,19 +240,20 @@ def test_auto_rotation_skips_empty_epochs():
 
 
 def test_long_gap_equals_repeated_rotation():
-    # A gap larger than the stage count takes a clearing fast path; it
-    # must match rotating once per elapsed epoch.
+    # Without a visitor a gap of at least the stage count rotates only
+    # mem_stages times and moves the epoch by arithmetic; it must match
+    # rotating once per elapsed epoch.
     for gap_epochs in (3, 5, 50):
         fast = Sketch(cfg(stages=3, epoch_ns=1000))
         slow = Sketch(cfg(stages=3, epoch_ns=1000))
         first = make_packet(ts=0, length=99)
         late = make_packet(ts=gap_epochs * 1000 + 7)
-        fast.update(first)
-        fast.update(late)
-        slow.update(first)
+        fast.update_many((first,))
+        fast.update_many((late,))
+        slow.update_many((first,))
         for k in range(1, gap_epochs + 1):
             slow.rotate_epoch(k * 1000)
-        slow.update(late)
+        slow.update_many((late,))
         assert fast.snapshot() == slow.snapshot()
         assert fast.epoch_index == slow.epoch_index == gap_epochs
         assert fast.epoch_start_ns == slow.epoch_start_ns
@@ -209,7 +263,7 @@ def test_manual_rotation_validation():
     sk = Sketch(cfg())
     with pytest.raises(ValueError):
         sk.rotate_epoch(1000)  # nothing streamed yet
-    sk.update(make_packet(ts=500))
+    sk.update_many((make_packet(ts=500),))
     with pytest.raises(ValueError):
         sk.rotate_epoch(500)
     with pytest.raises(ValueError):
@@ -219,9 +273,9 @@ def test_manual_rotation_validation():
 def test_iat_restarts_each_epoch():
     # epochs anchor at the first packet, so 0 and 900 share epoch 0
     sk = Sketch(cfg(epoch_ns=1000))
-    sk.update(make_packet(ts=0))
-    sk.update(make_packet(ts=900))
-    sk.update(make_packet(ts=1100))
+    sk.update_many((make_packet(ts=0),))
+    sk.update_many((make_packet(ts=900),))
+    sk.update_many((make_packet(ts=1100),))
     cell = sk.stage_cells(0)[shift_xor_hash(extract_key(make_packet(), SRC_KEY), 4)]
     assert cell.pkt_count == 1
     assert cell.iat_count == 0
@@ -237,7 +291,7 @@ def test_colliding_keys_share_a_cell():
     kb = extract_key(b, SRC_KEY)
     assert shift_xor_hash(ka, 1) == shift_xor_hash(kb, 1)
     for ts, pkt in ((10, a), (20, b), (30, a)):
-        sk.update(make_packet(ts=ts, src=pkt.src_ip, length=100))
+        sk.update_many((make_packet(ts=ts, src=pkt.src_ip, length=100),))
     fv = sk.query(ka)
     assert fv.pkt_count == 3
     assert fv.byte_sum == 300
