@@ -288,7 +288,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     def visit(sketch: Sketch, index: int, complete: bool) -> None:
         suffix = "" if complete else "_partial"
         path = os.path.join(args.out_dir, f"epoch_{index:04d}{suffix}.csv")
-        write_snapshot(path, sketch.snapshot())
+        rows = [
+            (stage, bucket, cell)
+            for stage in range(config.mem_stages)
+            for bucket, cell in sketch.stage(stage).items()
+        ]
+        write_snapshot(path, rows)
         written.append(path)
 
     replay_epochs(Sketch(config), records, visit)

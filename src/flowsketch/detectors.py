@@ -1,7 +1,7 @@
 """Per-bucket anomaly detectors over epoch snapshot streams.
 
 All detectors consume the stage-0 snapshots produced by the sketch, one
-per epoch, and emit one verdict per (bucket, epoch).  A verdict is
+per epoch, and decide every (bucket, epoch) of the grid.  A verdict is
 anomalous exactly when its score exceeds the detector's threshold (k
 for the model-based detectors).
 
@@ -9,6 +9,17 @@ Three detectors are provided: a plain threshold on a feature value, a
 z-score against a baseline fitted on a training prefix, and an EWMA
 tracker that scores deviation from a running mean scaled by a running
 mean absolute deviation.
+
+Verdicts are stored sparsely.  In each epoch a detector scores, one by
+one, the buckets the snapshot holds (the touched ones) and the buckets
+with state of their own: z-score buckets whose training mean or std is
+nonzero, and EWMA buckets whose running mean or deviation is nonzero.
+The mean alone would not do: with alpha 1 a bucket's mean is 0 one idle
+epoch before its deviation is.  Every other bucket shares one verdict,
+computed once per epoch from StageCell() with zero state.  That is
+exact: such a bucket's cell is empty and its state is zero, so the
+dense computation would run the very same arithmetic on the very same
+numbers, whatever the threshold, k or alpha (negative ones included).
 """
 
 from __future__ import annotations
@@ -16,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .ingest import csv_line, parse_flag, parse_float, parse_uint, read_csv, write_csv
 from .sketch import EpochSnapshot, StageCell
@@ -36,6 +48,9 @@ DETECTOR_PARAMS = {
 EWMA_EPS = 1e-9
 
 _INF = math.inf
+
+# The cell of every bucket a snapshot does not hold.
+_EMPTY = StageCell()
 
 
 def feature_value(cell: StageCell, feature: str) -> float:
@@ -62,30 +77,84 @@ class Verdict:
     anomalous: bool
 
 
+@dataclass(frozen=True)
+class EpochVerdicts:
+    """One detector's verdicts on one epoch of bucket_count buckets.
+
+    explicit holds the buckets scored one by one, in ascending bucket
+    order; every other bucket has the shared score and flag.  len() and
+    iteration give all bucket_count verdicts, in bucket order.
+    """
+
+    detector_id: str
+    epoch_index: int
+    bucket_count: int
+    explicit: tuple[Verdict, ...]
+    shared_score: float
+    shared_anomalous: bool
+
+    def __len__(self) -> int:
+        return self.bucket_count
+
+    def __iter__(self) -> Iterator[Verdict]:
+        shared = partial(Verdict, self.detector_id, self.epoch_index)
+        score, anomalous = self.shared_score, self.shared_anomalous
+        start = 0
+        for v in self.explicit:
+            for bucket in range(start, v.bucket):
+                yield shared(bucket, score, anomalous)
+            yield v
+            start = v.bucket + 1
+        for bucket in range(start, self.bucket_count):
+            yield shared(bucket, score, anomalous)
+
+
+@dataclass(frozen=True)
+class Verdicts:
+    """A detector's verdicts over a run of epochs, one EpochVerdicts
+    each.  len() counts every (bucket, epoch) verdict and iteration
+    yields them epoch by epoch in bucket order, as a dense list would,
+    while only the explicit verdicts are stored."""
+
+    epochs: tuple[EpochVerdicts, ...]
+
+    def __len__(self) -> int:
+        return sum(len(e) for e in self.epochs)
+
+    def __iter__(self) -> Iterator[Verdict]:
+        return chain.from_iterable(self.epochs)
+
+
+def _cells(snapshot: EpochSnapshot) -> dict[int, StageCell]:
+    return dict(zip(snapshot.buckets, snapshot.cells))
+
+
 def detect_threshold(
     snapshot: EpochSnapshot, feature: str, threshold: float
-) -> list[Verdict]:
+) -> EpochVerdicts:
     """Score every bucket by its raw feature value."""
-    out = []
-    for bucket, cell in enumerate(snapshot.cells):
+    epoch = snapshot.epoch_index
+    explicit = []
+    for bucket, cell in zip(snapshot.buckets, snapshot.cells):
         x = feature_value(cell, feature)
-        out.append(Verdict("threshold", snapshot.epoch_index, bucket, x, x > threshold))
-    return out
+        explicit.append(Verdict("threshold", epoch, bucket, x, x > threshold))
+    x = feature_value(_EMPTY, feature)
+    return EpochVerdicts(
+        "threshold", epoch, snapshot.bucket_count, tuple(explicit), x, x > threshold
+    )
 
 
 @dataclass(frozen=True)
 class BaselineModel:
     """Per-bucket mean and population standard deviation of one feature
-    over a training prefix of epochs."""
+    over a training prefix of epochs.  Only buckets whose mean or std
+    is nonzero have entries; every other bucket has mean 0 and std 0."""
 
     feature: str
     training_epochs: int
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self.means)
+    bucket_count: int
+    means: dict[int, float]
+    stds: dict[int, float]
 
 
 def fit_baseline(snapshots: Sequence[EpochSnapshot], feature: str) -> BaselineModel:
@@ -93,22 +162,32 @@ def fit_baseline(snapshots: Sequence[EpochSnapshot], feature: str) -> BaselineMo
     n = len(snapshots)
     if n < 2:
         raise ValueError(f"baseline needs at least 2 training epochs, got {n}")
-    bucket_count = len(snapshots[0].cells)
+    bucket_count = snapshots[0].bucket_count
     for snap in snapshots:
-        if len(snap.cells) != bucket_count:
+        if snap.bucket_count != bucket_count:
             raise ValueError("training snapshots disagree on bucket count")
-    means = []
-    stds = []
-    for b in range(bucket_count):
-        values = [feature_value(snap.cells[b], feature) for snap in snapshots]
+    epochs = [_cells(snap) for snap in snapshots]
+    means = {}
+    stds = {}
+    # A bucket no training epoch touched has mean 0 and std 0.
+    for b in sorted(set().union(*epochs)):
+        values = [feature_value(cells.get(b, _EMPTY), feature) for cells in epochs]
         mean = sum(values) / n
         var = sum((x - mean) ** 2 for x in values) / n
-        means.append(mean)
-        stds.append(math.sqrt(var))
-    return BaselineModel(feature, n, tuple(means), tuple(stds))
+        std = math.sqrt(var)
+        if mean or std:
+            means[b] = mean
+            stds[b] = std
+    return BaselineModel(feature, n, bucket_count, means, stds)
 
 
-def detect_zscore(snapshot: EpochSnapshot, model: BaselineModel, k: float) -> list[Verdict]:
+def _zscore(x: float, mean: float, std: float) -> float:
+    if std == 0.0:
+        return 0.0 if x == mean else _INF
+    return abs(x - mean) / std
+
+
+def detect_zscore(snapshot: EpochSnapshot, model: BaselineModel, k: float) -> EpochVerdicts:
     """Score each bucket by |x - mean| / std against the baseline.
 
     A zero-std bucket scores 0 when x equals its mean and +inf
@@ -117,20 +196,19 @@ def detect_zscore(snapshot: EpochSnapshot, model: BaselineModel, k: float) -> li
     mean and std are 0 and it scores +inf for any traffic and 0 for
     none.
     """
-    if len(snapshot.cells) != model.bucket_count:
+    if snapshot.bucket_count != model.bucket_count:
         raise ValueError(
-            f"snapshot has {len(snapshot.cells)} buckets, model expects {model.bucket_count}"
+            f"snapshot has {snapshot.bucket_count} buckets, model expects {model.bucket_count}"
         )
-    out = []
-    for bucket, cell in enumerate(snapshot.cells):
-        x = feature_value(cell, model.feature)
-        std = model.stds[bucket]
-        if std == 0.0:
-            score = 0.0 if x == model.means[bucket] else _INF
-        else:
-            score = abs(x - model.means[bucket]) / std
-        out.append(Verdict("zscore", snapshot.epoch_index, bucket, score, score > k))
-    return out
+    cells = _cells(snapshot)
+    epoch = snapshot.epoch_index
+    explicit = []
+    for b in sorted(cells.keys() | model.means.keys()):
+        x = feature_value(cells.get(b, _EMPTY), model.feature)
+        score = _zscore(x, model.means.get(b, 0.0), model.stds.get(b, 0.0))
+        explicit.append(Verdict("zscore", epoch, b, score, score > k))
+    score = _zscore(feature_value(_EMPTY, model.feature), 0.0, 0.0)
+    return EpochVerdicts("zscore", epoch, model.bucket_count, tuple(explicit), score, score > k)
 
 
 class EwmaDetector:
@@ -138,7 +216,8 @@ class EwmaDetector:
 
     Scores are computed against the state from previous epochs before
     the state absorbs the current one, so the first epoch observed is
-    all benign by construction.
+    all benign by construction.  Only buckets whose mean or deviation
+    is nonzero keep state.
     """
 
     def __init__(self, feature: str, alpha: float, k: float):
@@ -149,31 +228,46 @@ class EwmaDetector:
         self.feature = feature
         self.alpha = alpha
         self.k = k
-        self._means: list[float] | None = None
-        self._devs: list[float] | None = None
+        self._bucket_count: int | None = None
+        # bucket -> (mean, deviation), both from previous epochs.
+        self._state: dict[int, tuple[float, float]] = {}
 
-    def observe(self, snapshot: EpochSnapshot) -> list[Verdict]:
-        xs = [feature_value(cell, self.feature) for cell in snapshot.cells]
-        epoch = snapshot.epoch_index
-        if self._means is None:
-            self._means = list(xs)
-            self._devs = [0.0] * len(xs)
-            return [Verdict("ewma", epoch, b, 0.0, False) for b in range(len(xs))]
-        if len(xs) != len(self._means):
-            raise ValueError(
-                f"snapshot has {len(xs)} buckets, detector state has {len(self._means)}"
-            )
+    def _step(self, x: float, mean: float, dev: float) -> tuple[float, float, float]:
+        """Score x against (mean, dev); return it with the next state."""
         alpha = self.alpha
-        out = []
-        for b, x in enumerate(xs):
-            m_prev = self._means[b]
-            d_prev = self._devs[b]
-            delta = abs(x - m_prev)
-            score = delta / max(d_prev, EWMA_EPS)
-            out.append(Verdict("ewma", epoch, b, score, score > self.k))
-            self._means[b] = alpha * x + (1.0 - alpha) * m_prev
-            self._devs[b] = alpha * delta + (1.0 - alpha) * d_prev
-        return out
+        delta = abs(x - mean)
+        score = delta / max(dev, EWMA_EPS)
+        return score, alpha * x + (1.0 - alpha) * mean, alpha * delta + (1.0 - alpha) * dev
+
+    def observe(self, snapshot: EpochSnapshot) -> EpochVerdicts:
+        cells = _cells(snapshot)
+        epoch = snapshot.epoch_index
+        feature = self.feature
+        state = self._state
+        if self._bucket_count is None:
+            self._bucket_count = snapshot.bucket_count
+            for b, cell in cells.items():
+                x = feature_value(cell, feature)
+                if x:
+                    state[b] = (x, 0.0)
+            return EpochVerdicts("ewma", epoch, snapshot.bucket_count, (), 0.0, False)
+        if snapshot.bucket_count != self._bucket_count:
+            raise ValueError(
+                f"snapshot has {snapshot.bucket_count} buckets, "
+                f"detector state has {self._bucket_count}"
+            )
+        k = self.k
+        explicit = []
+        for b in sorted(cells.keys() | state.keys()):
+            x = feature_value(cells.get(b, _EMPTY), feature)
+            score, mean, dev = self._step(x, *state.get(b, (0.0, 0.0)))
+            explicit.append(Verdict("ewma", epoch, b, score, score > k))
+            if mean or dev:
+                state[b] = (mean, dev)
+            else:
+                state.pop(b, None)
+        score, _, _ = self._step(feature_value(_EMPTY, feature), 0.0, 0.0)
+        return EpochVerdicts("ewma", epoch, self._bucket_count, tuple(explicit), score, score > k)
 
 
 @dataclass(frozen=True)
@@ -208,7 +302,7 @@ class DetectorSetting:
 
 def run_detector(
     setting: DetectorSetting, snapshots: Sequence[EpochSnapshot]
-) -> list[Verdict]:
+) -> Verdicts:
     """Apply a detector setting to an epoch snapshot sequence.
 
     The z-score detector fits on the first train_epochs snapshots and
@@ -233,16 +327,13 @@ def run_detector(
         observe = partial(detect_zscore, model=model, k=setting.k)
     else:
         observe = EwmaDetector(setting.feature, setting.alpha, setting.k).observe
-    out: list[Verdict] = []
-    for snap in snapshots:
-        out.extend(observe(snap))
-    return out
+    return Verdicts(tuple(observe(snap) for snap in snapshots))
 
 
 VERDICT_HEADER = "detector_id,epoch_index,bucket,score,anomalous"
 
 
-def write_verdicts(path, verdicts: Sequence[Verdict]) -> None:
+def write_verdicts(path, verdicts: Iterable[Verdict]) -> None:
     write_csv(
         path,
         VERDICT_HEADER,

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .detectors import DetectorSetting, Verdict, run_detector
+from .detectors import DetectorSetting, Verdicts, run_detector
 from .ingest import PacketRecord, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
 from .oracle import ExactTracker
 from .sketch import (
@@ -65,37 +65,61 @@ class QualityScores:
     f1: Fraction
 
 
-def score(verdicts: Sequence[Verdict], grid: GroundTruthGrid) -> QualityScores:
+def score(verdicts: Verdicts, grid: GroundTruthGrid) -> QualityScores:
     """Match verdicts against the grid cell by cell.
 
     The verdicts must cover exactly the grid's (bucket, epoch) domain,
-    once each.
+    once each: every grid epoch once, over the grid's buckets, with no
+    explicit verdict outside its epoch or the grid and none repeated.
+    Explicit verdicts are matched one by one.  The other buckets of an
+    epoch share one verdict, so their counts follow by arithmetic from
+    how many of the epoch's anomalous cells they hold.
     """
     expected = grid.bucket_count * grid.epoch_count
     if len(verdicts) != expected:
         raise ValueError(
             f"verdicts cover {len(verdicts)} cells, grid has {expected}"
         )
-    seen = set()
+    truth: dict[int, set[int]] = {}
+    for b, e in grid.anomalous:
+        truth.setdefault(e, set()).add(b)
+    seen_epochs = set()
     tp = fp = fn = tn = 0
-    for v in verdicts:
-        if not 0 <= v.bucket < grid.bucket_count or not 0 <= v.epoch_index < grid.epoch_count:
+    for epoch in verdicts.epochs:
+        e = epoch.epoch_index
+        if epoch.bucket_count != grid.bucket_count or not 0 <= e < grid.epoch_count:
             raise ValueError(
-                f"verdict for ({v.bucket}, {v.epoch_index}) is outside the grid"
+                f"verdicts for epoch {e} over {epoch.bucket_count} buckets are outside the grid"
             )
-        cell = (v.bucket, v.epoch_index)
-        if cell in seen:
-            raise ValueError(f"duplicate verdict for cell {cell}")
-        seen.add(cell)
-        truth = cell in grid.anomalous
-        if v.anomalous and truth:
-            tp += 1
-        elif v.anomalous:
-            fp += 1
-        elif truth:
-            fn += 1
+        if e in seen_epochs:
+            raise ValueError(f"duplicate verdicts for epoch {e}")
+        seen_epochs.add(e)
+        anomalous = truth.get(e, set())
+        seen = set()
+        for v in epoch.explicit:
+            cell = (v.bucket, v.epoch_index)
+            if v.epoch_index != e or not 0 <= v.bucket < grid.bucket_count:
+                raise ValueError(f"verdict for {cell} is outside epoch {e} of the grid")
+            if v.bucket in seen:
+                raise ValueError(f"duplicate verdict for cell {cell}")
+            seen.add(v.bucket)
+            hit = v.bucket in anomalous
+            if v.anomalous and hit:
+                tp += 1
+            elif v.anomalous:
+                fp += 1
+            elif hit:
+                fn += 1
+            else:
+                tn += 1
+        rest = grid.bucket_count - len(seen)
+        rest_hits = len(anomalous - seen)
+        if epoch.shared_anomalous:
+            tp += rest_hits
+            fp += rest - rest_hits
         else:
-            tn += 1
+            fn += rest_hits
+            tn += rest - rest_hits
     precision = Fraction(tp, tp + fp) if tp + fp else Fraction(0)
     recall = Fraction(tp, tp + fn) if tp + fn else Fraction(0)
     denom = 2 * tp + fp + fn

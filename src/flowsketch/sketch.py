@@ -4,18 +4,23 @@ The sketch keeps mem_stages equal-length epochs of state as a shift
 register of stages.  Stage 0 accumulates the current epoch; when the
 stream's timestamp crosses an epoch boundary the stages shift (stage 0
 becomes stage 1 and so on), the oldest stage falls off, and a fresh
-stage 0 starts.  Memory is fixed at mem_stages * 2**hash_width cells
-regardless of traffic.
+stage 0 starts.
+
+The modelled footprint, the one the hardware sketch has and that
+evaluation.resource_model costs, is fixed at mem_stages * 2**hash_width
+cells regardless of traffic.  This process holds only the cells that
+traffic touched: each stage maps bucket to cell, a rotation starts an
+empty map, and snapshots carry the touched buckets alone.  Memory and
+per-epoch work therefore grow with traffic, not with 2**hash_width.
 
 Epochs are anchored at the first packet's timestamp, so boundaries sit
 at first_ts + k * epoch_ns.  Gaps in traffic still shift once per
 elapsed epoch.  Inter-arrival tracking restarts each epoch: the first
 packet a bucket sees in an epoch contributes no gap sample.
 
-A bucket's state is one StageCell of nine raw metrics.  query,
-stage_cells, snapshot and the per-epoch snapshots all return copies of
-cells; derived features such as averages are read from a cell by
-detectors.feature_value.
+A bucket's state is one StageCell of nine raw metrics.  Sketch.stage
+and the per-epoch snapshots return copies of cells; derived features
+such as averages are read from a cell by detectors.feature_value.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .hashing import FlowKey, KeySpec, check_width, fold, shift_xor_hash
+from .hashing import KeySpec, check_width, fold
 from .ingest import csv_line, opt_int, parse_uint, read_csv, write_csv
 
 # Resource model constants: a cell holds 9 metric words of 8 bytes, and
@@ -87,12 +92,13 @@ class StageCell:
     iat_max_ns: int | None = None
 
 
-def _copy_cell(cell: StageCell | None) -> StageCell:
-    return StageCell() if cell is None else StageCell(**vars(cell))
+def _copy_cell(cell: StageCell) -> StageCell:
+    return StageCell(**vars(cell))
 
 
 class Sketch:
-    """Fixed-memory feature extractor over a timestamp-sorted stream."""
+    """Feature extractor over a timestamp-sorted stream, holding the
+    touched cells of its mem_stages stages."""
 
     def __init__(self, config: SketchConfig):
         if config.cell_count > DEFAULT_MAX_CELLS:
@@ -100,11 +106,8 @@ class Sketch:
                 f"config needs {config.cell_count} cells, budget is {DEFAULT_MAX_CELLS}"
             )
         self._config = config
-        self._bucket_count = config.bucket_count
-        # Cells materialize lazily: untouched buckets stay None.
-        self._stages: list[list[StageCell | None]] = [
-            [None] * self._bucket_count for _ in range(config.mem_stages)
-        ]
+        # Each stage maps bucket to cell; untouched buckets have no entry.
+        self._stages: list[dict[int, StageCell]] = [{} for _ in range(config.mem_stages)]
         self._epoch_start: int | None = None
         self._epoch_index = 0
         self._last_ts: int | None = None
@@ -193,8 +196,9 @@ class Sketch:
                     if len(fold_memo) >= FOLD_MEMO_MAX:
                         fold_memo.clear()
                     fold_memo[v] = b
-                cell = stage0[b]
-                if cell is None:
+                try:
+                    cell = stage0[b]
+                except KeyError:
                     cell = stage0[b] = StageCell()
                 cell.pkt_count += 1
                 cell.byte_sum += nbytes
@@ -250,42 +254,35 @@ class Sketch:
             raise ValueError("new epoch start must be after the current epoch start")
         stages = self._stages
         stages.pop()
-        stages.insert(0, [None] * self._bucket_count)
+        stages.insert(0, {})
         self._epoch_start = new_epoch_start_ns
         self._epoch_index += 1
 
-    def _stage(self, stage: int) -> list[StageCell | None]:
+    def stage(self, stage: int) -> dict[int, StageCell]:
+        """Copies of the touched cells of a stage, keyed by bucket in
+        ascending order.  An untouched bucket has no entry; its cell
+        would be StageCell()."""
         if not 0 <= stage < self._config.mem_stages:
             raise ValueError(f"stage must be in [0, {self._config.mem_stages})")
-        return self._stages[stage]
-
-    def query(self, key: FlowKey, stage: int = 0) -> StageCell:
-        """Copy of the cell this key hashes to, at the given stage; an
-        untouched bucket gives StageCell()."""
-        return _copy_cell(self._stage(stage)[shift_xor_hash(key, self._config.hash_width)])
-
-    def stage_cells(self, stage: int) -> list[StageCell]:
-        """Copies of every cell in a stage, indexed by bucket."""
-        return [_copy_cell(c) for c in self._stage(stage)]
-
-    def snapshot(self) -> list[tuple[int, int, StageCell]]:
-        """Every cell as (stage, bucket, StageCell), stages then buckets
-        ascending.  Always mem_stages * 2**hash_width rows."""
-        return [
-            (stage, bucket, cell)
-            for stage in range(self._config.mem_stages)
-            for bucket, cell in enumerate(self.stage_cells(stage))
-        ]
+        cells = self._stages[stage]
+        return {bucket: _copy_cell(cells[bucket]) for bucket in sorted(cells)}
 
 
 @dataclass(frozen=True)
 class EpochSnapshot:
     """Stage-0 contents of one epoch, taken just before rotation (or at
-    end of stream for the final, possibly partial, epoch)."""
+    end of stream for the final, possibly partial, epoch).
+
+    Only touched buckets are held: buckets ascending, each with its cell
+    at the same position in cells.  The other buckets of bucket_count
+    are empty.
+    """
 
     epoch_index: int
     epoch_start_ns: int
     complete: bool
+    bucket_count: int
+    buckets: tuple[int, ...]
     cells: tuple[StageCell, ...] = field(repr=False)
 
 
@@ -313,8 +310,12 @@ def collect_epochs(sketch: Sketch, packets: Iterable) -> list[EpochSnapshot]:
     out: list[EpochSnapshot] = []
 
     def visit(sk: Sketch, index: int, complete: bool) -> None:
+        cells = sk.stage(0)
         out.append(
-            EpochSnapshot(index, sk.epoch_start_ns, complete, tuple(sk.stage_cells(0)))
+            EpochSnapshot(
+                index, sk.epoch_start_ns, complete, sk.config.bucket_count,
+                tuple(cells), tuple(cells.values()),
+            )
         )
 
     replay_epochs(sketch, packets, visit)
@@ -325,8 +326,10 @@ SNAPSHOT_HEADER = "stage,bucket,pkt_count,byte_sum,byte_min,byte_max,iat_count,i
 
 
 def write_snapshot(path, rows: Sequence[tuple[int, int, StageCell]]) -> None:
-    """Serialize snapshot rows to CSV.  last_ts_ns is transient stream
-    state and is not exported."""
+    """Serialize (stage, bucket, cell) rows to CSV.  Rows are written as
+    given; a sketch's rows come from Sketch.stage, so untouched buckets
+    have none.  last_ts_ns is transient stream state and is not
+    exported."""
     write_csv(
         path,
         SNAPSHOT_HEADER,

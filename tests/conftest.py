@@ -61,11 +61,21 @@ def random_records(
 
 
 def count_snapshot(epoch_index: int, pkt_counts: list[int]) -> EpochSnapshot:
-    """Snapshot whose buckets hold the given packet counts, with byte
-    sums derived so byte features stay consistent."""
+    """Snapshot of len(pkt_counts) buckets holding the given packet
+    counts, with byte sums derived so byte features stay consistent.
+    As in the sketch, a bucket with no packets is untouched and absent."""
+    buckets = tuple(b for b, c in enumerate(pkt_counts) if c)
     cells = tuple(
-        StageCell(pkt_count=c, byte_sum=100 * c, byte_min=100 if c else None,
-                  byte_max=100 if c else None)
+        StageCell(pkt_count=c, byte_sum=100 * c, byte_min=100, byte_max=100)
         for c in pkt_counts
+        if c
     )
-    return EpochSnapshot(epoch_index, epoch_index * 1_000_000_000, True, cells)
+    return EpochSnapshot(
+        epoch_index, epoch_index * 1_000_000_000, True, len(pkt_counts), buckets, cells
+    )
+
+
+def dense_cells(stage: dict[int, StageCell], bucket_count: int) -> list[StageCell]:
+    """All bucket_count cells of a sparse stage, an untouched one as
+    StageCell()."""
+    return [stage.get(b, StageCell()) for b in range(bucket_count)]

@@ -47,7 +47,7 @@ from flowsketch.sketch import (
     write_snapshot,
 )
 
-from conftest import random_records
+from conftest import dense_cells, random_records
 
 FIVE_TUPLE = KeySpec(("src_ip", "dst_ip", "src_port", "dst_port", "protocol"))
 SRC_ONLY = KeySpec(("src_ip",))
@@ -91,13 +91,17 @@ def test_criterion_01_collision_free_oracle_equivalence(capfd):
                 tracker.update(r)
 
             def visit(sk, epoch_index, complete):
-                for key in tracker.keys_in_epoch(epoch_index):
+                cells = sk.stage(0)
+                keys = tracker.keys_in_epoch(epoch_index)
+                assert set(cells) == {tracker.bucket_of(key) for key in keys}
+                for key in keys:
                     bucket = tracker.bucket_of(key)
                     # the trace is built so distinct keys never share a
                     # bucket at this width; a collision here would void
                     # the per-flow comparison below
                     assert tracker.collision_free(bucket, epoch_index)
-                    assert sk.query(key) == tracker.expected_bucket(bucket, epoch_index)
+                    got = cells[shift_xor_hash(key, config.hash_width)]
+                    assert got == tracker.expected_bucket(bucket, epoch_index)
 
             replay_epochs(Sketch(config), records, visit)
 
@@ -114,7 +118,7 @@ def test_criterion_02_bucket_aggregation_under_collisions(capfd):
                     tracker.update(r)
 
                 def visit(sk, epoch_index, complete):
-                    cells = sk.stage_cells(0)
+                    cells = dense_cells(sk.stage(0), config.bucket_count)
                     for bucket in range(config.bucket_count):
                         want = tracker.expected_bucket(bucket, epoch_index)
                         got = cells[bucket]
@@ -139,11 +143,11 @@ def test_criterion_03_rotation_shifts_stages(capfd):
                 records = random_records(rng, 400, span_ns=4 * EPOCH_NS, pool=8)
                 sketch = Sketch(SketchConfig(4, stages, EPOCH_NS, FIVE_TUPLE))
                 sketch.update_many(records)
-                before = [sketch.stage_cells(s) for s in range(stages)]
+                before = [sketch.stage(s) for s in range(stages)]
                 sketch.rotate_epoch(sketch.epoch_start_ns + EPOCH_NS)
                 for s in range(1, stages):
-                    assert sketch.stage_cells(s) == before[s - 1]
-                assert all(c.pkt_count == 0 for c in sketch.stage_cells(0))
+                    assert sketch.stage(s) == before[s - 1]
+                assert sketch.stage(0) == {}  # no cell touched, none held
 
 
 def test_criterion_04_per_epoch_packet_conservation(capfd):
@@ -158,7 +162,7 @@ def test_criterion_04_per_epoch_packet_conservation(capfd):
                 seen = []
 
                 def visit(sk, epoch_index, complete):
-                    assert sum(c.pkt_count for c in sk.stage_cells(0)) == per_epoch[epoch_index]
+                    assert sum(c.pkt_count for c in sk.stage(0).values()) == per_epoch[epoch_index]
                     seen.append(per_epoch[epoch_index])
 
                 replay_epochs(Sketch(config), records, visit)
@@ -307,7 +311,12 @@ def test_criterion_10_csv_round_trips(capfd, tmp_path):
         )
         sketch = Sketch(config)
         sketch.update_many(records)
-        round_trip("snapshot", write_snapshot, parse_snapshot, sketch.snapshot())
+        rows = [
+            (stage, bucket, cell)
+            for stage in range(config.mem_stages)
+            for bucket, cell in sketch.stage(stage).items()
+        ]
+        round_trip("snapshot", write_snapshot, parse_snapshot, rows)
 
         snapshots = [s for s in collect_epochs(Sketch(config), records) if s.complete]
         setting = DetectorSetting("zscore", feature="pkt_count", k=3.0, train_epochs=2)

@@ -1,14 +1,28 @@
 """Command-line behavior: flows, files, exit codes, flag precedence."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from flowsketch.cli import main
 from flowsketch.detectors import parse_verdicts
 from flowsketch.evaluation import parse_report_csv
+from flowsketch.hashing import KeySpec, extract_key, shift_xor_hash
 from flowsketch.ingest import read_trace
-from flowsketch.sketch import parse_snapshot
+from flowsketch.sketch import SNAPSHOT_HEADER, parse_snapshot, write_snapshot
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Runs argv[1:] and prints its exit code and peak RSS in KiB.
+RSS_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:])\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, flush=True)\n"
+)
 
 
 def run(*argv):
@@ -70,8 +84,84 @@ def test_extract_writes_epoch_snapshots(tmp_path, capsys):
     assert all(f.startswith("epoch_") for f in files)
     with open(out_dir / files[0], newline="") as fh:
         rows = parse_snapshot(fh)
-    assert len(rows) == 16  # one stage of 2**4 buckets
-    assert sum(cell.pkt_count for _, _, cell in rows) > 0
+    # one stage of 2**4 buckets, of which only the touched ones have rows
+    records, _ = read_trace(str(trace))
+    t0 = records[0].timestamp_ns
+    first = [r for r in records if r.timestamp_ns - t0 < 1_000_000_000]
+    touched = {shift_xor_hash(extract_key(r, KeySpec(("src_ip",))), 4) for r in first}
+    assert [bucket for _, bucket, _ in rows] == sorted(touched)
+    assert len(rows) <= 16
+    assert all(stage == 0 for stage, _, _ in rows)
+    assert sum(cell.pkt_count for _, _, cell in rows) == len(first) > 0
+
+
+def write_gap_trace(path, gap_ns):
+    """Two packets of one flow, gap_ns apart."""
+    path.write_text(
+        "timestamp_ns,src_ip,dst_ip,src_port,dst_port,protocol,length_bytes,tcp_seq,label\n"
+        "0,10.0.0.1,10.0.0.2,1234,80,6,60,0,benign\n"
+        f"{gap_ns},10.0.0.1,10.0.0.2,1234,80,6,60,0,benign\n"
+    )
+    return path
+
+
+def test_extract_round_trips_byte_identically(tmp_path):
+    trace = gen_trace(tmp_path)
+    out_dir = tmp_path / "snaps"
+    assert run("extract", "--trace", str(trace), "--out-dir", str(out_dir),
+               "--hash-width", "16", "--mem-stages", "3", "--epoch-ns", "1000000000") == 0
+    for path in sorted(out_dir.iterdir()):
+        with open(path, newline="") as fh:
+            rows = parse_snapshot(fh)
+        assert 0 < len(rows) <= 30  # 10 flows in at most 3 stages, not 3 * 2**16
+        again = tmp_path / "again.csv"
+        write_snapshot(again, rows)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def test_extract_empty_epoch_writes_header_only(tmp_path):
+    # Epochs 1 and 2 see no packet.  With two stages, epoch 1's file
+    # still holds epoch 0 in stage 1; epoch 2's holds nothing.
+    trace = write_gap_trace(tmp_path / "gap.csv", 3_500)
+    out_dir = tmp_path / "snaps"
+    assert run("extract", "--trace", str(trace), "--out-dir", str(out_dir),
+               "--hash-width", "8", "--mem-stages", "2", "--epoch-ns", "1000") == 0
+    files = sorted(p.name for p in out_dir.iterdir())
+    assert files == ["epoch_0000.csv", "epoch_0001.csv", "epoch_0002.csv", "epoch_0003_partial.csv"]
+    with open(out_dir / "epoch_0001.csv", newline="") as fh:
+        assert [(stage, cell.pkt_count) for stage, _, cell in parse_snapshot(fh)] == [(1, 1)]
+    assert (out_dir / "epoch_0002.csv").read_text() == SNAPSHOT_HEADER + "\n"
+
+
+def test_detect_across_a_long_gap_stays_small(tmp_path):
+    # Two packets 3 ms apart make 3000 completed 1-us epochs of 2**8
+    # buckets.  Only the one touched bucket is stored per epoch, so the
+    # process stays small while it writes every verdict.  The file is
+    # the dense one: bucket 11 (10.0.0.1 folded to 8 bits) scores
+    # |1 - 0.5| / 0.5 in epoch 0 and |0 - 0.5| / 0.5 after, against
+    # its two training epochs; every other bucket scores 0.
+    trace = write_gap_trace(tmp_path / "gap.csv", 3_000_000)
+    out = tmp_path / "verdicts.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    # A process started from this (large) test process inherits its
+    # peak RSS on Linux, so a small launcher starts the command and
+    # reports the command's own peak.
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, sys.executable, "-m", "flowsketch.cli", "detect",
+         "--trace", str(trace), "--out", str(out), "--hash-width", "8", "--epoch-ns", "1000"],
+        capture_output=True, env=env, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *output, last = proc.stdout.splitlines()
+    returncode, maxrss_kib = map(int, last.split())
+    assert returncode == 0, proc.stderr
+    assert "768000 verdicts (0 anomalous) over 3000 completed epochs" in output[0]
+    expected = ["detector_id,epoch_index,bucket,score,anomalous"]
+    for epoch in range(3000):
+        for bucket in range(256):
+            expected.append(f"zscore,{epoch},{bucket},{1.0 if bucket == 11 else 0.0},false")
+    assert out.read_text() == "\n".join(expected) + "\n"
+    assert maxrss_kib < 64 * 1024
 
 
 def test_detect_writes_verdicts(tmp_path):

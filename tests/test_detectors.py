@@ -23,7 +23,7 @@ from flowsketch.detectors import (
 from flowsketch.ingest import TraceFormatError
 from flowsketch.sketch import EpochSnapshot, StageCell
 
-from conftest import count_snapshot
+from conftest import count_snapshot, dense_cells
 
 
 def test_feature_values():
@@ -76,7 +76,9 @@ def test_fit_baseline_frozen_values():
     # bucket 1 sees 8, 12, 8: mean 28/3, population variance 32/9
     assert model.means[1] == pytest.approx(28 / 3)
     assert model.stds[1] == pytest.approx(math.sqrt(32 / 9))
-    assert model.means[2] == 0.0 and model.stds[2] == 0.0  # no training traffic
+    # no training traffic: mean 0 and std 0, held as no entry
+    assert 2 not in model.means and 2 not in model.stds
+    assert model.means.get(2, 0.0) == 0.0 and model.stds.get(2, 0.0) == 0.0
 
 
 def test_fit_baseline_two_epoch_example():
@@ -116,10 +118,11 @@ def test_zscore_zero_std():
 
 def test_zscore_cold_bucket():
     model = fit_baseline([count_snapshot(0, [0, 5]), count_snapshot(1, [0, 5])], "pkt_count")
-    assert model.means[0] == 0.0 and model.stds[0] == 0.0
-    verdicts = detect_zscore(count_snapshot(2, [3, 5]), model, k=3.0)
+    assert 0 not in model.means and 0 not in model.stds
+    assert model.means.get(0, 0.0) == 0.0 and model.stds.get(0, 0.0) == 0.0
+    verdicts = list(detect_zscore(count_snapshot(2, [3, 5]), model, k=3.0))
     assert verdicts[0].score == math.inf and verdicts[0].anomalous
-    verdicts = detect_zscore(count_snapshot(2, [0, 5]), model, k=3.0)
+    verdicts = list(detect_zscore(count_snapshot(2, [0, 5]), model, k=3.0))
     assert verdicts[0].score == 0.0 and not verdicts[0].anomalous
 
 
@@ -128,17 +131,18 @@ def reference_zscore(snapshots, feature, k, train_epochs):
     a bucket that saw no packet in training scores +inf for any traffic
     and 0 for none; other zero-std buckets score 0 at their mean and
     +inf elsewhere."""
-    train = snapshots[:train_epochs]
+    dense = [dense_cells(dict(zip(s.buckets, s.cells)), s.bucket_count) for s in snapshots]
+    train = dense[:train_epochs]
     model = []
-    for b in range(len(snapshots[0].cells)):
-        values = [feature_value(s.cells[b], feature) for s in train]
+    for b in range(snapshots[0].bucket_count):
+        values = [feature_value(cells[b], feature) for cells in train]
         mean = sum(values) / len(values)
         std = math.sqrt(sum((x - mean) ** 2 for x in values) / len(values))
-        cold = all(s.cells[b].pkt_count == 0 for s in train)
+        cold = all(cells[b].pkt_count == 0 for cells in train)
         model.append((mean, std, cold))
     out = []
-    for snap in snapshots:
-        for b, cell in enumerate(snap.cells):
+    for snap, cells in zip(snapshots, dense):
+        for b, cell in enumerate(cells):
             x = feature_value(cell, feature)
             mean, std, cold = model[b]
             if cold:
@@ -173,7 +177,13 @@ def zscore_runs(draw):
     buckets = draw(st.integers(1, 4))
     epochs = draw(st.integers(2, 6))
     row = st.lists(sketch_cells(), min_size=buckets, max_size=buckets)
-    snaps = [EpochSnapshot(e, e * 1000, True, tuple(draw(row))) for e in range(epochs)]
+    snaps = []
+    for e in range(epochs):
+        touched = [(b, cell) for b, cell in enumerate(draw(row)) if cell.pkt_count]
+        snaps.append(EpochSnapshot(
+            e, e * 1000, True, buckets,
+            tuple(b for b, _ in touched), tuple(cell for _, cell in touched),
+        ))
     return snaps, draw(st.integers(2, epochs))
 
 
@@ -182,7 +192,7 @@ def zscore_runs(draw):
 def test_zscore_matches_cold_rule_reference(run, feature, k):
     snaps, train = run
     setting = DetectorSetting("zscore", feature, k=k, train_epochs=train)
-    assert run_detector(setting, snaps) == reference_zscore(snaps, feature, k, train)
+    assert list(run_detector(setting, snaps)) == reference_zscore(snaps, feature, k, train)
 
 
 def test_zscore_shift_invariance():
@@ -230,7 +240,9 @@ def test_ewma_recurrence_frozen():
     #   epoch 2: |22-10| / eps  (deviation still 0, floored at 1e-9)
     #   epoch 3: m=16, d=6 after epoch 2, so |10-16| / 6 = 1
     det = EwmaDetector("pkt_count", alpha=0.5, k=3.0)
-    scores = [det.observe(count_snapshot(e, [x]))[0].score for e, x in enumerate((10, 10, 22, 10))]
+    scores = [
+        list(det.observe(count_snapshot(e, [x])))[0].score for e, x in enumerate((10, 10, 22, 10))
+    ]
     assert scores[0] == 0.0
     assert scores[1] == 0.0
     assert scores[2] == pytest.approx(12.0 / 1e-9)
@@ -241,7 +253,7 @@ def test_ewma_matches_independent_recurrence():
     rng = random.Random(43)
     series = [[rng.randrange(100) for _ in range(6)] for _ in range(20)]
     det = EwmaDetector("pkt_count", alpha=0.3, k=2.0)
-    got = [det.observe(count_snapshot(e, row)) for e, row in enumerate(series)]
+    got = [list(det.observe(count_snapshot(e, row))) for e, row in enumerate(series)]
     m = list(map(float, series[0]))
     d = [0.0] * 6
     for epoch in range(1, 20):
@@ -336,7 +348,7 @@ def test_verdict_csv_round_trip(tmp_path):
     write_verdicts(path, verdicts)
     with open(path, newline="") as fh:
         parsed = parse_verdicts(fh)
-    assert parsed == verdicts
+    assert parsed == list(verdicts)
     first = path.read_bytes()
     write_verdicts(path, parsed)
     assert path.read_bytes() == first

@@ -2,11 +2,12 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from flowsketch.detectors import DetectorSetting, Verdict, run_detector
+from flowsketch.detectors import DetectorSetting, EpochVerdicts, Verdict, Verdicts, run_detector
 from flowsketch.evaluation import (
     REPORT_HEADER,
     GroundTruthGrid,
@@ -36,29 +37,42 @@ from flowsketch.sketch import CELL_BYTES, Sketch, SketchConfig, collect_epochs
 SRC_KEY = KeySpec(("src_ip",))
 
 
-def make_verdicts(grid, flagged):
-    out = []
+SHAPES = ("dense", "flagged", "benign")
+
+
+def make_verdicts(grid, flagged, shape="dense"):
+    """Verdicts flagging exactly the given cells.  dense gives every
+    cell an explicit verdict; flagged makes the flagged cells explicit
+    and shares a benign verdict among the rest; benign makes the other
+    cells explicit and shares an anomalous one among the flagged."""
+    epochs = []
     for e in range(grid.epoch_count):
-        for b in range(grid.bucket_count):
-            out.append(Verdict("test", e, b, 1.0, (b, e) in flagged))
-    return out
+        explicit = tuple(
+            Verdict("test", e, b, 1.0, (b, e) in flagged)
+            for b in range(grid.bucket_count)
+            if shape == "dense" or (((b, e) in flagged) == (shape == "flagged"))
+        )
+        epochs.append(EpochVerdicts("test", e, grid.bucket_count, explicit, 0.0, shape == "benign"))
+    return Verdicts(tuple(epochs))
 
 
 def test_score_frozen_counts():
     grid = GroundTruthGrid(5, 4, frozenset((b, 0) for b in range(5)) | {(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)})
     # 10 true cells; flag 8 of them plus 2 clean cells
     flagged = {(b, 0) for b in range(5)} | {(0, 1), (1, 1), (2, 1)} | {(0, 2), (1, 2)}
-    q = score(make_verdicts(grid, flagged), grid)
-    assert (q.tp, q.fp, q.fn, q.tn) == (8, 2, 2, 8)
-    assert q.precision == Fraction(4, 5)
-    assert q.recall == Fraction(4, 5)
-    assert q.f1 == Fraction(4, 5)
+    for shape in SHAPES:
+        q = score(make_verdicts(grid, flagged, shape), grid)
+        assert (q.tp, q.fp, q.fn, q.tn) == (8, 2, 2, 8)
+        assert q.precision == Fraction(4, 5)
+        assert q.recall == Fraction(4, 5)
+        assert q.f1 == Fraction(4, 5)
 
 
 def test_score_zero_denominators():
     grid = GroundTruthGrid(4, 2, frozenset())
-    q = score(make_verdicts(grid, set()), grid)
-    assert q == QualityScores(0, 0, 0, 8, Fraction(0), Fraction(0), Fraction(0))
+    for shape in SHAPES:
+        q = score(make_verdicts(grid, set(), shape), grid)
+        assert q == QualityScores(0, 0, 0, 8, Fraction(0), Fraction(0), Fraction(0))
 
 
 def test_score_f1_harmonic_identity():
@@ -71,27 +85,47 @@ def test_score_f1_harmonic_identity():
         assert q.tp + q.fp + q.fn + q.tn == 30
         if q.precision + q.recall > 0:
             assert q.f1 == 2 * q.precision * q.recall / (q.precision + q.recall)
+        # the shared verdict's cells are counted by arithmetic
+        for shape in SHAPES:
+            assert score(make_verdicts(grid, flagged, shape), grid) == q
 
 
 def test_score_permutation_invariance():
     rng = random.Random(5)
     grid = GroundTruthGrid(4, 4, frozenset({(0, 0), (3, 2)}))
-    verdicts = make_verdicts(grid, {(0, 0), (1, 1)})
-    shuffled = list(verdicts)
-    rng.shuffle(shuffled)
-    assert score(shuffled, grid) == score(verdicts, grid)
+    for shape in SHAPES:
+        verdicts = make_verdicts(grid, {(0, 0), (1, 1)}, shape)
+        shuffled = []
+        for epoch in verdicts.epochs:
+            explicit = list(epoch.explicit)
+            rng.shuffle(explicit)
+            shuffled.append(replace(epoch, explicit=tuple(explicit)))
+        rng.shuffle(shuffled)
+        assert score(Verdicts(tuple(shuffled)), grid) == score(verdicts, grid)
 
 
 def test_score_domain_validation():
     grid = GroundTruthGrid(4, 2, frozenset())
-    verdicts = make_verdicts(grid, set())
-    with pytest.raises(ValueError):
-        score(verdicts[:-1], grid)
-    with pytest.raises(ValueError):
-        score(verdicts[:-1] + [verdicts[0]], grid)  # duplicate cell
-    bad = verdicts[:-1] + [Verdict("test", 9, 0, 0.0, False)]
-    with pytest.raises(ValueError):
-        score(bad, grid)
+    epochs = make_verdicts(grid, set()).epochs
+    with pytest.raises(ValueError, match="cover 4 cells"):
+        score(Verdicts(epochs[:-1]), grid)
+    with pytest.raises(ValueError, match="duplicate"):
+        score(Verdicts(epochs[:-1] + epochs[:1]), grid)  # epoch 0 twice, epoch 1 missing
+    bad = replace(epochs[-1], epoch_index=9)
+    with pytest.raises(ValueError, match="outside the grid"):
+        score(Verdicts(epochs[:-1] + (bad,)), grid)
+    # explicit verdicts: repeated, outside the buckets, filed under another epoch
+    last = epochs[-1]
+    for explicit, message in (
+        (last.explicit[:-1] + last.explicit[:1], "duplicate verdict for cell"),
+        (last.explicit[:-1] + (Verdict("test", 1, 4, 0.0, False),), "outside"),
+        (last.explicit[:-1] + (Verdict("test", 0, 3, 0.0, False),), "outside"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            score(Verdicts(epochs[:-1] + (replace(last, explicit=explicit),)), grid)
+    # an epoch over a different bucket count
+    with pytest.raises(ValueError, match="outside the grid"):
+        score(Verdicts(tuple(replace(e, bucket_count=8) for e in epochs[:1])), grid)
 
 
 def test_grid_from_tracker_matches_manual_projection():

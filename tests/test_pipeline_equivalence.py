@@ -20,9 +20,9 @@ from flowsketch.evaluation import GroundTruthGrid, score
 from flowsketch.hashing import KeySpec
 from flowsketch.ingest import Label
 from flowsketch.oracle import ExactTracker
-from flowsketch.sketch import Sketch, SketchConfig, StageCell, collect_epochs, replay_epochs
+from flowsketch.sketch import Sketch, SketchConfig, collect_epochs, replay_epochs
 
-from conftest import make_packet
+from conftest import dense_cells, make_packet
 
 KEY_SPECS = (KeySpec(("src_ip",)), KeySpec(("src_ip", "dst_port")), KeySpec(("dst_port", "protocol")))
 EWMA_EPS = 1e-9
@@ -34,7 +34,7 @@ def dense_snapshots(config, packets):
     out = []
 
     def visit(sk, index, complete):
-        out.append((index, complete, tuple(sk.stage_cells(0))))
+        out.append((index, complete, dense_cells(sk.stage(0), sk.config.bucket_count)))
 
     replay_epochs(Sketch(config), packets, visit)
     return out
@@ -158,7 +158,7 @@ def test_sparse_pipeline_matches_dense_reference(run, feature, threshold, k, alp
     completed = [s for s in collect_epochs(Sketch(config), packets) if s.complete]
     assert [s.epoch_index for s in completed] == [i for i, _ in reference]
     for snap, (_, cells) in zip(completed, reference):
-        assert snap.cells == cells
+        assert dense_cells(dict(zip(snap.buckets, snap.cells)), snap.bucket_count) == cells
     tracker = ExactTracker(config)
     for pkt in packets:
         tracker.update(pkt)

@@ -1,6 +1,7 @@
 """Sketch update, epoch rotation, query, and snapshot behavior."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,10 @@ SRC_KEY = KeySpec(("src_ip",))
 
 def cfg(width=4, stages=1, epoch_ns=1000, key=SRC_KEY):
     return SketchConfig(width, stages, epoch_ns, key)
+
+
+def all_stages(sk):
+    return [sk.stage(s) for s in range(sk.config.mem_stages)]
 
 
 def test_config_validation():
@@ -66,7 +71,9 @@ def test_single_update():
     sk = Sketch(cfg())
     pkt = make_packet(ts=500, length=60)
     sk.update_many((pkt,))
-    cell = sk.stage_cells(0)[shift_xor_hash(extract_key(pkt, SRC_KEY), 4)]
+    bucket = shift_xor_hash(extract_key(pkt, SRC_KEY), 4)
+    assert list(sk.stage(0)) == [bucket]  # only the touched bucket is held
+    cell = sk.stage(0)[bucket]
     assert cell == StageCell(
         pkt_count=1, byte_sum=60, byte_min=60, byte_max=60, last_ts_ns=500,
         iat_sum_ns=0, iat_count=0, iat_min_ns=None, iat_max_ns=None,
@@ -80,7 +87,7 @@ def test_accumulation_within_epoch():
     for ts, length in ((1000, 60), (4000, 1500), (9000, 60)):
         sk.update_many((make_packet(ts=ts, length=length),))
     key = extract_key(make_packet(), SRC_KEY)
-    cell = sk.stage_cells(0)[shift_xor_hash(key, 4)]
+    cell = sk.stage(0)[shift_xor_hash(key, 4)]
     assert cell.pkt_count == 3
     assert cell.byte_sum == 1620
     assert cell.byte_min == 60
@@ -90,7 +97,7 @@ def test_accumulation_within_epoch():
     assert cell.iat_sum_ns == 8000
     assert cell.iat_min_ns == 3000
     assert cell.iat_max_ns == 5000
-    fv = sk.query(key)
+    fv = sk.stage(0)[shift_xor_hash(key, 4)]
     assert fv == cell
     assert feature_value(fv, "byte_avg") == 1620 / 3 == 540
     assert feature_value(fv, "iat_avg_ns") == 8000 / 2 == 4000
@@ -98,12 +105,17 @@ def test_accumulation_within_epoch():
 
 def test_empty_bucket_query():
     sk = Sketch(cfg())
-    fv = sk.query(FlowKey(12345, 32))
+    assert sk.stage(0) == {}
+    sk.update_many((make_packet(ts=0, src=1),))
+    # an untouched bucket has no entry; its cell would be StageCell()
+    assert shift_xor_hash(FlowKey(12345, 32), 4) not in sk.stage(0)
+    fv = StageCell()
     assert fv.pkt_count == 0 and fv.byte_sum == 0
-    assert fv == StageCell()
     assert fv.byte_min is None and fv.iat_max_ns is None
     with pytest.raises(ValueError):
-        sk.query(FlowKey(1, 32), stage=1)
+        sk.stage(1)
+    with pytest.raises(ValueError):
+        sk.stage(-1)
 
 
 def test_query_returns_a_copy():
@@ -111,12 +123,14 @@ def test_query_returns_a_copy():
     pkt = make_packet(ts=500, length=60)
     sk.update_many((pkt,))
     key = extract_key(pkt, SRC_KEY)
-    before = sk.stage_cells(0)
-    fv = sk.query(key)
+    before = sk.stage(0)
+    stage = sk.stage(0)
+    fv = stage[shift_xor_hash(key, 4)]
     fv.pkt_count += 5
     fv.byte_min = 0
-    assert sk.stage_cells(0) == before
-    assert sk.query(key) == before[shift_xor_hash(key, 4)]
+    stage.clear()
+    assert sk.stage(0) == before
+    assert sk.stage(0)[shift_xor_hash(key, 4)] == before[shift_xor_hash(key, 4)]
 
 
 def test_timestamp_regression_rejected():
@@ -139,7 +153,7 @@ def test_update_many_matches_single_updates():
         assert a.update_many(records) == len(records)
         for r in records:
             b.update_many((r,))
-        assert a.snapshot() == b.snapshot()
+        assert all_stages(a) == all_stages(b)
         assert a.epoch_index == b.epoch_index
         assert a.epoch_start_ns == b.epoch_start_ns
 
@@ -174,8 +188,9 @@ def test_sketch_matches_oracle_with_a_tiny_fold_memo(monkeypatch, width, key):
         tracker.update(r)
 
     def visit(sk, epoch_index, complete):
-        cells = sk.stage_cells(0)
-        touched = {b for b, c in enumerate(cells) if c.pkt_count}
+        cells = sk.stage(0)
+        touched = set(cells)
+        assert all(c.pkt_count for c in cells.values())
         assert touched == {tracker.bucket_of(k) for k in tracker.keys_in_epoch(epoch_index)}
         for bucket in touched:
             want = tracker.expected_bucket(bucket, epoch_index)
@@ -197,13 +212,12 @@ def test_rotation_shifts_stages_bit_for_bit():
         for _ in range(15):
             sk = Sketch(cfg(stages=stages, epoch_ns=10_000_000))
             sk.update_many(random_records(rng, rng.randrange(1, 120), span_ns=9_000_000))
-            before = [sk.stage_cells(s) for s in range(stages)]
+            before = all_stages(sk)
             index_before = sk.epoch_index
             sk.rotate_epoch(sk.epoch_start_ns + 10_000_000)
-            empty = [StageCell() for _ in range(16)]
-            assert sk.stage_cells(0) == empty
+            assert sk.stage(0) == {}
             for s in range(1, stages):
-                assert sk.stage_cells(s) == before[s - 1]
+                assert sk.stage(s) == before[s - 1]
             assert sk.epoch_index == index_before + 1
 
 
@@ -211,10 +225,10 @@ def test_rotation_drops_oldest_stage():
     sk = Sketch(cfg(stages=2, epoch_ns=1000))
     sk.update_many((make_packet(ts=0, length=111),))
     sk.rotate_epoch(1000)
-    oldest = sk.stage_cells(1)
-    assert sum(c.pkt_count for c in oldest) == 1
+    oldest = sk.stage(1)
+    assert sum(c.pkt_count for c in oldest.values()) == 1
     sk.rotate_epoch(2000)
-    assert sum(c.pkt_count for c in sk.stage_cells(1)) == 0
+    assert sum(c.pkt_count for c in sk.stage(1).values()) == 0
 
 
 def test_stage_contents_across_five_epochs():
@@ -223,7 +237,7 @@ def test_stage_contents_across_five_epochs():
     for epoch in range(5):
         sk.update_many((make_packet(ts=epoch * 1000, length=60 + epoch),))
     for stage, expected_len in ((0, 64), (1, 63), (2, 62)):
-        sums = [c.byte_sum for c in sk.stage_cells(stage) if c.pkt_count]
+        sums = [c.byte_sum for c in sk.stage(stage).values() if c.pkt_count]
         assert sums == [expected_len]
     assert sk.epoch_index == 4
 
@@ -234,9 +248,9 @@ def test_auto_rotation_skips_empty_epochs():
     sk.update_many((make_packet(ts=3100),))  # epochs 1 and 2 are empty
     assert sk.epoch_index == 3
     assert sk.epoch_start_ns == 3100 - (3100 - 100) % 1000
-    assert sum(c.pkt_count for c in sk.stage_cells(0)) == 1
-    assert sum(c.pkt_count for c in sk.stage_cells(1)) == 0  # empty epoch 2
-    assert sum(c.pkt_count for c in sk.stage_cells(2)) == 0  # empty epoch 1
+    assert sum(c.pkt_count for c in sk.stage(0).values()) == 1
+    assert sum(c.pkt_count for c in sk.stage(1).values()) == 0  # empty epoch 2
+    assert sum(c.pkt_count for c in sk.stage(2).values()) == 0  # empty epoch 1
 
 
 def test_long_gap_equals_repeated_rotation():
@@ -254,9 +268,30 @@ def test_long_gap_equals_repeated_rotation():
         for k in range(1, gap_epochs + 1):
             slow.rotate_epoch(k * 1000)
         slow.update_many((late,))
-        assert fast.snapshot() == slow.snapshot()
+        assert all_stages(fast) == all_stages(slow)
         assert fast.epoch_index == slow.epoch_index == gap_epochs
         assert fast.epoch_start_ns == slow.epoch_start_ns
+
+
+def test_rotation_allocates_no_dense_stage():
+    # Every rotation across a 500-epoch gap at W=20 starts an empty
+    # stage 0.  A dense stage would be 2**20 slots, 8 MiB of pointers,
+    # per rotation; the stages hold only the touched cells.
+    sk = Sketch(cfg(width=20, stages=2, epoch_ns=1000))
+    held = []
+    tracemalloc.start()
+    try:
+        replay_epochs(
+            sk,
+            [make_packet(ts=0), make_packet(ts=500_000)],
+            lambda sketch, index, complete: held.append(len(sketch.stage(0))),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held == [1] + [0] * 499 + [1]
+    assert [len(cells) for cells in all_stages(sk)] == [1, 0]
+    assert peak < 1 << 20
 
 
 def test_manual_rotation_validation():
@@ -276,7 +311,7 @@ def test_iat_restarts_each_epoch():
     sk.update_many((make_packet(ts=0),))
     sk.update_many((make_packet(ts=900),))
     sk.update_many((make_packet(ts=1100),))
-    cell = sk.stage_cells(0)[shift_xor_hash(extract_key(make_packet(), SRC_KEY), 4)]
+    cell = sk.stage(0)[shift_xor_hash(extract_key(make_packet(), SRC_KEY), 4)]
     assert cell.pkt_count == 1
     assert cell.iat_count == 0
     assert cell.iat_min_ns is None
@@ -292,7 +327,7 @@ def test_colliding_keys_share_a_cell():
     assert shift_xor_hash(ka, 1) == shift_xor_hash(kb, 1)
     for ts, pkt in ((10, a), (20, b), (30, a)):
         sk.update_many((make_packet(ts=ts, src=pkt.src_ip, length=100),))
-    fv = sk.query(ka)
+    fv = sk.stage(0)[shift_xor_hash(ka, 1)]
     assert fv.pkt_count == 3
     assert fv.byte_sum == 300
     # bucket-level gaps, both flows
@@ -305,8 +340,8 @@ def test_memory_is_fixed():
     sk = Sketch(cfg(width=3, stages=2, epoch_ns=500))
     assert sk.config.cell_count == 16
     sk.update_many(random_records(rng, 2000, span_ns=20_000, pool=32))
-    rows = sk.snapshot()
-    assert len(rows) == 16
+    rows = [(stage, bucket, c) for stage, cells in enumerate(all_stages(sk)) for bucket, c in cells.items()]
+    assert len(rows) == 16  # this traffic touches every cell of both stages
     assert all(0 <= bucket < 8 and 0 <= stage < 2 for stage, bucket, _ in rows)
 
 
@@ -315,13 +350,14 @@ def test_snapshot_round_trip(tmp_path):
     sk = Sketch(cfg(width=3, stages=2, epoch_ns=2000))
     sk.update_many(random_records(rng, 50, span_ns=5000))
     path = tmp_path / "snap.csv"
-    write_snapshot(path, sk.snapshot())
+    written = [(s, b, cell) for s, cells in enumerate(all_stages(sk)) for b, cell in cells.items()]
+    write_snapshot(path, written)
     with open(path, newline="") as fh:
         rows = parse_snapshot(fh)
     # last_ts_ns is stream state, not exported
     expected = [
         (s, b, StageCell(**{**cell.__dict__, "last_ts_ns": None}))
-        for s, b, cell in sk.snapshot()
+        for s, b, cell in written
     ]
     assert rows == expected
     first = path.read_bytes()
@@ -367,7 +403,12 @@ def test_collect_epochs_counts_and_flags():
     t0 = records[0].timestamp_ns
     for s in snaps:
         assert s.epoch_start_ns == t0 + s.epoch_index * 1_000_000_000
-        assert len(s.cells) == 16
+        assert s.bucket_count == 16
+        # touched buckets only, ascending, each with its cell
+        assert len(s.cells) == len(s.buckets) <= 16
+        assert list(s.buckets) == sorted(set(s.buckets))
+        assert all(0 <= b < 16 for b in s.buckets)
+        assert all(c.pkt_count for c in s.cells)
 
 
 def test_collect_epochs_empty_trace():
@@ -382,7 +423,7 @@ def test_replay_matches_bulk_epoch_state():
     bulk.update_many(records)
     replayed = Sketch(config)
     replay_epochs(replayed, records, lambda *a: None)
-    assert replayed.snapshot() == bulk.snapshot()
+    assert all_stages(replayed) == all_stages(bulk)
     assert replayed.epoch_index == bulk.epoch_index
 
 
