@@ -92,10 +92,6 @@ class StageCell:
     iat_max_ns: int | None = None
 
 
-def _copy_cell(cell: StageCell) -> StageCell:
-    return StageCell(**vars(cell))
-
-
 class Sketch:
     """Feature extractor over a timestamp-sorted stream, holding the
     touched cells of its mem_stages stages."""
@@ -265,7 +261,7 @@ class Sketch:
         if not 0 <= stage < self._config.mem_stages:
             raise ValueError(f"stage must be in [0, {self._config.mem_stages})")
         cells = self._stages[stage]
-        return {bucket: _copy_cell(cells[bucket]) for bucket in sorted(cells)}
+        return {bucket: StageCell(**vars(cells[bucket])) for bucket in sorted(cells)}
 
 
 @dataclass(frozen=True)
