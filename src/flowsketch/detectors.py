@@ -17,8 +17,8 @@ nonzero, and EWMA buckets whose running mean or deviation is nonzero.
 The mean alone would not do: with alpha 1 a bucket's mean is 0 one idle
 epoch before its deviation is.  Every other bucket shares one verdict,
 computed once per epoch from StageCell() with zero state.  That is
-exact: such a bucket's cell is empty and its state is zero, so the
-dense computation would run the very same arithmetic on the very same
+exact: such a bucket's cell is empty and its state is zero, so scoring
+it on its own would run the very same arithmetic on the very same
 numbers, whatever the threshold, k or alpha (negative ones included).
 """
 

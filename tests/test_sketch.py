@@ -122,15 +122,16 @@ def test_query_returns_a_copy():
     sk = Sketch(cfg())
     pkt = make_packet(ts=500, length=60)
     sk.update_many((pkt,))
-    key = extract_key(pkt, SRC_KEY)
-    before = sk.stage(0)
+    bucket = shift_xor_hash(extract_key(pkt, SRC_KEY), 4)
+    before = {bucket: StageCell(pkt_count=1, byte_sum=60, byte_min=60, byte_max=60, last_ts_ns=500)}
+    assert sk.stage(0) == before
     stage = sk.stage(0)
-    fv = stage[shift_xor_hash(key, 4)]
+    fv = stage[bucket]
     fv.pkt_count += 5
     fv.byte_min = 0
     stage.clear()
     assert sk.stage(0) == before
-    assert sk.stage(0)[shift_xor_hash(key, 4)] == before[shift_xor_hash(key, 4)]
+    assert sk.stage(0)[bucket] == before[bucket]
 
 
 def test_timestamp_regression_rejected():
