@@ -308,7 +308,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     snapshots = [s for s in collect_epochs(Sketch(config), records) if s.complete]
     verdicts = run_detector(setting, snapshots)
     write_verdicts(args.out, verdicts)
-    flagged = sum(1 for v in verdicts if v.anomalous)
+    # Each epoch's unlisted buckets share its one verdict.
+    flagged = sum(
+        sum(v.anomalous for v in epoch.explicit)
+        + (epoch.bucket_count - len(epoch.explicit)) * epoch.shared_anomalous
+        for epoch in verdicts.epochs
+    )
     print(
         f"{setting.detector_id()}: {len(verdicts)} verdicts ({flagged} anomalous) "
         f"over {len(snapshots)} completed epochs, written to {args.out}"

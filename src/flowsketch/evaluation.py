@@ -21,10 +21,12 @@ from typing import Iterable, Sequence
 
 from .detectors import DetectorSetting, Verdicts, run_detector
 from .ingest import PacketRecord, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
-from .oracle import ExactTracker
+from .hashing import KeySpec, fold
+from .oracle import ExactTracker, anomalous_keys
 from .sketch import (
     CELL_BYTES,
     UPDATE_OPS,
+    EpochSnapshot,
     Sketch,
     SketchConfig,
     collect_epochs,
@@ -49,6 +51,20 @@ class GroundTruthGrid:
             (b, e) for (b, e) in tracker.anomalous_cells() if e < epoch_count
         )
         return cls(tracker.config.bucket_count, epoch_count, cells)
+
+    @classmethod
+    def from_keys(
+        cls, pairs: Iterable[tuple[int, int]], config: SketchConfig, epoch_count: int
+    ) -> "GroundTruthGrid":
+        """Project oracle.anomalous_keys pairs onto a config's grid:
+        each raw key folded to its bucket, epochs from epoch_count on
+        dropped."""
+        bits = config.key_spec.total_bits
+        width = config.hash_width
+        cells = frozenset(
+            (fold(value, bits, width), e) for value, e in pairs if e < epoch_count
+        )
+        return cls(config.bucket_count, epoch_count, cells)
 
 
 @dataclass(frozen=True)
@@ -287,6 +303,52 @@ def _config_id(config: SketchConfig, setting: DetectorSetting) -> str:
     )
 
 
+def _cell_rows(
+    config: SketchConfig,
+    detector_settings: Sequence[DetectorSetting],
+    completed: Sequence[EpochSnapshot] | None,
+    grid: GroundTruthGrid | None,
+    error: str | None,
+    bench_pps: float | None,
+) -> list[SweepRow]:
+    """The rows of one sketch config: each detector setting scored on
+    the completed snapshots against the grid, or every row carrying the
+    config's error."""
+    cost = resource_model(config)
+    rows = []
+    for setting in detector_settings:
+        row = SweepRow(
+            config_id=_config_id(config, setting),
+            hash_width=config.hash_width,
+            mem_stages=config.mem_stages,
+            epoch_ns=config.epoch_ns,
+            key_spec=str(config.key_spec),
+            detector_id=setting.detector_id(),
+            detector_params=setting.params_str(),
+            memory_bytes=cost.memory_bytes,
+            update_ops=cost.update_ops,
+            measured_pps=bench_pps,
+        )
+        if error is not None:
+            row.error = error
+        else:
+            try:
+                quality = score(run_detector(setting, completed), grid)
+                row.tp, row.fp, row.fn, row.tn = (
+                    quality.tp,
+                    quality.fp,
+                    quality.fn,
+                    quality.tn,
+                )
+                row.precision = float(quality.precision)
+                row.recall = float(quality.recall)
+                row.f1 = float(quality.f1)
+            except ValueError as exc:
+                row.error = str(exc)
+        rows.append(row)
+    return rows
+
+
 def sweep(
     records: Sequence[PacketRecord],
     sketch_configs: Sequence[SketchConfig],
@@ -302,6 +364,18 @@ def sweep(
     remaining cells still run.  Benchmark preconditions depend only on
     the trace, so they are checked before any cell runs.  Rows are
     ordered by config id.
+
+    Each result is computed once per value of what it depends on:
+    - ground truth once per (key spec, epoch length), by the light
+      oracle.anomalous_keys pass over anomalous packets, then folded
+      to buckets for each hash width;
+    - stage-0 snapshots once per (hash width, epoch length, key spec),
+      since they do not depend on the stage count; configs are visited
+      grouped that way, so one snapshot list is alive at a time;
+    - per config: the cell budget check of Sketch(config), the resource
+      model, the throughput benchmark, the detectors and scoring.
+    An error in a shared pass, such as a timestamp regression, lands
+    on every row that shares it.
     """
     if not sketch_configs or not detector_settings:
         raise ValueError("sweep needs at least one sketch config and one detector setting")
@@ -314,55 +388,45 @@ def sweep(
     }
     if len(ids) != len(sketch_configs) * len(detector_settings):
         raise ValueError("sweep grid contains duplicate cells")
-    rows: list[SweepRow] = []
+    groups: dict[tuple[KeySpec, int], dict[int, list[SketchConfig]]] = {}
     for config in sketch_configs:
-        cost = resource_model(config)
-        shared_error: str | None = None
-        completed = None
-        grid = None
-        bench_pps: float | None = None
-        try:
-            snapshots = collect_epochs(Sketch(config), records)
-            completed = [s for s in snapshots if s.complete]
-            tracker = ExactTracker(config)
-            for record in records:
-                tracker.update(record)
-            grid = GroundTruthGrid.from_tracker(tracker, len(completed))
-            if bench:
-                bench_pps = bench_throughput(config, records, repetitions=bench_repetitions).pps
-        except ValueError as exc:
-            shared_error = str(exc)
-        for setting in detector_settings:
-            row = SweepRow(
-                config_id=_config_id(config, setting),
-                hash_width=config.hash_width,
-                mem_stages=config.mem_stages,
-                epoch_ns=config.epoch_ns,
-                key_spec=str(config.key_spec),
-                detector_id=setting.detector_id(),
-                detector_params=setting.params_str(),
-                memory_bytes=cost.memory_bytes,
-                update_ops=cost.update_ops,
-                measured_pps=bench_pps,
-            )
-            if shared_error is not None:
-                row.error = shared_error
-            else:
+        by_width = groups.setdefault((config.key_spec, config.epoch_ns), {})
+        by_width.setdefault(config.hash_width, []).append(config)
+    rows: list[SweepRow] = []
+    for (key_spec, epoch_ns), by_width in groups.items():
+        truth: frozenset[tuple[int, int]] | None = None
+        for configs in by_width.values():
+            errors: dict[SketchConfig, str] = {}
+            sketch = None
+            for config in configs:
                 try:
-                    verdicts = run_detector(setting, completed)
-                    quality = score(verdicts, grid)
-                    row.tp, row.fp, row.fn, row.tn = (
-                        quality.tp,
-                        quality.fp,
-                        quality.fn,
-                        quality.tn,
-                    )
-                    row.precision = float(quality.precision)
-                    row.recall = float(quality.recall)
-                    row.f1 = float(quality.f1)
+                    candidate = Sketch(config)
                 except ValueError as exc:
-                    row.error = str(exc)
-            rows.append(row)
+                    errors[config] = str(exc)
+                    continue
+                if sketch is None:
+                    sketch = candidate
+            # Release the last group's snapshots before replaying; stage
+            # 0 does not depend on S, so any sketch of the group will do.
+            completed = grid = None
+            if sketch is not None:
+                try:
+                    completed = [s for s in collect_epochs(sketch, records) if s.complete]
+                    if truth is None:
+                        truth = anomalous_keys(records, key_spec, epoch_ns)
+                    grid = GroundTruthGrid.from_keys(truth, sketch.config, len(completed))
+                except ValueError as exc:
+                    for config in configs:
+                        errors.setdefault(config, str(exc))
+            for config in configs:
+                error = errors.get(config)
+                bench_pps: float | None = None
+                if error is None and bench:
+                    try:
+                        bench_pps = bench_throughput(config, records, repetitions=bench_repetitions).pps
+                    except ValueError as exc:
+                        error = str(exc)
+                rows += _cell_rows(config, detector_settings, completed, grid, error, bench_pps)
     clean = [r for r in rows if r.error is None]
     if clean:
         points = [

@@ -9,14 +9,19 @@ a cell must equal the merge of every flow hashing into it.
 The tracker deliberately re-derives everything from first principles
 (its own epoch arithmetic, its own accumulation) rather than reusing
 sketch internals.
+
+anomalous_keys is the light pass that ground truth needs: it keeps the
+tracker's epoch arithmetic and regression check, but looks at the keys
+of anomalous-labelled packets only, so a sweep runs it once per key
+spec and epoch length and folds its keys for each hash width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .hashing import FlowKey, extract_key, shift_xor_hash
+from .hashing import FlowKey, KeySpec, extract_key, shift_xor_hash
 from .ingest import Label, PacketRecord
 from .sketch import SketchConfig, StageCell
 
@@ -145,3 +150,24 @@ class ExactTracker:
         """(bucket, epoch) pairs that received at least one
         anomalous-labeled packet."""
         return {(self.bucket_of(key), epoch) for key, epoch in self._anomalous}
+
+
+def anomalous_keys(
+    records: Iterable[PacketRecord], key_spec: KeySpec, epoch_ns: int
+) -> frozenset[tuple[int, int]]:
+    """(raw key value, epoch) pairs that received at least one
+    anomalous-labelled packet, with epochs anchored at the first
+    packet as in ExactTracker.  Raises ValueError on a timestamp
+    regression, with the tracker's message."""
+    pairs = set()
+    t0 = last_ts = None
+    for packet in records:
+        ts = packet.timestamp_ns
+        if last_ts is None:
+            t0 = ts
+        elif ts < last_ts:
+            raise ValueError(f"timestamp regression: {ts} after {last_ts}")
+        last_ts = ts
+        if packet.label is Label.ANOMALOUS:
+            pairs.add((extract_key(packet, key_spec).value, (ts - t0) // epoch_ns))
+    return frozenset(pairs)

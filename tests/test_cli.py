@@ -178,6 +178,29 @@ def test_detect_writes_verdicts(tmp_path):
     assert all(v.detector_id == "zscore" for v in verdicts)
 
 
+@pytest.mark.parametrize(
+    "detector",
+    [
+        ("--detector", "zscore", "--k", "1", "--train-epochs", "2"),
+        ("--detector", "ewma", "--k", "1", "--alpha", "0.5"),
+        ("--detector", "threshold", "--threshold", "5"),
+        # Every bucket scores at least 0 > -1, so the shared verdict of
+        # the untouched buckets is anomalous.
+        ("--detector", "threshold", "--threshold=-1"),
+    ],
+)
+def test_detect_prints_the_anomalous_count_it_writes(tmp_path, capsys, detector):
+    trace = gen_trace(tmp_path, "--anomaly", "flood")
+    out = tmp_path / "verdicts.csv"
+    assert run("detect", "--trace", str(trace), "--out", str(out), "--hash-width", "6", *detector) == 0
+    printed = capsys.readouterr().out
+    with open(out, newline="") as fh:
+        verdicts = parse_verdicts(fh)
+    flagged = sum(v.anomalous for v in verdicts)
+    assert 0 < flagged
+    assert f"{len(verdicts)} verdicts ({flagged} anomalous)" in printed
+
+
 def test_detect_missing_trace_exits_2(tmp_path, capsys):
     code = run("detect", "--trace", str(tmp_path / "missing.csv"),
                "--out", str(tmp_path / "v.csv"))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from flowsketch.detectors import DetectorSetting, EpochVerdicts, Verdict, Verdicts, run_detector
+from flowsketch import evaluation
 from flowsketch.evaluation import (
     REPORT_HEADER,
     GroundTruthGrid,
@@ -31,8 +32,10 @@ from flowsketch.ingest import (
     TraceFormatError,
     generate_synthetic,
 )
-from flowsketch.oracle import ExactTracker
-from flowsketch.sketch import CELL_BYTES, Sketch, SketchConfig, collect_epochs
+from flowsketch.oracle import ExactTracker, anomalous_keys
+from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, Sketch, SketchConfig, collect_epochs
+
+from conftest import random_records
 
 SRC_KEY = KeySpec(("src_ip",))
 
@@ -148,6 +151,32 @@ def test_grid_from_tracker_matches_manual_projection():
                 manual.add((shift_xor_hash(extract_key(r, SRC_KEY), 4), epoch))
     assert set(grid.anomalous) == manual
     assert next(iter(manual)) in grid.anomalous
+
+
+def test_grid_from_keys_matches_tracker_at_every_width():
+    # The light pass, folded per width, against the full tracker's
+    # anomalous cells over the completed epochs, across a gap.
+    rng = random.Random(5)
+    five_tuple = KeySpec(("src_ip", "dst_ip", "src_port", "dst_port", "protocol"))
+    keys = (SRC_KEY, KeySpec(("src_ip", "dst_port")), five_tuple)
+    for trial in range(6):
+        before = random_records(rng, 300, span_ns=2_000_000, pool=40, anomalous_rate=0.3)
+        after = random_records(rng, 100, span_ns=1_000_000, pool=40, anomalous_rate=0.3)
+        records = before + [replace(r, timestamp_ns=r.timestamp_ns + 9_000_000) for r in after]
+        key = keys[trial % 3]
+        for epoch_ns in (100_000, 700_000):
+            pairs = anomalous_keys(records, key, epoch_ns)
+            for width in range(1, 13):
+                config = SketchConfig(width, 1, epoch_ns, key)
+                tracker = ExactTracker(config)
+                for r in records:
+                    tracker.update(r)
+                completed = sum(s.complete for s in collect_epochs(Sketch(config), records))
+                assert completed == tracker.epoch_count - 1
+                want = {(b, e) for b, e in tracker.anomalous_cells() if e < completed}
+                grid = GroundTruthGrid.from_keys(pairs, config, completed)
+                assert grid == GroundTruthGrid.from_tracker(tracker, completed)
+                assert grid.anomalous == want and want
 
 
 def test_resource_model_frozen_sizes():
@@ -397,6 +426,67 @@ def test_sweep_records_cell_failures_and_continues():
     assert bad.tp is None and bad.f1 is None and not bad.on_front
     good = next(r for r in report.rows if r.error is None)
     assert good.on_front
+
+
+def test_sweep_budget_failure_stays_on_its_rows():
+    # S=5 at W=24 is over the cell budget; S=4 is exactly at it.  The
+    # two share one replay, which must not take on the S=5 failure.
+    records = flood_records()
+    configs = [SketchConfig(24, s, 1_000_000_000, SRC_KEY) for s in (5, 4)]
+    assert configs[1].cell_count == DEFAULT_MAX_CELLS
+    report = sweep(records, configs, [zs(3.0), DetectorSetting("threshold", threshold=20.0)])
+    completed = sum(s.complete for s in collect_epochs(Sketch(configs[1]), records))
+    for row in report.rows:
+        if row.mem_stages == 5:
+            assert row.error == "config needs 83886080 cells, budget is 67108864"
+            assert row.tp is None
+        else:
+            assert row.error is None
+            assert row.tp + row.fp + row.fn + row.tn == (1 << 24) * completed
+            assert row.tp > 0
+
+
+def test_sweep_timestamp_regression_fails_every_row_it_reaches():
+    records = flood_records()
+    records[40], records[41] = records[41], records[40]
+    tracker = ExactTracker(SketchConfig(4, 1, 1_000_000_000, SRC_KEY))
+    with pytest.raises(ValueError) as regression:
+        for r in records:
+            tracker.update(r)
+    assert str(regression.value).startswith("timestamp regression: ")
+    configs = [
+        SketchConfig(w, s, e, k)
+        for w in (4, 24)
+        for s in (1, 5)
+        for e in (500_000_000, 1_000_000_000)
+        for k in (SRC_KEY, KeySpec(("src_ip", "dst_port")))
+    ]
+    report = sweep(records, configs, [zs(3.0), DetectorSetting("ewma", k=3.0, alpha=0.3)])
+    assert len(report.rows) == 32
+    for row in report.rows:
+        if row.hash_width == 24 and row.mem_stages == 5:
+            assert row.error == "config needs 83886080 cells, budget is 67108864"
+        else:
+            assert row.error == str(regression.value)
+
+
+def test_sweep_computes_shared_passes_once(monkeypatch):
+    calls = {"collect_epochs": 0, "anomalous_keys": 0, "tracker": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(evaluation, "collect_epochs", counting("collect_epochs", collect_epochs))
+    monkeypatch.setattr(evaluation, "anomalous_keys", counting("anomalous_keys", anomalous_keys))
+    monkeypatch.setattr(ExactTracker, "update", counting("tracker", ExactTracker.update))
+    configs = [SketchConfig(w, s, 1_000_000_000, SRC_KEY) for w in (8, 12) for s in (1, 2)]
+    settings = [zs(3.0), DetectorSetting("ewma", k=3.0, alpha=0.3), DetectorSetting("threshold", threshold=100.0)]
+    report = sweep(flood_records(), configs, settings)
+    assert len(report.rows) == 12 and not report.failed_rows
+    assert calls == {"collect_epochs": 2, "anomalous_keys": 1, "tracker": 0}
 
 
 def test_sweep_determinism():

@@ -6,7 +6,7 @@ import pytest
 
 from flowsketch.hashing import FlowKey, KeySpec, shift_xor_hash
 from flowsketch.ingest import Label
-from flowsketch.oracle import ExactTracker, FlowStats, merge_flow_stats
+from flowsketch.oracle import ExactTracker, FlowStats, anomalous_keys, merge_flow_stats
 from flowsketch.sketch import SketchConfig, StageCell
 
 from conftest import make_packet, random_records
@@ -149,6 +149,30 @@ def test_oracle_rejects_regression():
     tr.update(make_packet(ts=50))
     with pytest.raises(ValueError):
         tr.update(make_packet(ts=49))
+
+
+def test_anomalous_keys_holds_raw_keys_of_anomalous_packets():
+    key = KeySpec(("src_ip", "dst_port"))
+    packets = [
+        make_packet(ts=7, src=1, dport=80),
+        make_packet(ts=17, src=2, dport=443, label=Label.ANOMALOUS),
+        make_packet(ts=107, src=2, dport=443, label=Label.ANOMALOUS),
+        make_packet(ts=350, src=3, dport=53, label=Label.ANOMALOUS),
+    ]
+    # Epochs of 100 ns anchor at the first packet, ts 7.
+    assert anomalous_keys(packets, key, 100) == {(2 << 16 | 443, 0), (2 << 16 | 443, 1), (3 << 16 | 53, 3)}
+    assert anomalous_keys(packets[:1], key, 100) == frozenset()
+
+
+def test_anomalous_keys_rejects_regression_as_the_tracker_does():
+    packets = [make_packet(ts=50), make_packet(ts=60), make_packet(ts=49, label=Label.ANOMALOUS)]
+    tr = tracker()
+    with pytest.raises(ValueError) as want:
+        for pkt in packets:
+            tr.update(pkt)
+    with pytest.raises(ValueError) as got:
+        anomalous_keys(packets, SRC_KEY, 1000)
+    assert str(got.value) == str(want.value) == "timestamp regression: 49 after 60"
 
 
 def test_bucket_of_matches_hash():
