@@ -333,7 +333,7 @@ def _cmd_sweep(*runs: argparse.Namespace) -> int:
         for k in args.key_specs
     ]
     records, meta = read_trace(args.trace)
-    report = sweep(
+    rows = sweep(
         records,
         configs,
         settings,
@@ -343,17 +343,17 @@ def _cmd_sweep(*runs: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "report.csv")
     json_path = os.path.join(args.out_dir, "report.json")
-    write_report_csv(csv_path, report.rows)
-    write_report_json(json_path, report.rows)
-    front = [r for r in report.rows if r.on_front]
+    write_report_csv(csv_path, rows)
+    write_report_json(json_path, rows)
+    front = [r for r in rows if r.on_front]
     print(
-        f"swept {len(report.rows)} cells over {meta.record_count} records; "
+        f"swept {len(rows)} cells over {meta.record_count} records; "
         f"{len(front)} on the Pareto front; report in {args.out_dir}"
     )
     for r in sorted(front, key=lambda r: (-(r.f1 or 0.0), r.memory_bytes or 0)):
         pps = "-" if r.measured_pps is None else f"{r.measured_pps:.0f}"
         print(f"  {r.config_id}  f1={r.f1:.4f}  memory={r.memory_bytes}B  pps={pps}")
-    failed = report.failed_rows
+    failed = [r for r in rows if r.error is not None]
     if failed:
         print(f"{len(failed)} cells failed:", file=sys.stderr)
         for r in failed:

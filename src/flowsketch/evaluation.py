@@ -11,13 +11,14 @@ report.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import statistics
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .detectors import DetectorSetting, Verdicts, run_detector
 from .ingest import PacketRecord, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
@@ -26,7 +27,6 @@ from .oracle import ExactTracker, anomalous_keys
 from .sketch import (
     CELL_BYTES,
     UPDATE_OPS,
-    EpochSnapshot,
     Sketch,
     SketchConfig,
     collect_epochs,
@@ -287,15 +287,6 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass
-class SweepReport:
-    rows: list[SweepRow]
-
-    @property
-    def failed_rows(self) -> list[SweepRow]:
-        return [r for r in self.rows if r.error is not None]
-
-
 def _config_id(config: SketchConfig, setting: DetectorSetting) -> str:
     return (
         f"W{config.hash_width}-S{config.mem_stages}-E{config.epoch_ns}"
@@ -303,50 +294,30 @@ def _config_id(config: SketchConfig, setting: DetectorSetting) -> str:
     )
 
 
-def _cell_rows(
-    config: SketchConfig,
+def _evaluate(
+    records: Sequence[PacketRecord],
+    sketch: Sketch,
+    truth: Callable[[KeySpec, int], frozenset[tuple[int, int]]],
     detector_settings: Sequence[DetectorSetting],
-    completed: Sequence[EpochSnapshot] | None,
-    grid: GroundTruthGrid | None,
-    error: str | None,
-    bench_pps: float | None,
-) -> list[SweepRow]:
-    """The rows of one sketch config: each detector setting scored on
-    the completed snapshots against the grid, or every row carrying the
-    config's error."""
-    cost = resource_model(config)
-    rows = []
+) -> list[QualityScores | str] | str:
+    """Each detector setting's scores, or its error text, on the
+    completed snapshots of one replay of sketch, against the grid of
+    truth(key spec, epoch length).  An error of the replay or of the
+    ground-truth pass is shared by every setting and returned alone."""
+    config = sketch.config
+    try:
+        completed = [s for s in collect_epochs(sketch, records) if s.complete]
+        pairs = truth(config.key_spec, config.epoch_ns)
+    except ValueError as exc:
+        return str(exc)
+    grid = GroundTruthGrid.from_keys(pairs, config, len(completed))
+    outcomes: list[QualityScores | str] = []
     for setting in detector_settings:
-        row = SweepRow(
-            config_id=_config_id(config, setting),
-            hash_width=config.hash_width,
-            mem_stages=config.mem_stages,
-            epoch_ns=config.epoch_ns,
-            key_spec=str(config.key_spec),
-            detector_id=setting.detector_id(),
-            detector_params=setting.params_str(),
-            memory_bytes=cost.memory_bytes,
-            update_ops=cost.update_ops,
-            measured_pps=bench_pps,
-        )
-        if error is not None:
-            row.error = error
-        else:
-            try:
-                quality = score(run_detector(setting, completed), grid)
-                row.tp, row.fp, row.fn, row.tn = (
-                    quality.tp,
-                    quality.fp,
-                    quality.fn,
-                    quality.tn,
-                )
-                row.precision = float(quality.precision)
-                row.recall = float(quality.recall)
-                row.f1 = float(quality.f1)
-            except ValueError as exc:
-                row.error = str(exc)
-        rows.append(row)
-    return rows
+        try:
+            outcomes.append(score(run_detector(setting, completed), grid))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes
 
 
 def sweep(
@@ -355,27 +326,31 @@ def sweep(
     detector_settings: Sequence[DetectorSetting],
     bench: bool = False,
     bench_repetitions: int = 3,
-) -> SweepReport:
-    """Evaluate every (sketch config, detector setting) cell on a trace.
+) -> list[SweepRow]:
+    """Evaluate every (sketch config, detector setting) cell on a trace
+    and return its rows, ordered by config id.
 
     Only completed epochs are scored; a trailing partial epoch is
     excluded from both verdicts and ground truth.  A failing cell does
     not abort the sweep: the failure is recorded on its row and the
     remaining cells still run.  Benchmark preconditions depend only on
-    the trace, so they are checked before any cell runs.  Rows are
-    ordered by config id.
+    the trace, so they are checked before any cell runs.
 
-    Each result is computed once per value of what it depends on:
-    - ground truth once per (key spec, epoch length), by the light
-      oracle.anomalous_keys pass over anomalous packets, then folded
-      to buckets for each hash width;
-    - stage-0 snapshots once per (hash width, epoch length, key spec),
-      since they do not depend on the stage count; configs are visited
-      grouped that way, so one snapshot list is alive at a time;
-    - per config: the cell budget check of Sketch(config), the resource
-      model, the throughput benchmark, the detectors and scoring.
-    An error in a shared pass, such as a timestamp regression, lands
-    on every row that shares it.
+    Snapshots hold stage 0, which does not depend on the stage count,
+    so a row's verdicts depend on its config only through (key spec,
+    epoch length, hash width).  Configs are grouped by those three, and
+    each group is evaluated once, on a replay of its first config
+    within the cell budget: one snapshot list, one grid, and one
+    detector run and score per setting.  Ground truth is one light
+    oracle.anomalous_keys pass per (key spec, epoch length), folded to
+    buckets for each hash width.  The cell budget check of
+    Sketch(config), the resource model and the throughput benchmark
+    run per config.
+
+    A budget error stays on its config's rows.  An error of a shared
+    pass, such as a timestamp regression, lands on every row of the
+    group within the budget, and a detector error on every row of the
+    group for that setting.
     """
     if not sketch_configs or not detector_settings:
         raise ValueError("sweep needs at least one sketch config and one detector setting")
@@ -388,45 +363,52 @@ def sweep(
     }
     if len(ids) != len(sketch_configs) * len(detector_settings):
         raise ValueError("sweep grid contains duplicate cells")
-    groups: dict[tuple[KeySpec, int], dict[int, list[SketchConfig]]] = {}
+    groups: dict[tuple[KeySpec, int, int], list[SketchConfig]] = {}
     for config in sketch_configs:
-        by_width = groups.setdefault((config.key_spec, config.epoch_ns), {})
-        by_width.setdefault(config.hash_width, []).append(config)
+        key = (config.key_spec, config.epoch_ns, config.hash_width)
+        groups.setdefault(key, []).append(config)
+    truth = functools.cache(functools.partial(anomalous_keys, records))
     rows: list[SweepRow] = []
-    for (key_spec, epoch_ns), by_width in groups.items():
-        truth: frozenset[tuple[int, int]] | None = None
-        for configs in by_width.values():
-            errors: dict[SketchConfig, str] = {}
-            sketch = None
-            for config in configs:
-                try:
-                    candidate = Sketch(config)
-                except ValueError as exc:
-                    errors[config] = str(exc)
-                    continue
-                if sketch is None:
-                    sketch = candidate
-            # Release the last group's snapshots before replaying; stage
-            # 0 does not depend on S, so any sketch of the group will do.
-            completed = grid = None
-            if sketch is not None:
-                try:
-                    completed = [s for s in collect_epochs(sketch, records) if s.complete]
-                    if truth is None:
-                        truth = anomalous_keys(records, key_spec, epoch_ns)
-                    grid = GroundTruthGrid.from_keys(truth, sketch.config, len(completed))
-                except ValueError as exc:
-                    for config in configs:
-                        errors.setdefault(config, str(exc))
-            for config in configs:
-                error = errors.get(config)
-                bench_pps: float | None = None
+    for configs in groups.values():
+        outcomes = None
+        for config in configs:
+            bench_pps: float | None = None
+            try:
+                sketch = Sketch(config)
+            except ValueError as exc:
+                error = str(exc)
+            else:
+                if outcomes is None:
+                    outcomes = _evaluate(records, sketch, truth, detector_settings)
+                error = outcomes if isinstance(outcomes, str) else None
                 if error is None and bench:
                     try:
                         bench_pps = bench_throughput(config, records, repetitions=bench_repetitions).pps
                     except ValueError as exc:
                         error = str(exc)
-                rows += _cell_rows(config, detector_settings, completed, grid, error, bench_pps)
+            cost = resource_model(config)
+            cells = outcomes if error is None else [error] * len(detector_settings)
+            for setting, outcome in zip(detector_settings, cells):
+                row = SweepRow(
+                    config_id=_config_id(config, setting),
+                    hash_width=config.hash_width,
+                    mem_stages=config.mem_stages,
+                    epoch_ns=config.epoch_ns,
+                    key_spec=str(config.key_spec),
+                    detector_id=setting.detector_id(),
+                    detector_params=setting.params_str(),
+                    memory_bytes=cost.memory_bytes,
+                    update_ops=cost.update_ops,
+                    measured_pps=bench_pps,
+                )
+                if isinstance(outcome, str):
+                    row.error = outcome
+                else:
+                    row.tp, row.fp, row.fn, row.tn = outcome.tp, outcome.fp, outcome.fn, outcome.tn
+                    row.precision = float(outcome.precision)
+                    row.recall = float(outcome.recall)
+                    row.f1 = float(outcome.f1)
+                rows.append(row)
     clean = [r for r in rows if r.error is None]
     if clean:
         points = [
@@ -438,7 +420,7 @@ def sweep(
         for r in clean:
             r.on_front = flags[r.config_id]
     rows.sort(key=lambda r: r.config_id)
-    return SweepReport(rows)
+    return rows
 
 
 REPORT_HEADER = (

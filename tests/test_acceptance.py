@@ -329,4 +329,4 @@ def test_criterion_10_csv_round_trips(capfd, tmp_path):
             [config, SketchConfig(5, 1, EPOCH_NS, SRC_ONLY)],
             [setting],
         )
-        round_trip("report", write_report_csv, parse_report_csv, report.rows)
+        round_trip("report", write_report_csv, parse_report_csv, report)

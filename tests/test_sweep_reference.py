@@ -107,7 +107,7 @@ def test_sweep_matches_per_config_reference(run, threshold, k, train_epochs):
         DetectorSetting("ewma", feature="byte_sum", k=k, alpha=0.3),
     ]
     want = reference_rows(records, configs, settings_)
-    report = sweep(records, configs, settings_)
-    assert [r.config_id for r in report.rows] == sorted(want)
-    for row in report.rows:
+    rows = sweep(records, configs, settings_)
+    assert [r.config_id for r in rows] == sorted(want)
+    for row in rows:
         assert (row.tp, row.fp, row.fn, row.tn, row.error) == want[row.config_id], row.config_id
