@@ -1,8 +1,10 @@
 """Trace CSV parsing, serialization, and the synthetic generator."""
 
+import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowsketch.ingest import (
     TRACE_HEADER,
@@ -17,6 +19,7 @@ from flowsketch.ingest import (
     generate_synthetic,
     parse_ip,
     parse_trace,
+    parse_uint,
     read_trace,
     trace_meta,
     write_trace,
@@ -87,21 +90,26 @@ def test_equal_timestamps_allowed():
 
 
 @pytest.mark.parametrize(
-    "row",
+    "row, message",
     [
-        "1,2,3",  # wrong field count
-        EXAMPLE_ROW.replace("10.0.0.1", "300.0.0.1"),  # bad octet
-        EXAMPLE_ROW.replace(",443,", ",70000,"),  # port out of range
-        EXAMPLE_ROW.replace(",1500,", ",70000,"),  # length out of range
-        EXAMPLE_ROW.replace("benign", "normal"),  # bad label
-        EXAMPLE_ROW.replace("1720000000000000000", "-5"),  # negative time
-        EXAMPLE_ROW.replace("1720000000000000000", "soon"),  # not an integer
+        ("1,2,3", "expected 9 fields, got 3"),  # wrong field count
+        (EXAMPLE_ROW.replace("10.0.0.1", "300.0.0.1"), "bad IPv4 address '300.0.0.1'"),  # bad octet
+        (EXAMPLE_ROW.replace("10.0.0.1", "10.0.0.256"), "bad IPv4 address '10.0.0.256'"),
+        (EXAMPLE_ROW.replace(",443,", ",70000,"), "src_port out of range"),  # port out of range
+        (EXAMPLE_ROW.replace(",6,", ",256,"), "protocol out of range"),
+        (EXAMPLE_ROW.replace(",1500,", ",70000,"), "length_bytes out of range"),  # length out of range
+        (EXAMPLE_ROW.replace("123456789", "4294967296"), "tcp_seq out of range"),
+        (EXAMPLE_ROW.replace("benign", "normal"), "bad label 'normal'"),  # bad label
+        (EXAMPLE_ROW + "\r\n", "bad label 'benign\\r'"),  # CRLF line ending
+        (EXAMPLE_ROW.replace("1720000000000000000", "-5"), "non-canonical integer '-5'"),  # negative time
+        (EXAMPLE_ROW.replace("1720000000000000000", "soon"), "non-canonical integer 'soon'"),  # not an integer
     ],
 )
-def test_malformed_rows_report_line(row):
+def test_malformed_rows_report_line(row, message):
     with pytest.raises(TraceFormatError) as err:
         parse_rows(EXAMPLE_ROW, row)
     assert err.value.line_no == 3
+    assert str(err.value) == f"line 3: {message}"
 
 
 @pytest.mark.parametrize(
@@ -113,6 +121,7 @@ def test_non_canonical_ip_reports_line(address):
     with pytest.raises(TraceFormatError) as err:
         parse_rows(EXAMPLE_ROW, EXAMPLE_ROW.replace("10.0.0.1", address))
     assert err.value.line_no == 3
+    assert str(err.value) == f"line 3: bad IPv4 address {address!r}"
 
 
 @pytest.mark.parametrize(
@@ -135,6 +144,148 @@ def test_non_canonical_integer_reports_line(field, text):
     with pytest.raises(TraceFormatError) as err:
         parse_rows(",".join(fields))
     assert err.value.line_no == 2
+    assert str(err.value) == f"line 2: non-canonical integer {text!r}"
+
+
+def reference_parse_trace(lines):
+    """The per-field trace parser, kept as the reference for parse_trace:
+    the read_csv framing and the build closure, each field checked by
+    parse_uint, parse_ip or the label test, then the checked
+    PacketRecord constructor."""
+    prev_ts = -1
+
+    def build(fields):
+        nonlocal prev_ts
+        label_text = fields[8]
+        if label_text == "benign":
+            label = Label.BENIGN
+        elif label_text == "anomalous":
+            label = Label.ANOMALOUS
+        else:
+            raise ValueError(f"bad label {label_text!r}")
+        record = PacketRecord(
+            timestamp_ns=parse_uint(fields[0]),
+            src_ip=parse_ip(fields[1]),
+            dst_ip=parse_ip(fields[2]),
+            src_port=parse_uint(fields[3]),
+            dst_port=parse_uint(fields[4]),
+            protocol=parse_uint(fields[5]),
+            length_bytes=parse_uint(fields[6]),
+            tcp_seq=parse_uint(fields[7]),
+            label=label,
+        )
+        if record.timestamp_ns < prev_ts:
+            raise ValueError(f"timestamp regression: {record.timestamp_ns} after {prev_ts}")
+        prev_ts = record.timestamp_ns
+        return record
+
+    width = TRACE_HEADER.count(",") + 1
+    it = iter(lines)
+    first = next(it, None)
+    if first is None:
+        raise TraceFormatError(1, "missing header")
+    if first.rstrip("\n") != TRACE_HEADER:
+        raise TraceFormatError(1, f"bad header: expected {TRACE_HEADER!r}")
+    for line_no, raw in enumerate(it, 2):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise TraceFormatError(line_no, f"expected {width} fields, got {len(fields)}")
+        try:
+            row = build(fields)
+        except ValueError as exc:
+            raise TraceFormatError(line_no, str(exc)) from None
+        yield row
+
+
+FIELDS = ("timestamp_ns", "src_ip", "dst_ip", "src_port", "dst_port",
+          "protocol", "length_bytes", "tcp_seq", "label")
+
+# Texts at the edges of each field's grammar and range, and texts that
+# only look like integers.
+LOOKALIKES = ["", "+5", "-0", "1_0", " 6", "6 ", "\u0661", "\uff16", "0x1", "00", "01"]
+OCTET_EDGES = ["0", "9", "10", "99", "100", "199", "200", "249", "250", "255", "256", "00", "01"]
+EDGES = {
+    0: [str(10**18), str(10**19 - 1), str(10**19), str(2**64)],
+    3: ["65535", "65536"],
+    4: ["65535", "65536"],
+    5: ["255", "256"],
+    6: ["65535", "65536"],
+    7: [str(2**32 - 1), str(2**32)],
+    8: ["Benign", "ANOMALOUS", "benign\r", "benign ", ""],
+}
+
+
+@st.composite
+def canonical_rows(draw):
+    ts = draw(st.one_of(st.integers(0, 10**6), st.integers(10**18, 2**64)))
+    return [
+        str(ts),
+        format_ip(draw(st.integers(0, 2**32 - 1))),
+        format_ip(draw(st.integers(0, 2**32 - 1))),
+        str(draw(st.integers(0, 2**16 - 1))),
+        str(draw(st.integers(0, 2**16 - 1))),
+        str(draw(st.integers(0, 2**8 - 1))),
+        str(draw(st.integers(0, 65535))),
+        str(draw(st.integers(0, 2**32 - 1))),
+        draw(st.sampled_from(("benign", "anomalous"))),
+    ]
+
+
+@st.composite
+def address_texts(draw):
+    octets = [str(draw(st.integers(0, 255))) for _ in range(draw(st.sampled_from((3, 4, 4, 5))))]
+    octets[draw(st.integers(0, len(octets) - 1))] = draw(st.sampled_from(OCTET_EDGES + LOOKALIKES))
+    return ".".join(octets)
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace text: canonical rows with at most a few one-field
+    mutations, fields added or dropped, blank lines, a CR, equal or
+    regressing timestamps, and an optional final newline."""
+    rows = draw(st.lists(canonical_rows(), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        times = sorted(int(r[0]) for r in rows)
+        if draw(st.booleans()):
+            times = [times[0]] * len(times)
+        for row, ts in zip(rows, times):
+            row[0] = str(ts)
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        field = draw(st.sampled_from(tuple(EDGES) + (1, 2)))
+        if field in (1, 2):
+            row[field] = draw(address_texts())
+        else:
+            row[field] = draw(st.sampled_from(EDGES[field]) | st.sampled_from(LOOKALIKES))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = draw(st.sampled_from((
+            lines[at] + "\r",
+            lines[at] + ",0",
+            lines[at].rsplit(",", 1)[0],
+            "",
+            " ",
+        )))
+    text = "\n".join([TRACE_HEADER] + lines)
+    return text + "\n" if draw(st.booleans()) else text
+
+
+def outcome(parser, text):
+    """The records as field tuples, or the error's line and message."""
+    try:
+        return [tuple(getattr(r, f) for f in FIELDS) for r in parser(io.StringIO(text, newline=""))]
+    except TraceFormatError as exc:
+        return ("error", exc.line_no, str(exc))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(trace_texts())
+def test_parse_trace_matches_the_per_field_reference(text):
+    assert outcome(parse_trace, text) == outcome(reference_parse_trace, text)
 
 
 def test_write_read_round_trip(tmp_path):
