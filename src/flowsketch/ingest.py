@@ -7,15 +7,23 @@ that can inject labeled flood and port-scan anomalies.  The framing
 helpers (read_csv, write_csv, csv_line) serve every CSV format in the
 package: traces, snapshots, verdicts and sweep reports; parse_uint and
 parse_float read all of their numbers in the one canonical form.
+
+parse_trace checks each trace row once, against one ASCII grammar that
+spells out that canonical form (integers, bounded octets and the label),
+and builds the record from the matched text without checking it again;
+only the ranges the grammar cannot express are compared as integers.  A
+row the grammar rejects goes through the per-field parsers, which name
+the first bad field in the error.  Records are immutable tuples.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 TRACE_HEADER = "timestamp_ns,src_ip,dst_ip,src_port,dst_port,protocol,length_bytes,tcp_seq,label"
 
@@ -31,11 +39,7 @@ class Label(enum.Enum):
     ANOMALOUS = "anomalous"
 
 
-@dataclass(frozen=True, slots=True)
-class PacketRecord:
-    """One observed packet.  Addresses and ports are plain integers;
-    ports and tcp_seq are 0 where the protocol has none."""
-
+class _PacketFields(NamedTuple):
     timestamp_ns: int
     src_ip: int
     dst_ip: int
@@ -46,25 +50,53 @@ class PacketRecord:
     tcp_seq: int
     label: Label
 
-    def __post_init__(self):
-        if self.timestamp_ns < 0:
+
+class PacketRecord(_PacketFields):
+    """One observed packet, an immutable tuple of its nine fields.
+    Addresses and ports are plain integers; ports and tcp_seq are 0
+    where the protocol has none.
+
+    The constructor checks every field.  parse_trace, whose row grammar
+    has already checked them, builds records with tuple.__new__ instead.
+    The inherited _make and _replace skip the checks too; nothing in
+    this package calls them.  Being tuples, records compare equal to
+    plain tuples of the same fields."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        timestamp_ns: int,
+        src_ip: int,
+        dst_ip: int,
+        src_port: int,
+        dst_port: int,
+        protocol: int,
+        length_bytes: int,
+        tcp_seq: int,
+        label: Label,
+    ) -> "PacketRecord":
+        if timestamp_ns < 0:
             raise ValueError("timestamp_ns must be nonnegative")
-        if not 0 <= self.src_ip < (1 << 32):
+        if not 0 <= src_ip < (1 << 32):
             raise ValueError("src_ip out of range")
-        if not 0 <= self.dst_ip < (1 << 32):
+        if not 0 <= dst_ip < (1 << 32):
             raise ValueError("dst_ip out of range")
-        if not 0 <= self.src_port < (1 << 16):
+        if not 0 <= src_port < (1 << 16):
             raise ValueError("src_port out of range")
-        if not 0 <= self.dst_port < (1 << 16):
+        if not 0 <= dst_port < (1 << 16):
             raise ValueError("dst_port out of range")
-        if not 0 <= self.protocol < (1 << 8):
+        if not 0 <= protocol < (1 << 8):
             raise ValueError("protocol out of range")
-        if not 0 <= self.length_bytes <= MAX_LENGTH_BYTES:
+        if not 0 <= length_bytes <= MAX_LENGTH_BYTES:
             raise ValueError("length_bytes out of range")
-        if not 0 <= self.tcp_seq < (1 << 32):
+        if not 0 <= tcp_seq < (1 << 32):
             raise ValueError("tcp_seq out of range")
-        if not isinstance(self.label, Label):
+        if not isinstance(label, Label):
             raise ValueError("label must be a Label")
+        return tuple.__new__(
+            cls, (timestamp_ns, src_ip, dst_ip, src_port, dst_port, protocol, length_bytes, tcp_seq, label)
+        )
 
 
 @dataclass(frozen=True)
@@ -89,6 +121,34 @@ class TraceFormatError(ValueError):
 _Row = TypeVar("_Row")
 
 
+def _csv_rows(lines: Iterable[str], header: str) -> Iterator[tuple[int, str]]:
+    """Check the header line; return (1-based line number, raw line) for
+    every line after it."""
+    it = iter(lines)
+    first = next(it, None)
+    if first is None:
+        raise TraceFormatError(1, "missing header")
+    if first.rstrip("\n") != header:
+        raise TraceFormatError(1, f"bad header: expected {header!r}")
+    return enumerate(it, 2)
+
+
+def _build_row(line_no: int, raw: str, width: int, build: Callable[[list[str]], _Row]) -> _Row | None:
+    """build(fields) of one row, or None for a blank line.  A wrong field
+    count, or any ValueError raised by build, becomes a TraceFormatError
+    naming the line."""
+    line = raw.rstrip("\n")
+    if not line:
+        return None
+    fields = line.split(",")
+    if len(fields) != width:
+        raise TraceFormatError(line_no, f"expected {width} fields, got {len(fields)}")
+    try:
+        return build(fields)
+    except ValueError as exc:
+        raise TraceFormatError(line_no, str(exc)) from None
+
+
 def read_csv(
     lines: Iterable[str], header: str, build: Callable[[list[str]], _Row]
 ) -> Iterator[_Row]:
@@ -100,24 +160,10 @@ def read_csv(
     1-based line.
     """
     width = header.count(",") + 1
-    it = iter(lines)
-    first = next(it, None)
-    if first is None:
-        raise TraceFormatError(1, "missing header")
-    if first.rstrip("\n") != header:
-        raise TraceFormatError(1, f"bad header: expected {header!r}")
-    for line_no, raw in enumerate(it, 2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != width:
-            raise TraceFormatError(line_no, f"expected {width} fields, got {len(fields)}")
-        try:
-            row = build(fields)
-        except ValueError as exc:
-            raise TraceFormatError(line_no, str(exc)) from None
-        yield row
+    for line_no, raw in _csv_rows(lines, header):
+        row = _build_row(line_no, raw, width, build)
+        if row is not None:
+            yield row
 
 
 def write_csv(path, header: str, lines: Iterable[str]) -> None:
@@ -211,6 +257,19 @@ def format_row(record: PacketRecord) -> str:
     )
 
 
+# One trace row in the canonical form format_row writes, ASCII only:
+# integers with no sign, separator, padding or leading zero; octets
+# 0-255 with no leading zero; the label; an optional final newline.
+_UINT = r"(0|[1-9][0-9]*)"
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4 = rf"({_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET})"
+_TRACE_ROW = re.compile(
+    rf"{_UINT},{_IPV4},{_IPV4},{_UINT},{_UINT},{_UINT},{_UINT},{_UINT},(benign|anomalous)\n?",
+    re.ASCII,
+)
+_LABELS = {label.value: label for label in Label}
+
+
 def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
     """Parse trace CSV lines into records, validating as it goes.
 
@@ -221,6 +280,8 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
     prev_ts = -1
 
     def build(fields: list[str]) -> PacketRecord:
+        # Field by field, for the rows the grammar or a range check
+        # rejects: blank lines, and errors named by their first bad field.
         nonlocal prev_ts
         label_text = fields[8]
         if label_text == "benign":
@@ -245,7 +306,46 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
         prev_ts = record.timestamp_ns
         return record
 
-    return read_csv(lines, TRACE_HEADER, build)
+    width = TRACE_HEADER.count(",") + 1
+    match = _TRACE_ROW.fullmatch
+    new = tuple.__new__
+    labels = _LABELS
+    # Address text -> value: sources repeat, so most rows skip the
+    # conversion and equal addresses share one int.
+    addresses: dict[str, int] = {}
+    for line_no, raw in _csv_rows(lines, TRACE_HEADER):
+        m = match(raw)
+        if m is not None:
+            ts, src, dst, src_port, dst_port, protocol, length, seq, label = m.groups()
+            ts = int(ts)
+            src_port = int(src_port)
+            dst_port = int(dst_port)
+            protocol = int(protocol)
+            length = int(length)
+            seq = int(seq)
+            src_ip = addresses.get(src)
+            if src_ip is None:
+                src_ip = addresses[src] = parse_ip(src)
+            dst_ip = addresses.get(dst)
+            if dst_ip is None:
+                dst_ip = addresses[dst] = parse_ip(dst)
+            if (
+                ts >= prev_ts
+                and src_port < (1 << 16)
+                and dst_port < (1 << 16)
+                and protocol < (1 << 8)
+                and length <= MAX_LENGTH_BYTES
+                and seq < (1 << 32)
+            ):
+                prev_ts = ts
+                yield new(
+                    PacketRecord,
+                    (ts, src_ip, dst_ip, src_port, dst_port, protocol, length, seq, labels[label]),
+                )
+                continue
+        record = _build_row(line_no, raw, width, build)
+        if record is not None:
+            yield record
 
 
 def trace_meta(records: Sequence[PacketRecord]) -> TraceMeta:

@@ -162,7 +162,7 @@ def test_grid_from_keys_matches_tracker_at_every_width():
     for trial in range(6):
         before = random_records(rng, 300, span_ns=2_000_000, pool=40, anomalous_rate=0.3)
         after = random_records(rng, 100, span_ns=1_000_000, pool=40, anomalous_rate=0.3)
-        records = before + [replace(r, timestamp_ns=r.timestamp_ns + 9_000_000) for r in after]
+        records = before + [r._replace(timestamp_ns=r.timestamp_ns + 9_000_000) for r in after]
         key = keys[trial % 3]
         for epoch_ns in (100_000, 700_000):
             pairs = anomalous_keys(records, key, epoch_ns)

@@ -205,7 +205,7 @@ FIELDS = ("timestamp_ns", "src_ip", "dst_ip", "src_port", "dst_port",
 
 # Texts at the edges of each field's grammar and range, and texts that
 # only look like integers.
-LOOKALIKES = ["", "+5", "-0", "1_0", " 6", "6 ", "\u0661", "\uff16", "0x1", "00", "01"]
+LOOKALIKES = ["", "+5", "-0", "1_0", " 6", "6 ", "\u0661", "1\u0661", "\uff16", "0x1", "00", "01"]
 OCTET_EDGES = ["0", "9", "10", "99", "100", "199", "200", "249", "250", "255", "256", "00", "01"]
 EDGES = {
     0: [str(10**18), str(10**19 - 1), str(10**19), str(2**64)],
@@ -253,6 +253,9 @@ def trace_texts(draw):
             times = [times[0]] * len(times)
         for row, ts in zip(rows, times):
             row[0] = str(ts)
+    if len(rows) > 1 and draw(st.booleans()):
+        at = draw(st.integers(1, len(rows) - 1))
+        rows[at][0] = str(max(0, int(rows[at - 1][0]) + draw(st.sampled_from((-1, 0, 1)))))
     for _ in range(draw(st.integers(0, 2))):
         row = draw(st.sampled_from(rows))
         field = draw(st.sampled_from(tuple(EDGES) + (1, 2)))
@@ -288,6 +291,18 @@ def test_parse_trace_matches_the_per_field_reference(text):
     assert outcome(parse_trace, text) == outcome(reference_parse_trace, text)
 
 
+def test_every_short_octet_text_matches_the_reference():
+    # Every text of one to three ASCII digits, in each octet position.
+    texts = [str(i) for i in range(1000)] + [f"{i:02d}" for i in range(100)] + [f"{i:03d}" for i in range(100)]
+    for text in texts:
+        for at in range(4):
+            octets = ["1", "2", "3", "4"]
+            octets[at] = text
+            row = EXAMPLE_ROW.replace("10.0.0.1", ".".join(octets))
+            trace = f"{TRACE_HEADER}\n{row}\n"
+            assert outcome(parse_trace, trace) == outcome(reference_parse_trace, trace)
+
+
 def test_write_read_round_trip(tmp_path):
     profile = SyntheticProfile(
         flows=12,
@@ -299,6 +314,7 @@ def test_write_read_round_trip(tmp_path):
     meta = write_trace(path, records)
     parsed, meta2 = read_trace(path)
     assert parsed == records
+    assert all(type(r) is PacketRecord for r in parsed)
     assert meta2 == meta
     first = path.read_bytes()
     write_trace(path, parsed)
