@@ -280,8 +280,8 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
     prev_ts = -1
 
     def build(fields: list[str]) -> PacketRecord:
-        # Field by field, for the rows the grammar or a range check
-        # rejects: blank lines, and errors named by their first bad field.
+        # The per-field path, for every row the grammar or a range check
+        # turns down: it skips blank lines and names the first bad field.
         nonlocal prev_ts
         label_text = fields[8]
         if label_text == "benign":
@@ -309,7 +309,6 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
     width = TRACE_HEADER.count(",") + 1
     match = _TRACE_ROW.fullmatch
     new = tuple.__new__
-    labels = _LABELS
     # Address text -> value: sources repeat, so most rows skip the
     # conversion and equal addresses share one int.
     addresses: dict[str, int] = {}
@@ -340,7 +339,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
                 prev_ts = ts
                 yield new(
                     PacketRecord,
-                    (ts, src_ip, dst_ip, src_port, dst_port, protocol, length, seq, labels[label]),
+                    (ts, src_ip, dst_ip, src_port, dst_port, protocol, length, seq, _LABELS[label]),
                 )
                 continue
         record = _build_row(line_no, raw, width, build)

@@ -89,22 +89,22 @@ def test_equal_timestamps_allowed():
     assert len(parse_rows(r, r)) == 2
 
 
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ("1,2,3", "expected 9 fields, got 3"),  # wrong field count
-        (EXAMPLE_ROW.replace("10.0.0.1", "300.0.0.1"), "bad IPv4 address '300.0.0.1'"),  # bad octet
-        (EXAMPLE_ROW.replace("10.0.0.1", "10.0.0.256"), "bad IPv4 address '10.0.0.256'"),
-        (EXAMPLE_ROW.replace(",443,", ",70000,"), "src_port out of range"),  # port out of range
-        (EXAMPLE_ROW.replace(",6,", ",256,"), "protocol out of range"),
-        (EXAMPLE_ROW.replace(",1500,", ",70000,"), "length_bytes out of range"),  # length out of range
-        (EXAMPLE_ROW.replace("123456789", "4294967296"), "tcp_seq out of range"),
-        (EXAMPLE_ROW.replace("benign", "normal"), "bad label 'normal'"),  # bad label
-        (EXAMPLE_ROW + "\r\n", "bad label 'benign\\r'"),  # CRLF line ending
-        (EXAMPLE_ROW.replace("1720000000000000000", "-5"), "non-canonical integer '-5'"),  # negative time
-        (EXAMPLE_ROW.replace("1720000000000000000", "soon"), "non-canonical integer 'soon'"),  # not an integer
-    ],
-)
+MALFORMED_ROWS = [
+    ("1,2,3", "expected 9 fields, got 3"),  # wrong field count
+    (EXAMPLE_ROW.replace("10.0.0.1", "300.0.0.1"), "bad IPv4 address '300.0.0.1'"),  # bad octet
+    (EXAMPLE_ROW.replace("10.0.0.1", "10.0.0.256"), "bad IPv4 address '10.0.0.256'"),
+    (EXAMPLE_ROW.replace(",443,", ",70000,"), "src_port out of range"),  # port out of range
+    (EXAMPLE_ROW.replace(",6,", ",256,"), "protocol out of range"),
+    (EXAMPLE_ROW.replace(",1500,", ",70000,"), "length_bytes out of range"),  # length out of range
+    (EXAMPLE_ROW.replace("123456789", "4294967296"), "tcp_seq out of range"),
+    (EXAMPLE_ROW.replace("benign", "normal"), "bad label 'normal'"),  # bad label
+    (EXAMPLE_ROW + "\r\n", "bad label 'benign\\r'"),  # CRLF line ending
+    (EXAMPLE_ROW.replace("1720000000000000000", "-5"), "non-canonical integer '-5'"),  # negative time
+    (EXAMPLE_ROW.replace("1720000000000000000", "soon"), "non-canonical integer 'soon'"),  # not an integer
+]
+
+
+@pytest.mark.parametrize("row, message", MALFORMED_ROWS, ids=[row for row, _ in MALFORMED_ROWS])
 def test_malformed_rows_report_line(row, message):
     with pytest.raises(TraceFormatError) as err:
         parse_rows(EXAMPLE_ROW, row)
