@@ -280,16 +280,12 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
     prev_ts = -1
 
     def build(fields: list[str]) -> PacketRecord:
-        # The per-field path, for every row the grammar or a range check
-        # turns down: it skips blank lines and names the first bad field.
+        # The per-field path, for every non-blank row the grammar or a
+        # range check turns down: its error names the first bad field.
         nonlocal prev_ts
-        label_text = fields[8]
-        if label_text == "benign":
-            label = Label.BENIGN
-        elif label_text == "anomalous":
-            label = Label.ANOMALOUS
-        else:
-            raise ValueError(f"bad label {label_text!r}")
+        label = _LABELS.get(fields[8])
+        if label is None:
+            raise ValueError(f"bad label {fields[8]!r}")
         record = PacketRecord(
             timestamp_ns=parse_uint(fields[0]),
             src_ip=parse_ip(fields[1]),
