@@ -1,5 +1,6 @@
 """Trace CSV parsing, serialization, and the synthetic generator."""
 
+import hashlib
 import io
 import random
 
@@ -455,3 +456,150 @@ def test_packet_record_validation():
         make_packet(seq=1 << 32)
     with pytest.raises(ValueError):
         PacketRecord(0, 0, 0, 0, 0, 0, 0, 0, "benign")
+
+
+def reference_generate_synthetic(profile, seed):
+    """The generator with every record built by the checked PacketRecord
+    constructor, kept as the reference for generate_synthetic: the same
+    random draws, call for call, and the same records or the same
+    ValueError."""
+    if profile.duration_ns <= 0:
+        raise ValueError("profile duration must be positive")
+    if profile.flows < 0:
+        raise ValueError("flow count must be nonnegative")
+    if profile.flows > 0 and profile.packets_per_flow < 1:
+        raise ValueError("packets_per_flow must be at least 1")
+    if profile.timing not in ("uniform", "periodic"):
+        raise ValueError(f"unknown timing mode {profile.timing!r}")
+    if profile.timing == "periodic" and profile.flows > 0 and profile.duration_ns < profile.packets_per_flow:
+        raise ValueError("periodic timing needs duration_ns >= packets_per_flow")
+    anomaly = profile.anomaly
+    if anomaly is not None:
+        if not 0.0 <= anomaly.window_start < anomaly.window_stop <= 1.0:
+            raise ValueError("anomaly window must satisfy 0 <= start < stop <= 1")
+        if anomaly.rate_multiplier <= 0:
+            raise ValueError("anomaly rate_multiplier must be positive")
+
+    benign_src_base = parse_ip("10.0.0.1")
+    dst_base = parse_ip("192.168.0.1")
+    rng = random.Random(seed)
+    rows = []
+    for i in range(profile.flows):
+        src = (benign_src_base + i) & 0xFFFFFFFF
+        dst = (dst_base + rng.randrange(16)) & 0xFFFFFFFF
+        proto_pick = rng.random()
+        protocol = 6 if proto_pick < 0.7 else 17 if proto_pick < 0.95 else 1
+        if protocol == 1:
+            src_port = dst_port = 0
+        else:
+            src_port = rng.randrange(1024, 65536)
+            dst_port = rng.choice((80, 443, 53, 8080))
+        seq = rng.randrange(1 << 32) if protocol == 6 else 0
+        count = profile.packets_per_flow
+        if profile.timing == "uniform":
+            times = sorted(rng.randrange(profile.duration_ns) for _ in range(count))
+        else:
+            period = profile.duration_ns // count
+            phase = rng.randrange(period)
+            times = [phase + j * period for j in range(count)]
+        for ts in times:
+            rows.append((ts, src, dst, src_port, dst_port, protocol,
+                         rng.choice((60, 576, 1500)), seq, Label.BENIGN))
+            if protocol == 6:
+                seq = (seq + 1) & 0xFFFFFFFF
+    if anomaly is not None:
+        lo = int(anomaly.window_start * profile.duration_ns)
+        hi = int(anomaly.window_stop * profile.duration_ns)
+        span = anomaly.window_stop - anomaly.window_start
+        count = round(anomaly.rate_multiplier * profile.packets_per_flow * span)
+        times = sorted(lo + rng.randrange(hi - lo) for _ in range(count))
+        seq = rng.randrange(1 << 32)
+        for j, ts in enumerate(times):
+            dst_port = 80 if anomaly.kind is AnomalyKind.FLOOD else 1 + (j % 65535)
+            rows.append((ts, parse_ip("10.255.255.254"), dst_base, 40000, dst_port, 6,
+                         60, (seq + j) & 0xFFFFFFFF, Label.ANOMALOUS))
+    rows.sort(key=lambda row: row[0])
+    return [PacketRecord(profile.start_ts_ns + ts, *fields) for ts, *fields in rows]
+
+
+@st.composite
+def synthetic_profiles(draw):
+    """Small profiles of either timing and anomaly kind, zero flows
+    included, starting anywhere from well before 0 to well after it."""
+    duration = draw(st.integers(1, 10**6))
+    anomaly = None
+    if draw(st.booleans()):
+        stop = draw(st.sampled_from((0.1, 0.5, 1.0)))
+        anomaly = AnomalyProfile(
+            kind=draw(st.sampled_from(AnomalyKind)),
+            rate_multiplier=draw(st.sampled_from((0.5, 3.0, 20.0))),
+            window_start=draw(st.sampled_from((0.0, 0.05, 0.4))) * stop,
+            window_stop=stop,
+        )
+    return SyntheticProfile(
+        flows=draw(st.sampled_from((1, 2, 5, 0))),
+        packets_per_flow=draw(st.integers(1, 12)),
+        duration_ns=duration,
+        timing=draw(st.sampled_from(("uniform", "periodic"))),
+        start_ts_ns=draw(st.one_of(
+            st.integers(-duration, duration),
+            st.integers(-(duration // 32), 0),
+            st.integers(-(2**40), 2**40),
+        )),
+        anomaly=anomaly,
+    )
+
+
+def generated(profile, seed, generate):
+    try:
+        return generate(profile, seed)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=600, deadline=None)
+@given(synthetic_profiles(), st.integers(0, 2**32))
+def test_generate_matches_the_checked_reference(profile, seed):
+    records = generated(profile, seed, generate_synthetic)
+    assert records == generated(profile, seed, reference_generate_synthetic)
+    if isinstance(records, list):
+        for record in records:
+            assert type(record) is PacketRecord
+            assert record == PacketRecord(*record)
+            assert type(record.label) is Label
+
+
+# The seed-1 traces of the benchmark workloads, with the SHA-256 of the
+# bytes write_trace writes for each.  A change to the generator or the
+# writer that alters any of them fails here.
+WORKLOAD_TRACES = {
+    "flood_narrow": (
+        SyntheticProfile(
+            flows=250, packets_per_flow=200, duration_ns=10_000_000_000,
+            anomaly=AnomalyProfile(AnomalyKind.FLOOD, 50.0, 0.4, 0.5),
+        ),
+        "dd58fad143fe3df083308ead30e729f4d45ec61f48f89bf1324f765a3dcaffdd",
+    ),
+    "wide_sparse": (
+        SyntheticProfile(
+            flows=200, packets_per_flow=100, duration_ns=4_000_000_000,
+            anomaly=AnomalyProfile(AnomalyKind.FLOOD, 50.0, 0.5, 0.6),
+        ),
+        "0930d2ac49914e30475314af03d4470a4832dcd5b63e34b210d90ae932bd1d7e",
+    ),
+    "scan_5tuple": (
+        SyntheticProfile(
+            flows=32000, packets_per_flow=2, duration_ns=10_000_000_000,
+            anomaly=AnomalyProfile(AnomalyKind.PORT_SCAN, 200000.0, 0.4, 0.5),
+        ),
+        "9d3f903110932dc6e55e460d78c1c2206aa84e685b56b9023120e111d7caa39c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_TRACES))
+def test_workload_trace_bytes_are_pinned(tmp_path, name):
+    profile, digest = WORKLOAD_TRACES[name]
+    path = tmp_path / f"{name}.csv"
+    write_trace(path, generate_synthetic(profile, seed=1))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
