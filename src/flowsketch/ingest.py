@@ -22,12 +22,16 @@ import enum
 import random
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import islice
+from operator import attrgetter, countOf, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 TRACE_HEADER = "timestamp_ns,src_ip,dst_ip,src_port,dst_port,protocol,length_bytes,tcp_seq,label"
 
 MAX_LENGTH_BYTES = 65535
+
+# Rows joined into one string per write call by write_csv.
+WRITE_CHUNK_ROWS = 4096
 
 _PROTO_TCP = 6
 _PROTO_UDP = 17
@@ -57,7 +61,8 @@ class PacketRecord(_PacketFields):
     where the protocol has none.
 
     The constructor checks every field.  parse_trace, whose row grammar
-    has already checked them, builds records with tuple.__new__ instead.
+    has already checked them, and generate_synthetic, whose fields are
+    in range by construction, build records with tuple.__new__ instead.
     The inherited _make and _replace skip the checks too; nothing in
     this package calls them.  Being tuples, records compare equal to
     plain tuples of the same fields."""
@@ -167,10 +172,13 @@ def read_csv(
 
 
 def write_csv(path, header: str, lines: Iterable[str]) -> None:
+    """Write the header and then each line, every one ended by a
+    newline, WRITE_CHUNK_ROWS lines to a write call."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        it = iter(lines)
+        while chunk := list(islice(it, WRITE_CHUNK_ROWS)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def _csv_field(value) -> str:
@@ -249,15 +257,32 @@ def parse_ip(text: str) -> int:
     return value
 
 
-def format_row(record: PacketRecord) -> str:
-    return (
-        f"{record.timestamp_ns},{format_ip(record.src_ip)},{format_ip(record.dst_ip)},"
-        f"{record.src_port},{record.dst_port},{record.protocol},"
-        f"{record.length_bytes},{record.tcp_seq},{record.label.value}"
-    )
+class _AddressTexts(dict):
+    """Address value -> format_ip text, each formatted on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = format_ip(value)
+        return text
 
 
-# One trace row in the canonical form format_row writes, ASCII only:
+_LABEL_TEXTS = {label: label.value for label in Label}
+
+
+def format_rows(records: Iterable[PacketRecord]) -> Iterator[str]:
+    """Each record's trace row.  Addresses repeat, so each distinct one
+    is formatted once per call."""
+    addresses = _AddressTexts()
+    labels = _LABEL_TEXTS
+    for ts, src, dst, src_port, dst_port, protocol, length, seq, label in records:
+        yield (
+            f"{ts},{addresses[src]},{addresses[dst]},{src_port},{dst_port},"
+            f"{protocol},{length},{seq},{labels[label]}"
+        )
+
+
+# One trace row in the canonical form format_rows writes, ASCII only:
 # integers with no sign, separator, padding or leading zero; octets
 # 0-255 with no leading zero; the label; an optional final newline.
 _UINT = r"(0|[1-9][0-9]*)"
@@ -346,7 +371,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
 def trace_meta(records: Sequence[PacketRecord]) -> TraceMeta:
     if not records:
         return TraceMeta(0, 0, 0, 0)
-    anomalous = sum(1 for r in records if r.label is Label.ANOMALOUS)
+    anomalous = countOf(map(attrgetter("label"), records), Label.ANOMALOUS)
     return TraceMeta(len(records), records[0].timestamp_ns, records[-1].timestamp_ns, anomalous)
 
 
@@ -357,7 +382,7 @@ def read_trace(path) -> tuple[list[PacketRecord], TraceMeta]:
 
 
 def write_trace(path, records: Sequence[PacketRecord]) -> TraceMeta:
-    write_csv(path, TRACE_HEADER, map(format_row, records))
+    write_csv(path, TRACE_HEADER, format_rows(records))
     return trace_meta(records)
 
 
@@ -485,4 +510,15 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
 
     rows.sort(key=itemgetter(0))
     start = profile.start_ts_ns
-    return [PacketRecord(start + ts, *fields) for ts, *fields in rows]
+    # Every field but the timestamp is in range by construction:
+    # addresses and tcp_seq are masked; ports, protocols and lengths are
+    # constants or drawn from in-range choices.  Offsets are nonnegative,
+    # so only the earliest timestamp can be negative.  The records are
+    # therefore built like parse_trace builds them, unchecked.
+    if rows and start + rows[0][0] < 0:
+        raise ValueError("timestamp_ns must be nonnegative")
+    new = tuple.__new__
+    return [
+        new(PacketRecord, (start + ts, src, dst, src_port, dst_port, protocol, length, seq, label))
+        for ts, src, dst, src_port, dst_port, protocol, length, seq, label in rows
+    ]

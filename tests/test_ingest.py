@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowsketch.ingest import (
+    MAX_LENGTH_BYTES,
     TRACE_HEADER,
+    WRITE_CHUNK_ROWS,
     AnomalyKind,
     AnomalyProfile,
     Label,
@@ -16,13 +18,15 @@ from flowsketch.ingest import (
     SyntheticProfile,
     TraceFormatError,
     format_ip,
-    format_row,
+    format_rows,
     generate_synthetic,
     parse_ip,
     parse_trace,
     parse_uint,
+    read_csv,
     read_trace,
     trace_meta,
+    write_csv,
     write_trace,
 )
 
@@ -46,7 +50,7 @@ def test_parse_example_row():
     assert record.length_bytes == 1500
     assert record.tcp_seq == 123456789
     assert record.label is Label.BENIGN
-    assert format_row(record) == EXAMPLE_ROW
+    assert list(format_rows([record])) == [EXAMPLE_ROW]
 
 
 def test_ip_round_trip():
@@ -77,8 +81,7 @@ def test_header_only_is_empty_trace():
 
 
 def test_timestamp_regression_reports_line():
-    r1 = format_row(make_packet(ts=2000))
-    r2 = format_row(make_packet(ts=1000))
+    r1, r2 = format_rows([make_packet(ts=2000), make_packet(ts=1000)])
     with pytest.raises(TraceFormatError) as err:
         parse_rows(r1, r2)
     assert err.value.line_no == 3
@@ -86,7 +89,7 @@ def test_timestamp_regression_reports_line():
 
 
 def test_equal_timestamps_allowed():
-    r = format_row(make_packet(ts=2000))
+    (r,) = format_rows([make_packet(ts=2000)])
     assert len(parse_rows(r, r)) == 2
 
 
@@ -304,22 +307,72 @@ def test_every_short_octet_text_matches_the_reference():
             assert outcome(parse_trace, trace) == outcome(reference_parse_trace, trace)
 
 
+def reference_trace_text(records):
+    """The trace text built one record at a time, each address
+    formatted where it appears."""
+    rows = [
+        f"{r.timestamp_ns},{format_ip(r.src_ip)},{format_ip(r.dst_ip)},{r.src_port},{r.dst_port},"
+        f"{r.protocol},{r.length_bytes},{r.tcp_seq},{r.label.value}\n"
+        for r in records
+    ]
+    return TRACE_HEADER + "\n" + "".join(rows)
+
+
+def mixed_records(seed, n, pool):
+    """n time-sorted records of both labels, their addresses drawn from
+    pool random values, or all distinct where pool is None."""
+    rng = random.Random(seed)
+    addresses = [rng.getrandbits(32) for _ in range(pool or 0)]
+
+    def address():
+        return rng.choice(addresses) if pool else rng.getrandbits(32)
+
+    return [
+        make_packet(ts=ts, src=address(), dst=address(), sport=rng.randrange(1 << 16),
+                    dport=rng.randrange(1 << 16), proto=rng.randrange(1 << 8),
+                    length=rng.randrange(MAX_LENGTH_BYTES + 1), seq=rng.getrandbits(32),
+                    label=rng.choice((Label.BENIGN, Label.ANOMALOUS)))
+        for ts in sorted(rng.randrange(10**19) for _ in range(n))
+    ]
+
+
+ROUND_TRIP_TRACES = {
+    "portscan": lambda: generate_synthetic(
+        SyntheticProfile(flows=12, packets_per_flow=40, anomaly=AnomalyProfile(AnomalyKind.PORT_SCAN)),
+        seed=9,
+    ),
+    "empty": lambda: [],
+    "one record": lambda: mixed_records(1, 1, None),
+    "repeated addresses": lambda: mixed_records(2, WRITE_CHUNK_ROWS + 1, 3),
+    "distinct addresses": lambda: mixed_records(3, 500, None),
+}
+
+
 def test_write_read_round_trip(tmp_path):
-    profile = SyntheticProfile(
-        flows=12,
-        packets_per_flow=40,
-        anomaly=AnomalyProfile(AnomalyKind.PORT_SCAN),
-    )
-    records = generate_synthetic(profile, seed=9)
     path = tmp_path / "trace.csv"
-    meta = write_trace(path, records)
-    parsed, meta2 = read_trace(path)
-    assert parsed == records
-    assert all(type(r) is PacketRecord for r in parsed)
-    assert meta2 == meta
-    first = path.read_bytes()
-    write_trace(path, parsed)
-    assert path.read_bytes() == first
+    for name, make in ROUND_TRIP_TRACES.items():
+        records = make()
+        meta = write_trace(path, records)
+        first = path.read_bytes()
+        assert first == reference_trace_text(records).encode(), name
+        assert meta == trace_meta(records)
+        parsed, meta2 = read_trace(path)
+        assert parsed == records
+        assert all(type(r) is PacketRecord for r in parsed)
+        assert meta2 == meta
+        write_trace(path, parsed)
+        assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("n", [0, 1, WRITE_CHUNK_ROWS - 1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1])
+def test_write_csv_chunk_edges(tmp_path, n):
+    lines = [f"{i},{'x' * (i % 7)}" for i in range(n)]
+    path = tmp_path / "rows.csv"
+    # Any iterable of lines, a one-pass generator included.
+    write_csv(path, "n,text", (line for line in lines))
+    assert path.read_bytes() == "".join(line + "\n" for line in ["n,text"] + lines).encode()
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(read_csv(fh, "n,text", ",".join)) == lines
 
 
 def test_trace_meta_counts():
