@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ingest import csv_line, parse_flag, parse_float, parse_uint, read_csv, write_csv
 from .sketch import EpochSnapshot, StageCell
@@ -66,9 +66,9 @@ def feature_value(cell: StageCell, feature: str) -> float:
     raise ValueError(f"unknown feature selector {feature!r}")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """One detector decision for one bucket in one epoch."""
+class Verdict(NamedTuple):
+    """One detector decision for one bucket in one epoch, an immutable
+    tuple of its five fields."""
 
     detector_id: str
     epoch_index: int

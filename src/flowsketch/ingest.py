@@ -8,12 +8,19 @@ helpers (read_csv, write_csv, csv_line) serve every CSV format in the
 package: traces, snapshots, verdicts and sweep reports; parse_uint and
 parse_float read all of their numbers in the one canonical form.
 
-parse_trace checks each trace row once, against one ASCII grammar that
-spells out that canonical form (integers, bounded octets and the label),
-and builds the record from the matched text without checking it again;
-only the ranges the grammar cannot express are compared as integers.  A
-row the grammar rejects goes through the per-field parsers, which name
-the first bad field in the error.  Records are immutable tuples.
+parse_trace reads a trace PARSE_CHUNK_ROWS lines at a time.  It joins
+a chunk's lines with commas and splits the text once; each line must
+end with a newline, which only a label field may hold, so a checked
+label column pins every line to nine fields.  Each column is checked by
+C-level calls: a canonical-integer regex over the joined timestamps and
+tcp_seq values, then int(); lookup tables for addresses, ports,
+protocols, lengths and labels; max() for the tcp_seq range; sorted()
+for the timestamp order, carried over from the previous chunk.  Each
+distinct address, port, protocol or length text is converted and range
+checked once per call, so equal texts share one int.  A chunk that fails
+any check goes through the per-field parsers line by line, which name
+the line and its first bad field in the error.  Records are immutable
+tuples.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ import enum
 import random
 import re
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import islice, repeat
 from operator import attrgetter, countOf, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -60,9 +68,10 @@ class PacketRecord(_PacketFields):
     Addresses and ports are plain integers; ports and tcp_seq are 0
     where the protocol has none.
 
-    The constructor checks every field.  parse_trace, whose row grammar
-    has already checked them, and generate_synthetic, whose fields are
-    in range by construction, build records with tuple.__new__ instead.
+    The constructor checks every field.  parse_trace, whose column
+    checks have already checked them, and generate_synthetic, whose
+    fields are in range by construction, build records with
+    tuple.__new__ instead.
     The inherited _make and _replace skip the checks too; nothing in
     this package calls them.  Being tuples, records compare equal to
     plain tuples of the same fields."""
@@ -126,16 +135,16 @@ class TraceFormatError(ValueError):
 _Row = TypeVar("_Row")
 
 
-def _csv_rows(lines: Iterable[str], header: str) -> Iterator[tuple[int, str]]:
-    """Check the header line; return (1-based line number, raw line) for
-    every line after it."""
+def _csv_body(lines: Iterable[str], header: str) -> Iterator[str]:
+    """Check the header line; return an iterator over the lines after
+    it, the first of which is line 2."""
     it = iter(lines)
     first = next(it, None)
     if first is None:
         raise TraceFormatError(1, "missing header")
     if first.rstrip("\n") != header:
         raise TraceFormatError(1, f"bad header: expected {header!r}")
-    return enumerate(it, 2)
+    return it
 
 
 def _build_row(line_no: int, raw: str, width: int, build: Callable[[list[str]], _Row]) -> _Row | None:
@@ -165,7 +174,7 @@ def read_csv(
     1-based line.
     """
     width = header.count(",") + 1
-    for line_no, raw in _csv_rows(lines, header):
+    for line_no, raw in enumerate(_csv_body(lines, header), 2):
         row = _build_row(line_no, raw, width, build)
         if row is not None:
             yield row
@@ -257,42 +266,57 @@ def parse_ip(text: str) -> int:
     return value
 
 
-class _AddressTexts(dict):
-    """Address value -> format_ip text, each formatted on first use."""
+class _Memo(dict):
+    """key -> convert(key), each distinct key converted on first use, so
+    equal keys share one result."""
 
-    __slots__ = ()
+    __slots__ = ("convert",)
 
-    def __missing__(self, value: int) -> str:
-        text = self[value] = format_ip(value)
-        return text
+    def __init__(self, convert: Callable):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
 
 
-_LABEL_TEXTS = {label: label.value for label in Label}
+# Label -> text, keyed by the member's identity: hashing an Enum member
+# is a Python-level call.
+_LABEL_TEXTS = {id(label): label.value for label in Label}
 
 
 def format_rows(records: Iterable[PacketRecord]) -> Iterator[str]:
     """Each record's trace row.  Addresses repeat, so each distinct one
     is formatted once per call."""
-    addresses = _AddressTexts()
+    addresses = _Memo(format_ip)
     labels = _LABEL_TEXTS
     for ts, src, dst, src_port, dst_port, protocol, length, seq, label in records:
         yield (
             f"{ts},{addresses[src]},{addresses[dst]},{src_port},{dst_port},"
-            f"{protocol},{length},{seq},{labels[label]}"
+            f"{protocol},{length},{seq},{labels[id(label)]}"
         )
 
 
-# One trace row in the canonical form format_rows writes, ASCII only:
-# integers with no sign, separator, padding or leading zero; octets
-# 0-255 with no leading zero; the label; an optional final newline.
-_UINT = r"(0|[1-9][0-9]*)"
-_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
-_IPV4 = rf"({_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET})"
-_TRACE_ROW = re.compile(
-    rf"{_UINT},{_IPV4},{_IPV4},{_UINT},{_UINT},{_UINT},{_UINT},{_UINT},(benign|anomalous)\n?",
-    re.ASCII,
-)
+# Lines parsed together by parse_trace.  A chunk's field texts live only
+# while it is parsed, so small chunks keep them small next to the
+# records.
+PARSE_CHUNK_ROWS = 1024
+
+# A column of integers joined by commas, each in the canonical form
+# parse_uint accepts: ASCII digits with no sign, separator, padding or
+# leading zero.
+_UINT_COLUMN = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*", re.ASCII)
 _LABELS = {label.value: label for label in Label}
+# Each label with the newline that ends its line.
+_LABEL_LINES = {text + "\n": label for text, label in _LABELS.items()}
+
+
+def _uint_below(limit: int, text: str) -> int:
+    value = parse_uint(text)
+    if value >= limit:
+        raise ValueError(f"{value} is not below {limit}")
+    return value
 
 
 def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
@@ -305,8 +329,8 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
     prev_ts = -1
 
     def build(fields: list[str]) -> PacketRecord:
-        # The per-field path, for every non-blank row the grammar or a
-        # range check turns down: its error names the first bad field.
+        # The per-field path, for every line of a chunk that the column
+        # checks turn down: its error names the first bad field.
         nonlocal prev_ts
         label = _LABELS.get(fields[8])
         if label is None:
@@ -327,45 +351,72 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
         prev_ts = record.timestamp_ns
         return record
 
+    # Addresses, ports, protocols and lengths take few values: each
+    # distinct text is checked and converted once per call, and equal
+    # texts share one int.
+    addresses = _Memo(parse_ip)
+    ports = _Memo(partial(_uint_below, 1 << 16))
+    protocols = _Memo(partial(_uint_below, 1 << 8))
+    lengths = _Memo(partial(_uint_below, MAX_LENGTH_BYTES + 1))
+
+    def columns(chunk: list[str]) -> list[list] | None:
+        """The chunk's nine columns, converted and checked; None unless
+        every line is one canonical row in range and the timestamps do
+        not fall below prev_ts or each other."""
+        count = len(chunk)
+        # A line's own newline is optional (the per-field path strips it).
+        if not chunk[-1].endswith("\n"):
+            chunk[-1] += "\n"
+        if not all(map(str.endswith, chunk, repeat("\n"))):
+            return None
+        # The fields of the joined text are those of the lines in turn,
+        # and only a label passes its check while holding a newline.  So
+        # with a newline ending each line, nine fields a line and a
+        # checked label column pin each line to one row; the field count
+        # alone does not (a 10-field line then an 8-field one give 18).
+        fields = ",".join(chunk).split(",")
+        if len(fields) != 9 * count:
+            return None
+        ts, src, dst, src_port, dst_port, protocol, length, seq, label = (
+            fields[i::9] for i in range(9)
+        )
+        if not (_UINT_COLUMN.fullmatch(",".join(ts)) and _UINT_COLUMN.fullmatch(",".join(seq))):
+            return None
+        try:
+            # int() raises ValueError past its digit limit.
+            ts = list(map(int, ts))
+            seq = list(map(int, seq))
+            parsed = [
+                ts,
+                list(map(addresses.__getitem__, src)),
+                list(map(addresses.__getitem__, dst)),
+                list(map(ports.__getitem__, src_port)),
+                list(map(ports.__getitem__, dst_port)),
+                list(map(protocols.__getitem__, protocol)),
+                list(map(lengths.__getitem__, length)),
+                seq,
+                list(map(_LABEL_LINES.__getitem__, label)),
+            ]
+        except (KeyError, ValueError):
+            return None
+        if prev_ts <= ts[0] and ts == sorted(ts) and max(seq) < (1 << 32):
+            return parsed
+        return None
+
     width = TRACE_HEADER.count(",") + 1
-    match = _TRACE_ROW.fullmatch
-    new = tuple.__new__
-    # Address text -> value: sources repeat, so most rows skip the
-    # conversion and equal addresses share one int.
-    addresses: dict[str, int] = {}
-    for line_no, raw in _csv_rows(lines, TRACE_HEADER):
-        m = match(raw)
-        if m is not None:
-            ts, src, dst, src_port, dst_port, protocol, length, seq, label = m.groups()
-            ts = int(ts)
-            src_port = int(src_port)
-            dst_port = int(dst_port)
-            protocol = int(protocol)
-            length = int(length)
-            seq = int(seq)
-            src_ip = addresses.get(src)
-            if src_ip is None:
-                src_ip = addresses[src] = parse_ip(src)
-            dst_ip = addresses.get(dst)
-            if dst_ip is None:
-                dst_ip = addresses[dst] = parse_ip(dst)
-            if (
-                ts >= prev_ts
-                and src_port < (1 << 16)
-                and dst_port < (1 << 16)
-                and protocol < (1 << 8)
-                and length <= MAX_LENGTH_BYTES
-                and seq < (1 << 32)
-            ):
-                prev_ts = ts
-                yield new(
-                    PacketRecord,
-                    (ts, src_ip, dst_ip, src_port, dst_port, protocol, length, seq, _LABELS[label]),
-                )
-                continue
-        record = _build_row(line_no, raw, width, build)
-        if record is not None:
-            yield record
+    it = _csv_body(lines, TRACE_HEADER)
+    line_no = 2
+    while chunk := list(islice(it, PARSE_CHUNK_ROWS)):
+        parsed = columns(chunk)
+        if parsed is not None:
+            prev_ts = parsed[0][-1]
+            yield from map(tuple.__new__, repeat(PacketRecord), zip(*parsed))
+        else:
+            for offset, raw in enumerate(chunk):
+                record = _build_row(line_no + offset, raw, width, build)
+                if record is not None:
+                    yield record
+        line_no += len(chunk)
 
 
 def trace_meta(records: Sequence[PacketRecord]) -> TraceMeta:

@@ -3,10 +3,14 @@
 import hashlib
 import io
 import random
+import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowsketch import ingest
 from flowsketch.ingest import (
     MAX_LENGTH_BYTES,
     TRACE_HEADER,
@@ -246,11 +250,11 @@ def address_texts(draw):
 
 
 @st.composite
-def trace_texts(draw):
+def trace_texts(draw, max_rows=6):
     """A trace text: canonical rows with at most a few one-field
     mutations, fields added or dropped, blank lines, a CR, equal or
     regressing timestamps, and an optional final newline."""
-    rows = draw(st.lists(canonical_rows(), min_size=1, max_size=6))
+    rows = draw(st.lists(canonical_rows(), min_size=1, max_size=max_rows))
     if draw(st.booleans()):
         times = sorted(int(r[0]) for r in rows)
         if draw(st.booleans()):
@@ -293,6 +297,83 @@ def outcome(parser, text):
 @given(trace_texts())
 def test_parse_trace_matches_the_per_field_reference(text):
     assert outcome(parse_trace, text) == outcome(reference_parse_trace, text)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(trace_texts(max_rows=20), st.integers(1, 3))
+def test_chunked_parse_trace_matches_the_per_field_reference(text, chunk_rows):
+    # Chunks of one to three lines put chunk boundaries, fallback chunks
+    # and the timestamp carried between chunks all over a short trace.
+    with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", chunk_rows):
+        assert outcome(parse_trace, text) == outcome(reference_parse_trace, text)
+
+
+def test_field_counts_that_only_sum_to_nine_per_row_are_rejected():
+    # A 10-field line followed by an 8-field one splits into 18 fields,
+    # and each column of those 18 holds valid values.
+    text = (
+        f"{TRACE_HEADER}\n"
+        "1,10.0.0.1,10.0.0.2,1,2,6,60,0,benign,2\n"
+        "10.0.0.1,10.0.0.2,1,2,6,60,0,benign\n"
+    )
+    assert outcome(parse_trace, text) == ("error", 2, "line 2: expected 9 fields, got 10")
+    assert outcome(parse_trace, text) == outcome(reference_parse_trace, text)
+
+
+A_ROW = "1,10.0.0.1,10.0.0.2,1,2,6,60,0,benign"
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [A_ROW, A_ROW],  # no newlines
+        [A_ROW + "\n\n", A_ROW],  # two newlines
+        [A_ROW + "\n" + A_ROW + "\n"],  # two rows in one line
+        [A_ROW + "\n," + A_ROW + "\n"],  # the same, joined as lines are
+        [A_ROW + "\n," + A_ROW[:19], A_ROW[20:] + "\n"],  # a row across two lines
+        [A_ROW + "\n", "", A_ROW + "\n"],  # an empty line
+    ],
+)
+def test_lines_that_are_not_one_row_each_match_the_reference(lines):
+    # parse_trace takes any iterable of strings; each string is a line.
+    def result(parser):
+        try:
+            return list(parser([TRACE_HEADER, *lines]))
+        except TraceFormatError as exc:
+            return ("error", exc.line_no, str(exc))
+
+    assert result(parse_trace) == result(reference_parse_trace)
+
+
+@pytest.mark.parametrize("field", [0, 7])
+def test_a_field_past_the_int_digit_limit_names_its_line(field):
+    # int() refuses more than 4300 digits by default (the limit is 0
+    # where it is off or absent); the error still names the line.
+    fields = EXAMPLE_ROW.split(",")
+    fields[field] = "9" * 5000
+    text = f"{TRACE_HEADER}\n{','.join(fields)}\n"
+    result = outcome(parse_trace, text)
+    assert result == outcome(reference_parse_trace, text)
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        assert result[:2] == ("error", 2)
+
+
+def test_equal_field_texts_share_one_int():
+    # Ports, protocols and lengths are read through one table per call,
+    # across chunks, so each distinct value is one int object.
+    records = generate_synthetic(SyntheticProfile(flows=40, packets_per_flow=30), seed=3)
+    text = "".join(line + "\n" for line in [TRACE_HEADER, *format_rows(records)])
+    with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", 7):
+        parsed = list(parse_trace(io.StringIO(text, newline="")))
+    assert parsed == records
+    for columns in (("src_port", "dst_port"), ("protocol",), ("length_bytes",), ("src_ip", "dst_ip")):
+        ids = {}
+        for record in parsed:
+            for name in columns:
+                value = getattr(record, name)
+                ids.setdefault(value, set()).add(id(value))
+        assert max(value for value in ids) > 256 or columns == ("protocol",)
+        assert all(len(seen) == 1 for seen in ids.values()), columns
 
 
 def test_every_short_octet_text_matches_the_reference():
@@ -654,5 +735,29 @@ WORKLOAD_TRACES = {
 def test_workload_trace_bytes_are_pinned(tmp_path, name):
     profile, digest = WORKLOAD_TRACES[name]
     path = tmp_path / f"{name}.csv"
+    records = generate_synthetic(profile, seed=1)
+    write_trace(path, records)
+    first = path.read_bytes()
+    assert hashlib.sha256(first).hexdigest() == digest
+    # Reading the trace back gives the same records, and writing those
+    # gives the same bytes.
+    parsed, _ = read_trace(path)
+    assert parsed == records
+    write_trace(path, parsed)
+    assert path.read_bytes() == first
+
+
+def test_parse_holds_little_beyond_its_records(tmp_path):
+    # The flood_narrow trace (51,000 rows): the chunks' field texts are
+    # transient and small next to the records they become.
+    profile, _ = WORKLOAD_TRACES["flood_narrow"]
+    path = tmp_path / "trace.csv"
     write_trace(path, generate_synthetic(profile, seed=1))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    tracemalloc.start()
+    try:
+        records, _ = read_trace(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 51_000
+    assert peak - retained < 2 * 2**20
