@@ -359,8 +359,9 @@ def test_a_field_past_the_int_digit_limit_names_its_line(field):
 
 
 def test_equal_field_texts_share_one_int():
-    # Ports, protocols and lengths are read through one table per call,
-    # across chunks, so each distinct value is one int object.
+    # Addresses, ports, protocols and lengths are read through tables
+    # kept for the whole call, across chunks, so each distinct value is
+    # one int object.
     records = generate_synthetic(SyntheticProfile(flows=40, packets_per_flow=30), seed=3)
     text = "".join(line + "\n" for line in [TRACE_HEADER, *format_rows(records)])
     with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", 7):
@@ -372,7 +373,7 @@ def test_equal_field_texts_share_one_int():
             for name in columns:
                 value = getattr(record, name)
                 ids.setdefault(value, set()).add(id(value))
-        assert max(value for value in ids) > 256 or columns == ("protocol",)
+        assert max(ids) > 256 or columns == ("protocol",)
         assert all(len(seen) == 1 for seen in ids.values()), columns
 
 
