@@ -219,6 +219,38 @@ def test_malformed_trace_reports_line(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", ["malformed", "regressing"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("sweep", "--out-dir", "out", "--hash-widths", "4,5"),
+        ("detect", "--out", "out", "--hash-width", "4"),
+    ],
+)
+def test_bad_last_row_aborts_without_output(tmp_path, capsys, command, fault):
+    # The bad row comes after several parse chunks of good ones, so a
+    # command that reads the trace as it runs has already used them.
+    trace = gen_trace(tmp_path, "--anomaly", "flood", "--packets-per-flow", "250")
+    lines = trace.read_text().splitlines()
+    last = len(lines)
+    assert last > 2 * 1024
+    capsys.readouterr()
+    if fault == "malformed":
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",sideways"
+        message = f"line {last}: bad label 'sideways'"
+    else:
+        previous = lines[-2].split(",", 1)[0]
+        lines[-1] = "0," + lines[-1].split(",", 1)[1]
+        message = f"line {last}: timestamp regression: 0 after {previous}"
+    trace.write_text("\n".join(lines) + "\n")
+    name, out_flag, out, *grid = command
+    assert run(name, "--trace", str(trace), out_flag, str(tmp_path / out), *grid) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"flowsketch: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / out).exists()
+
+
 def test_sweep_writes_reports(tmp_path, capsys):
     trace = gen_trace(tmp_path, "--anomaly", "flood")
     out_dir = tmp_path / "sweep"
