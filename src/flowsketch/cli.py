@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, count
+from operator import itemgetter
 from typing import Sequence
 
 from .detectors import DETECTOR_PARAMS, FEATURES, DetectorSetting, run_detector, write_verdicts
@@ -34,6 +35,8 @@ from .ingest import (
     AnomalyProfile,
     SyntheticProfile,
     generate_synthetic,
+    open_trace,
+    parse_trace,
     read_trace,
     write_trace,
 )
@@ -304,8 +307,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     config = _sketch_config(args)
     setting = _detector_setting(args)
-    records, _ = read_trace(args.trace)
-    snapshots = [s for s in collect_epochs(Sketch(config), records) if s.complete]
+    with open_trace(args.trace) as fh:
+        snapshots = [s for s in collect_epochs(Sketch(config), parse_trace(fh)) if s.complete]
     verdicts = run_detector(setting, snapshots)
     write_verdicts(args.out, verdicts)
     # Each epoch's unlisted buckets share its one verdict.
@@ -332,14 +335,22 @@ def _cmd_sweep(*runs: argparse.Namespace) -> int:
         for e in args.epoch_ns
         for k in args.key_specs
     ]
-    records, meta = read_trace(args.trace)
-    rows = sweep(
-        records,
-        configs,
-        settings,
-        bench=args.bench,
-        bench_repetitions=args.bench_repetitions,
-    )
+    # zip ends at the end of the trace without drawing from the counter,
+    # so the counter's next value is then the record count.
+    counter = count()
+    with open_trace(args.trace) as fh:
+        records = map(itemgetter(0), zip(parse_trace(fh), counter))
+        if args.bench:
+            # The benchmark replays the trace, so it is read whole.
+            records = list(records)
+        rows = sweep(
+            records,
+            configs,
+            settings,
+            bench=args.bench,
+            bench_repetitions=args.bench_repetitions,
+        )
+    record_count = next(counter)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "report.csv")
     json_path = os.path.join(args.out_dir, "report.json")
@@ -347,7 +358,7 @@ def _cmd_sweep(*runs: argparse.Namespace) -> int:
     write_report_json(json_path, rows)
     front = [r for r in rows if r.on_front]
     print(
-        f"swept {len(rows)} cells over {meta.record_count} records; "
+        f"swept {len(rows)} cells over {record_count} records; "
         f"{len(front)} on the Pareto front; report in {args.out_dir}"
     )
     for r in sorted(front, key=lambda r: (-(r.f1 or 0.0), r.memory_bytes or 0)):

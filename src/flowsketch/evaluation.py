@@ -11,26 +11,20 @@ report.
 
 from __future__ import annotations
 
-import functools
 import gc
 import json
 import statistics
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import chain, islice
+from typing import Iterable, Sequence
 
 from .detectors import DetectorSetting, Verdicts, run_detector
-from .ingest import PacketRecord, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
+from .ingest import PARSE_CHUNK_ROWS, PacketRecord, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
 from .hashing import KeySpec, fold
-from .oracle import ExactTracker, anomalous_keys
-from .sketch import (
-    CELL_BYTES,
-    UPDATE_OPS,
-    Sketch,
-    SketchConfig,
-    collect_epochs,
-)
+from .oracle import AnomalousKeys, ExactTracker
+from .sketch import CELL_BYTES, UPDATE_OPS, EpochCollector, Sketch, SketchConfig
 
 BENCH_MIN_PACKETS = 10_000
 
@@ -294,34 +288,8 @@ def _config_id(config: SketchConfig, setting: DetectorSetting) -> str:
     )
 
 
-def _evaluate(
-    records: Sequence[PacketRecord],
-    sketch: Sketch,
-    truth: Callable[[KeySpec, int], frozenset[tuple[int, int]]],
-    detector_settings: Sequence[DetectorSetting],
-) -> list[QualityScores | str] | str:
-    """Each detector setting's scores, or its error text, on the
-    completed snapshots of one replay of sketch, against the grid of
-    truth(key spec, epoch length).  An error of the replay or of the
-    ground-truth pass is shared by every setting and returned alone."""
-    config = sketch.config
-    try:
-        completed = [s for s in collect_epochs(sketch, records) if s.complete]
-        pairs = truth(config.key_spec, config.epoch_ns)
-    except ValueError as exc:
-        return str(exc)
-    grid = GroundTruthGrid.from_keys(pairs, config, len(completed))
-    outcomes: list[QualityScores | str] = []
-    for setting in detector_settings:
-        try:
-            outcomes.append(score(run_detector(setting, completed), grid))
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    return outcomes
-
-
 def sweep(
-    records: Sequence[PacketRecord],
+    records: Iterable[PacketRecord],
     sketch_configs: Sequence[SketchConfig],
     detector_settings: Sequence[DetectorSetting],
     bench: bool = False,
@@ -336,13 +304,20 @@ def sweep(
     remaining cells still run.  Benchmark preconditions depend only on
     the trace, so they are checked before any cell runs.
 
+    The trace is read once, PARSE_CHUNK_ROWS records at a time, and no
+    record is kept: each chunk goes through every pass below before the
+    next is read, so peak memory is the passes' per-epoch state, not the
+    trace.  An error raised by records itself, such as a parse error,
+    aborts the sweep.  With bench, records must be a sequence, since the
+    throughput benchmark replays it.
+
     Snapshots hold stage 0, which does not depend on the stage count,
     so a row's verdicts depend on its config only through (key spec,
     epoch length, hash width).  Configs are grouped by those three, and
     each group is evaluated once, on a replay of its first config
     within the cell budget: one snapshot list, one grid, and one
     detector run and score per setting.  Ground truth is one light
-    oracle.anomalous_keys pass per (key spec, epoch length), folded to
+    oracle.AnomalousKeys pass per (key spec, epoch length), folded to
     buckets for each hash width.  The cell budget check of
     Sketch(config), the resource model and the throughput benchmark
     run per config.
@@ -352,9 +327,12 @@ def sweep(
     group within the budget, and a detector error on every row of the
     group for that setting.
     """
+    it = iter(records)
+    chunks = iter(lambda: list(islice(it, PARSE_CHUNK_ROWS)), [])
+    head = next(chunks, None)
     if not sketch_configs or not detector_settings:
         raise ValueError("sweep needs at least one sketch config and one detector setting")
-    if not records:
+    if head is None:
         raise ValueError("sweep needs a nonempty trace")
     if bench:
         _check_bench(len(records), bench_repetitions)
@@ -367,25 +345,57 @@ def sweep(
     for config in sketch_configs:
         key = (config.key_spec, config.epoch_ns, config.hash_width)
         groups.setdefault(key, []).append(config)
-    truth = functools.cache(functools.partial(anomalous_keys, records))
-    rows: list[SweepRow] = []
-    for configs in groups.values():
-        outcomes = None
+    budget_errors: dict[SketchConfig, str] = {}
+    replays: dict[tuple[KeySpec, int, int], EpochCollector] = {}
+    truths: dict[tuple[KeySpec, int], AnomalousKeys] = {}
+    for key, configs in groups.items():
         for config in configs:
-            bench_pps: float | None = None
             try:
                 sketch = Sketch(config)
             except ValueError as exc:
-                error = str(exc)
+                budget_errors[config] = str(exc)
             else:
-                if outcomes is None:
-                    outcomes = _evaluate(records, sketch, truth, detector_settings)
-                error = outcomes if isinstance(outcomes, str) else None
-                if error is None and bench:
-                    try:
-                        bench_pps = bench_throughput(config, records, repetitions=bench_repetitions).pps
-                    except ValueError as exc:
-                        error = str(exc)
+                if key not in replays:
+                    replays[key] = EpochCollector(sketch)
+                    if key[:2] not in truths:
+                        truths[key[:2]] = AnomalousKeys(*key[:2])
+    # A pass that fails stops taking chunks; the trace is still read to
+    # its end, so that an error in the input itself aborts the sweep.
+    failures: dict[tuple, str] = {}
+    live: dict[tuple, EpochCollector | AnomalousKeys] = {**replays, **truths}
+    for chunk in chain([head], chunks):
+        for key, stream_pass in list(live.items()):
+            try:
+                stream_pass.feed(chunk)
+            except ValueError as exc:
+                failures[key] = str(exc)
+                del live[key]
+    pairs = {key: truth.finish() for key, truth in truths.items() if key not in failures}
+    rows: list[SweepRow] = []
+    for key, configs in groups.items():
+        replay = replays.pop(key, None)
+        outcomes: list[QualityScores | str] | str | None = (
+            None if replay is None else failures.get(key, failures.get(key[:2]))
+        )
+        if replay is not None and outcomes is None:
+            completed = [s for s in replay.finish() if s.complete]
+            grid = GroundTruthGrid.from_keys(pairs[key[:2]], configs[0], len(completed))
+            outcomes = []
+            for setting in detector_settings:
+                try:
+                    outcomes.append(score(run_detector(setting, completed), grid))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        for config in configs:
+            bench_pps: float | None = None
+            error = budget_errors.get(config)
+            if error is None and isinstance(outcomes, str):
+                error = outcomes
+            if error is None and bench:
+                try:
+                    bench_pps = bench_throughput(config, records, repetitions=bench_repetitions).pps
+                except ValueError as exc:
+                    error = str(exc)
             cost = resource_model(config)
             cells = outcomes if error is None else [error] * len(detector_settings)
             for setting, outcome in zip(detector_settings, cells):

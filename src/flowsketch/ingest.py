@@ -17,7 +17,9 @@ tcp_seq values, then int(); lookup tables for addresses, ports,
 protocols, lengths and labels; max() for the tcp_seq range; sorted()
 for the timestamp order, carried over from the previous chunk.  Each
 distinct address, port, protocol or length text is converted and range
-checked once per call, so equal texts share one int.  A chunk that fails
+checked on first use, so equal texts share one int; a table is cleared
+when it reaches CONVERT_MEMO_MAX entries, so that a high-cardinality
+trace does not grow it without bound.  A chunk that fails
 any check goes through the per-field parsers line by line, which name
 the line and its first bad field in the error.  Records are immutable
 tuples.
@@ -266,9 +268,14 @@ def parse_ip(text: str) -> int:
     return value
 
 
+# A conversion table is cleared once it holds this many entries, so a
+# high-cardinality trace keeps its memory bounded either way.
+CONVERT_MEMO_MAX = 4096
+
+
 class _Memo(dict):
     """key -> convert(key), each distinct key converted on first use, so
-    equal keys share one result."""
+    equal keys share one result while they stay in the table."""
 
     __slots__ = ("convert",)
 
@@ -277,6 +284,8 @@ class _Memo(dict):
         self.convert = convert
 
     def __missing__(self, key):
+        if len(self) >= CONVERT_MEMO_MAX:
+            self.clear()
         value = self[key] = self.convert(key)
         return value
 
@@ -352,7 +361,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
         return record
 
     # Addresses, ports, protocols and lengths take few values: each
-    # distinct text is checked and converted once per call, and equal
+    # distinct text is checked and converted on first use, and equal
     # texts share one int.
     addresses = _Memo(parse_ip)
     ports = _Memo(partial(_uint_below, 1 << 16))
@@ -426,8 +435,13 @@ def trace_meta(records: Sequence[PacketRecord]) -> TraceMeta:
     return TraceMeta(len(records), records[0].timestamp_ns, records[-1].timestamp_ns, anomalous)
 
 
+def open_trace(path):
+    """Open a trace file for parse_trace."""
+    return open(path, "r", encoding="utf-8", newline="")
+
+
 def read_trace(path) -> tuple[list[PacketRecord], TraceMeta]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_trace(path) as fh:
         records = list(parse_trace(fh))
     return records, trace_meta(records)
 

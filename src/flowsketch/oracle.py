@@ -10,10 +10,11 @@ The tracker deliberately re-derives everything from first principles
 (its own epoch arithmetic, its own accumulation) rather than reusing
 sketch internals.
 
-anomalous_keys is the light pass that ground truth needs: it keeps the
+AnomalousKeys is the light pass that ground truth needs: it keeps the
 tracker's epoch arithmetic and regression check, but looks at the keys
-of anomalous-labelled packets only, so a sweep runs it once per key
-spec and epoch length and folds its keys for each hash width.
+of anomalous-labelled packets only.  It takes the trace a batch at a
+time, so a sweep streams the trace through one per key spec and epoch
+length and folds its keys for each hash width.
 """
 
 from __future__ import annotations
@@ -152,22 +153,39 @@ class ExactTracker:
         return {(self.bucket_of(key), epoch) for key, epoch in self._anomalous}
 
 
-def anomalous_keys(
-    records: Iterable[PacketRecord], key_spec: KeySpec, epoch_ns: int
-) -> frozenset[tuple[int, int]]:
-    """(raw key value, epoch) pairs that received at least one
-    anomalous-labelled packet, with epochs anchored at the first
-    packet as in ExactTracker.  Raises ValueError on a timestamp
-    regression, with the tracker's message."""
-    pairs = set()
-    t0 = last_ts = None
-    for packet in records:
-        ts = packet.timestamp_ns
-        if last_ts is None:
-            t0 = ts
-        elif ts < last_ts:
-            raise ValueError(f"timestamp regression: {ts} after {last_ts}")
-        last_ts = ts
-        if packet.label is Label.ANOMALOUS:
-            pairs.add((extract_key(packet, key_spec).value, (ts - t0) // epoch_ns))
-    return frozenset(pairs)
+class AnomalousKeys:
+    """The light ground-truth pass, fed in batches: (raw key value,
+    epoch) pairs that received at least one anomalous-labelled packet,
+    with epochs anchored at the first packet as in ExactTracker."""
+
+    def __init__(self, key_spec: KeySpec, epoch_ns: int):
+        self._key_spec = key_spec
+        self._epoch_ns = epoch_ns
+        self._pairs: set[tuple[int, int]] = set()
+        self._t0: int | None = None
+        self._last_ts: int | None = None
+
+    def feed(self, records: Iterable[PacketRecord]) -> None:
+        """Take the next timestamp-sorted batch.  Raises ValueError on a
+        timestamp regression, including against earlier batches, with
+        the tracker's message."""
+        key_spec = self._key_spec
+        epoch_ns = self._epoch_ns
+        pairs = self._pairs
+        t0, last_ts = self._t0, self._last_ts
+        try:
+            for packet in records:
+                ts = packet.timestamp_ns
+                if last_ts is None:
+                    t0 = ts
+                elif ts < last_ts:
+                    raise ValueError(f"timestamp regression: {ts} after {last_ts}")
+                last_ts = ts
+                if packet.label is Label.ANOMALOUS:
+                    pairs.add((extract_key(packet, key_spec).value, (ts - t0) // epoch_ns))
+        finally:
+            self._t0, self._last_ts = t0, last_ts
+
+    def finish(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self._pairs)
+

@@ -299,23 +299,45 @@ def replay_epochs(
     return count
 
 
-def collect_epochs(sketch: Sketch, packets: Iterable) -> list[EpochSnapshot]:
-    """Run the stream and collect per-epoch stage-0 snapshots, one per
-    completed epoch plus the final partial epoch.  Empty traces yield
-    an empty list."""
-    out: list[EpochSnapshot] = []
+class EpochCollector:
+    """Per-epoch stage-0 snapshots of a stream fed in batches: each
+    completed epoch is snapshotted as it closes, and finish() adds the
+    final partial epoch.  Only the snapshots are held, not the packets."""
 
-    def visit(sk: Sketch, index: int, complete: bool) -> None:
-        cells = sk.stage(0)
-        out.append(
+    def __init__(self, sketch: Sketch):
+        self._sketch = sketch
+        self._snapshots: list[EpochSnapshot] = []
+
+    def _take(self, sketch: Sketch, index: int, complete: bool) -> None:
+        cells = sketch.stage(0)
+        self._snapshots.append(
             EpochSnapshot(
-                index, sk.epoch_start_ns, complete, sk.config.bucket_count,
+                index, sketch.epoch_start_ns, complete, sketch.config.bucket_count,
                 tuple(cells), tuple(cells.values()),
             )
         )
 
-    replay_epochs(sketch, packets, visit)
-    return out
+    def feed(self, packets: Iterable) -> int:
+        """Stream the next timestamp-sorted batch through the sketch;
+        returns its packet count.  Raises ValueError on a timestamp
+        regression, including against earlier batches."""
+        return self._sketch.update_many(packets, self._take)
+
+    def finish(self) -> list[EpochSnapshot]:
+        """The snapshots, in epoch order, with the trailing partial
+        epoch last; empty when no packet was fed."""
+        # A replay of no packets visits only the trailing partial epoch.
+        replay_epochs(self._sketch, (), self._take)
+        return self._snapshots
+
+
+def collect_epochs(sketch: Sketch, packets: Iterable) -> list[EpochSnapshot]:
+    """Run the stream and collect per-epoch stage-0 snapshots, one per
+    completed epoch plus the final partial epoch.  Empty traces yield
+    an empty list."""
+    collector = EpochCollector(sketch)
+    collector.feed(packets)
+    return collector.finish()
 
 
 SNAPSHOT_HEADER = "stage,bucket,pkt_count,byte_sum,byte_min,byte_max,iat_count,iat_sum_ns,iat_min_ns,iat_max_ns"

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -31,9 +32,13 @@ from flowsketch.ingest import (
     SyntheticProfile,
     TraceFormatError,
     generate_synthetic,
+    open_trace,
+    parse_trace,
+    read_trace,
+    write_trace,
 )
-from flowsketch.oracle import ExactTracker, anomalous_keys
-from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, Sketch, SketchConfig, collect_epochs
+from flowsketch.oracle import AnomalousKeys, ExactTracker
+from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, EpochCollector, Sketch, SketchConfig, collect_epochs
 
 from conftest import random_records
 
@@ -165,7 +170,9 @@ def test_grid_from_keys_matches_tracker_at_every_width():
         records = before + [r._replace(timestamp_ns=r.timestamp_ns + 9_000_000) for r in after]
         key = keys[trial % 3]
         for epoch_ns in (100_000, 700_000):
-            pairs = anomalous_keys(records, key, epoch_ns)
+            truth = AnomalousKeys(key, epoch_ns)
+            truth.feed(records)
+            pairs = truth.finish()
             for width in range(1, 13):
                 config = SketchConfig(width, 1, epoch_ns, key)
                 tracker = ExactTracker(config)
@@ -479,8 +486,26 @@ def test_sweep_timestamp_regression_fails_every_row_it_reaches():
             assert row.error == str(regression.value)
 
 
+class OneShot:
+    """An iterable that fails if it is iterated twice."""
+
+    def __init__(self, items):
+        self.items = iter(items)
+        self.taken = False
+
+    def __iter__(self):
+        assert not self.taken, "iterated twice"
+        self.taken = True
+        return self.items
+
+
 def test_sweep_computes_shared_passes_once(monkeypatch):
-    calls = {"collect_epochs": 0, "anomalous_keys": 0, "tracker": 0, "run_detector": 0, "score": 0}
+    configs = [SketchConfig(w, s, 1_000_000_000, SRC_KEY) for w in (8, 12) for s in (1, 2)]
+    settings = [zs(3.0), DetectorSetting("ewma", k=3.0, alpha=0.3), DetectorSetting("threshold", threshold=100.0)]
+    records = flood_records()
+    assert len(records) > 2 * evaluation.PARSE_CHUNK_ROWS
+    want = sweep(records, configs, settings)
+    calls = {"replay": 0, "ground truth": 0, "tracker": 0, "run_detector": 0, "score": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -488,19 +513,48 @@ def test_sweep_computes_shared_passes_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(evaluation, "collect_epochs", counting("collect_epochs", collect_epochs))
-    monkeypatch.setattr(evaluation, "anomalous_keys", counting("anomalous_keys", anomalous_keys))
+    monkeypatch.setattr(evaluation, "EpochCollector", counting("replay", EpochCollector))
+    monkeypatch.setattr(evaluation, "AnomalousKeys", counting("ground truth", AnomalousKeys))
     monkeypatch.setattr(ExactTracker, "update", counting("tracker", ExactTracker.update))
     monkeypatch.setattr(evaluation, "run_detector", counting("run_detector", run_detector))
     monkeypatch.setattr(evaluation, "score", counting("score", score))
-    configs = [SketchConfig(w, s, 1_000_000_000, SRC_KEY) for w in (8, 12) for s in (1, 2)]
-    settings = [zs(3.0), DetectorSetting("ewma", k=3.0, alpha=0.3), DetectorSetting("threshold", threshold=100.0)]
-    rows = sweep(flood_records(), configs, settings)
+    trace = OneShot(records)
+    rows = sweep(trace, configs, settings)
     assert len(rows) == 12 and all(r.error is None for r in rows)
-    # Once per (W, setting): the stage count does not change the verdicts.
-    assert calls == {
-        "collect_epochs": 2, "anomalous_keys": 1, "tracker": 0, "run_detector": 6, "score": 6
-    }
+    assert rows == want
+    assert next(trace.items, None) is None
+    # One streaming replay per W and one ground-truth pass, all fed from
+    # the one read of the trace; then once per (W, setting), since the
+    # stage count does not change the verdicts.
+    assert calls == {"replay": 2, "ground truth": 1, "tracker": 0, "run_detector": 6, "score": 6}
+
+
+def test_sweep_of_a_trace_file_holds_no_records(tmp_path):
+    # The long trace has 4x the packets of the short one over the same
+    # flows and epochs, so only the records grow.  Two hash widths make
+    # two replays and one ground-truth pass read the one stream.
+    configs = [SketchConfig(w, 1, 1_000_000_000, SRC_KEY) for w in (8, 12)]
+    settings = [zs(3.0), DetectorSetting("threshold", threshold=100.0)]
+    peaks = []
+    for packets_per_flow in (200, 800):
+        profile = SyntheticProfile(
+            flows=40, packets_per_flow=packets_per_flow, duration_ns=8_000_000_000,
+            anomaly=AnomalyProfile(AnomalyKind.FLOOD, rate_multiplier=20.0),
+        )
+        path = tmp_path / f"trace{packets_per_flow}.csv"
+        write_trace(path, generate_synthetic(profile, seed=5))
+        want = sweep(read_trace(path)[0], configs, settings)
+        with open_trace(path) as fh:
+            tracemalloc.start()
+            try:
+                rows = sweep(parse_trace(fh), configs, settings)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert rows == want
+    # Read 41 KB apart on Python 3.11; holding the long trace's 25,200 more records
+    # would add 4.6 MB.
+    assert peaks[1] - peaks[0] < 2**18, peaks
 
 
 def test_sweep_determinism():

@@ -360,8 +360,8 @@ def test_a_field_past_the_int_digit_limit_names_its_line(field):
 
 def test_equal_field_texts_share_one_int():
     # Addresses, ports, protocols and lengths are read through tables
-    # kept for the whole call, across chunks, so each distinct value is
-    # one int object.
+    # kept across chunks, so while a table holds fewer than
+    # CONVERT_MEMO_MAX entries each distinct value is one int object.
     records = generate_synthetic(SyntheticProfile(flows=40, packets_per_flow=30), seed=3)
     text = "".join(line + "\n" for line in [TRACE_HEADER, *format_rows(records)])
     with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", 7):
@@ -375,6 +375,35 @@ def test_equal_field_texts_share_one_int():
                 ids.setdefault(value, set()).add(id(value))
         assert max(ids) > 256 or columns == ("protocol",)
         assert all(len(seen) == 1 for seen in ids.values()), columns
+
+
+def test_conversion_tables_stay_within_their_cap():
+    # Far more distinct ports and lengths than the cap: each table is
+    # cleared when full, and the records still match the reference.
+    cap = 50
+    rng = random.Random(8)
+    rows = [
+        f"{ts},10.0.{ts % 70}.1,10.0.0.2,{rng.randrange(65536)},{rng.randrange(65536)},6,"
+        f"{rng.randrange(MAX_LENGTH_BYTES + 1)},0,benign"
+        for ts in range(3000)
+    ]
+    text = "".join(line + "\n" for line in [TRACE_HEADER, *rows])
+    sizes = []
+
+    class Recording(ingest._Memo):
+        __slots__ = ()
+
+        def __missing__(self, key):
+            value = super().__missing__(key)
+            sizes.append(len(self))
+            return value
+
+    with mock.patch.object(ingest, "CONVERT_MEMO_MAX", cap), mock.patch.object(ingest, "_Memo", Recording):
+        result = outcome(parse_trace, text)
+    assert len(result) == 3000
+    assert result == outcome(reference_parse_trace, text)
+    assert max(sizes) == cap
+    assert sizes.count(1) > 3000 // cap
 
 
 def test_every_short_octet_text_matches_the_reference():

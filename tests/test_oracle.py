@@ -6,7 +6,7 @@ import pytest
 
 from flowsketch.hashing import FlowKey, KeySpec, shift_xor_hash
 from flowsketch.ingest import Label
-from flowsketch.oracle import ExactTracker, FlowStats, anomalous_keys, merge_flow_stats
+from flowsketch.oracle import AnomalousKeys, ExactTracker, FlowStats, merge_flow_stats
 from flowsketch.sketch import SketchConfig, StageCell
 
 from conftest import make_packet, random_records
@@ -151,6 +151,15 @@ def test_oracle_rejects_regression():
         tr.update(make_packet(ts=49))
 
 
+def anomalous_keys(packets, key, epoch_ns, cuts=()):
+    """AnomalousKeys fed the packets in batches that end at the cuts."""
+    keys = AnomalousKeys(key, epoch_ns)
+    bounds = [0, *cuts, len(packets)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        keys.feed(packets[lo:hi])
+    return keys.finish()
+
+
 def test_anomalous_keys_holds_raw_keys_of_anomalous_packets():
     key = KeySpec(("src_ip", "dst_port"))
     packets = [
@@ -159,9 +168,13 @@ def test_anomalous_keys_holds_raw_keys_of_anomalous_packets():
         make_packet(ts=107, src=2, dport=443, label=Label.ANOMALOUS),
         make_packet(ts=350, src=3, dport=53, label=Label.ANOMALOUS),
     ]
-    # Epochs of 100 ns anchor at the first packet, ts 7.
-    assert anomalous_keys(packets, key, 100) == {(2 << 16 | 443, 0), (2 << 16 | 443, 1), (3 << 16 | 53, 3)}
+    # Epochs of 100 ns anchor at the first packet, ts 7, whichever batch
+    # holds the later packets.
+    want = {(2 << 16 | 443, 0), (2 << 16 | 443, 1), (3 << 16 | 53, 3)}
+    for cuts in ((), (1,), (0, 2), (1, 2, 3), (4, 4)):
+        assert anomalous_keys(packets, key, 100, cuts) == want
     assert anomalous_keys(packets[:1], key, 100) == frozenset()
+    assert anomalous_keys([], key, 100) == frozenset()
 
 
 def test_anomalous_keys_rejects_regression_as_the_tracker_does():
@@ -170,9 +183,12 @@ def test_anomalous_keys_rejects_regression_as_the_tracker_does():
     with pytest.raises(ValueError) as want:
         for pkt in packets:
             tr.update(pkt)
-    with pytest.raises(ValueError) as got:
-        anomalous_keys(packets, SRC_KEY, 1000)
-    assert str(got.value) == str(want.value) == "timestamp regression: 49 after 60"
+    assert str(want.value) == "timestamp regression: 49 after 60"
+    # Within a batch and across two.
+    for cuts in ((), (2,)):
+        with pytest.raises(ValueError) as got:
+            anomalous_keys(packets, SRC_KEY, 1000, cuts)
+        assert str(got.value) == str(want.value)
 
 
 def test_bucket_of_matches_hash():

@@ -11,8 +11,11 @@ and then, two packets out of order.  A z-score setting whose
 train_epochs exceeds the completed epochs makes some rows fail.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
+from flowsketch import evaluation
 from flowsketch.detectors import DetectorSetting, run_detector
 from flowsketch.evaluation import GroundTruthGrid, score, sweep
 from flowsketch.hashing import KeySpec
@@ -111,3 +114,24 @@ def test_sweep_matches_per_config_reference(run, threshold, k, train_epochs):
     assert [r.config_id for r in rows] == sorted(want)
     for row in rows:
         assert (row.tp, row.fp, row.fn, row.tn, row.error) == want[row.config_id], row.config_id
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_runs(), st.integers(1, 3), st.booleans(), st.integers(2, 12))
+def test_sweep_of_a_stream_in_small_chunks_matches_the_whole_list(run, chunk_rows, over_budget, train_epochs):
+    # Chunks of one to three records put chunk edges mid-epoch, across
+    # gaps and around an out-of-order pair.  At W=24, S=5 is over the
+    # cell budget while S=4 of the same group is replayed.
+    records, configs = run
+    if over_budget:
+        configs = configs + [SketchConfig(24, s, configs[0].epoch_ns, configs[0].key_spec) for s in (5, 4)]
+    settings_ = [
+        DetectorSetting("threshold", threshold=0.5),
+        DetectorSetting("zscore", k=3.0, train_epochs=train_epochs),
+    ]
+    want = sweep(records, configs, settings_)
+    with mock.patch.object(evaluation, "PARSE_CHUNK_ROWS", chunk_rows):
+        rows = sweep(iter(records), configs, settings_)
+    assert rows == want
+    reference = reference_rows(records, configs, settings_)
+    assert {r.config_id: (r.tp, r.fp, r.fn, r.tn, r.error) for r in rows} == reference
