@@ -363,7 +363,9 @@ def sweep(
     # its end, so that an error in the input itself aborts the sweep.
     failures: dict[tuple, str] = {}
     live: dict[tuple, EpochCollector | AnomalousKeys] = {**replays, **truths}
-    for chunk in chain([head], chunks):
+    chunks = chain([head], chunks)
+    del head
+    for chunk in chunks:
         for key, stream_pass in list(live.items()):
             try:
                 stream_pass.feed(chunk)

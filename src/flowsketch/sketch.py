@@ -317,15 +317,16 @@ class EpochCollector:
             )
         )
 
-    def feed(self, packets: Iterable) -> int:
-        """Stream the next timestamp-sorted batch through the sketch;
-        returns its packet count.  Raises ValueError on a timestamp
-        regression, including against earlier batches."""
-        return self._sketch.update_many(packets, self._take)
+    def feed(self, packets: Iterable) -> None:
+        """Stream the next timestamp-sorted batch through the sketch.
+        Raises ValueError on a timestamp regression, including against
+        earlier batches."""
+        self._sketch.update_many(packets, self._take)
 
     def finish(self) -> list[EpochSnapshot]:
         """The snapshots, in epoch order, with the trailing partial
-        epoch last; empty when no packet was fed."""
+        epoch last; empty when no packet was fed.  Call it once, after
+        the last batch."""
         # A replay of no packets visits only the trailing partial epoch.
         replay_epochs(self._sketch, (), self._take)
         return self._snapshots
