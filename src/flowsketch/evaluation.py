@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .detectors import DetectorSetting, Verdicts, run_detector
 from .ingest import PARSE_CHUNK_ROWS, PacketRecord, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
@@ -288,6 +288,15 @@ def _config_id(config: SketchConfig, setting: DetectorSetting) -> str:
     )
 
 
+def _after_input(chunks: Iterator[list[PacketRecord]], message: str) -> ValueError:
+    """A grid error, to raise once the rest of the input is read: an
+    error in the input itself, such as a parse error, comes first, as it
+    did when the trace was read whole before the sweep."""
+    for _ in chunks:
+        pass
+    return ValueError(message)
+
+
 def sweep(
     records: Iterable[PacketRecord],
     sketch_configs: Sequence[SketchConfig],
@@ -331,7 +340,7 @@ def sweep(
     chunks = iter(lambda: list(islice(it, PARSE_CHUNK_ROWS)), [])
     head = next(chunks, None)
     if not sketch_configs or not detector_settings:
-        raise ValueError("sweep needs at least one sketch config and one detector setting")
+        raise _after_input(chunks, "sweep needs at least one sketch config and one detector setting")
     if head is None:
         raise ValueError("sweep needs a nonempty trace")
     if bench:
@@ -340,7 +349,7 @@ def sweep(
         _config_id(c, s) for c in sketch_configs for s in detector_settings
     }
     if len(ids) != len(sketch_configs) * len(detector_settings):
-        raise ValueError("sweep grid contains duplicate cells")
+        raise _after_input(chunks, "sweep grid contains duplicate cells")
     groups: dict[tuple[KeySpec, int, int], list[SketchConfig]] = {}
     for config in sketch_configs:
         key = (config.key_spec, config.epoch_ns, config.hash_width)

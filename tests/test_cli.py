@@ -224,6 +224,8 @@ def test_malformed_trace_reports_line(tmp_path, capsys):
     "command",
     [
         ("sweep", "--out-dir", "out", "--hash-widths", "4,5"),
+        # A grid error as well: the trace's error is still the one named.
+        ("sweep", "--out-dir", "out", "--hash-widths", "4,4"),
         ("detect", "--out", "out", "--hash-width", "4"),
     ],
 )
