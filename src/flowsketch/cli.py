@@ -308,7 +308,16 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     config = _sketch_config(args)
     setting = _detector_setting(args)
     with open_trace(args.trace) as fh:
-        snapshots = [s for s in collect_epochs(Sketch(config), parse_trace(fh)) if s.complete]
+        records = parse_trace(fh)
+        try:
+            sketch = Sketch(config)
+        except ValueError:
+            # An error in the trace comes first, as it did when the
+            # trace was read whole before the sketch was built.
+            for _ in records:
+                pass
+            raise
+        snapshots = [s for s in collect_epochs(sketch, records) if s.complete]
     verdicts = run_detector(setting, snapshots)
     write_verdicts(args.out, verdicts)
     # Each epoch's unlisted buckets share its one verdict.

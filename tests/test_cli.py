@@ -224,9 +224,11 @@ def test_malformed_trace_reports_line(tmp_path, capsys):
     "command",
     [
         ("sweep", "--out-dir", "out", "--hash-widths", "4,5"),
-        # A grid error as well: the trace's error is still the one named.
-        ("sweep", "--out-dir", "out", "--hash-widths", "4,4"),
         ("detect", "--out", "out", "--hash-width", "4"),
+        # With a duplicate grid cell or a config over the cell budget as
+        # well, the trace's error is still the one named.
+        ("sweep", "--out-dir", "out", "--hash-widths", "4,4"),
+        ("detect", "--out", "out", "--hash-width", "24", "--mem-stages", "5"),
     ],
 )
 def test_bad_last_row_aborts_without_output(tmp_path, capsys, command, fault):

@@ -552,8 +552,8 @@ def test_sweep_of_a_trace_file_holds_no_records(tmp_path):
             finally:
                 tracemalloc.stop()
         assert rows == want
-    # Read 41 KB apart on Python 3.11; holding the long trace's 25,200 more records
-    # would add 4.6 MB.
+    # The peaks read 41 KB apart on Python 3.11; holding the long
+    # trace's 25,200 more records would add 4.6 MB.
     assert peaks[1] - peaks[0] < 2**18, peaks
 
 
