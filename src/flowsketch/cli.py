@@ -15,13 +15,15 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from itertools import chain, count
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .detectors import DETECTOR_PARAMS, FEATURES, DetectorSetting, run_detector, write_verdicts
 from .evaluation import (
     ParetoPoint,
+    SweepRow,
     bench_throughput,
     parse_report_csv,
     pareto_front,
@@ -164,6 +166,25 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[argparse.Nam
         entry_tokens = _config_tokens(args, rest, entry, _DETECTOR_KEYS)
         namespaces.append(args.parser.parse_args(tokens + entry_tokens + rest))
     return namespaces
+
+
+@contextmanager
+def _trace_errors_first(records: Iterable) -> Iterator[None]:
+    """On a ValueError, read the rest of records and then re-raise, so
+    that an error in the trace itself, such as a bad row further on, is
+    the one reported."""
+    try:
+        yield
+    except ValueError:
+        for _ in records:
+            pass
+        raise
+
+
+def _print_front(points: Iterable[ParetoPoint | SweepRow]) -> None:
+    for p in points:
+        pps = "-" if p.measured_pps is None else f"{p.measured_pps:.0f}"
+        print(f"  {p.config_id}  f1={p.f1:.4f}  memory={p.memory_bytes}B  pps={pps}")
 
 
 def _sketch_config(args: argparse.Namespace) -> SketchConfig:
@@ -309,25 +330,20 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     setting = _detector_setting(args)
     with open_trace(args.trace) as fh:
         records = parse_trace(fh)
-        try:
-            sketch = Sketch(config)
-        except ValueError:
-            # An error in the trace comes first, as it did when the
-            # trace was read whole before the sketch was built.
-            for _ in records:
-                pass
-            raise
-        snapshots = [s for s in collect_epochs(sketch, records) if s.complete]
+        with _trace_errors_first(records):
+            snapshots = [s for s in collect_epochs(Sketch(config), records) if s.complete]
     verdicts = run_detector(setting, snapshots)
     write_verdicts(args.out, verdicts)
-    # Each epoch's unlisted buckets share its one verdict.
+    # The summary counts every (bucket, epoch): each epoch's unlisted
+    # buckets share its one verdict.
+    cells = sum(epoch.bucket_count for epoch in verdicts.epochs)
     flagged = sum(
         sum(v.anomalous for v in epoch.explicit)
         + (epoch.bucket_count - len(epoch.explicit)) * epoch.shared_anomalous
         for epoch in verdicts.epochs
     )
     print(
-        f"{setting.detector_id()}: {len(verdicts)} verdicts ({flagged} anomalous) "
+        f"{setting.detector_id()}: {cells} verdicts ({flagged} anomalous) "
         f"over {len(snapshots)} completed epochs, written to {args.out}"
     )
     return EXIT_OK
@@ -352,13 +368,14 @@ def _cmd_sweep(*runs: argparse.Namespace) -> int:
         if args.bench:
             # The benchmark replays the trace, so it is read whole.
             records = list(records)
-        rows = sweep(
-            records,
-            configs,
-            settings,
-            bench=args.bench,
-            bench_repetitions=args.bench_repetitions,
-        )
+        with _trace_errors_first(records):
+            rows = sweep(
+                records,
+                configs,
+                settings,
+                bench=args.bench,
+                bench_repetitions=args.bench_repetitions,
+            )
     record_count = next(counter)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "report.csv")
@@ -370,9 +387,7 @@ def _cmd_sweep(*runs: argparse.Namespace) -> int:
         f"swept {len(rows)} cells over {record_count} records; "
         f"{len(front)} on the Pareto front; report in {args.out_dir}"
     )
-    for r in sorted(front, key=lambda r: (-(r.f1 or 0.0), r.memory_bytes or 0)):
-        pps = "-" if r.measured_pps is None else f"{r.measured_pps:.0f}"
-        print(f"  {r.config_id}  f1={r.f1:.4f}  memory={r.memory_bytes}B  pps={pps}")
+    _print_front(sorted(front, key=lambda r: (-(r.f1 or 0.0), r.memory_bytes or 0)))
     failed = [r for r in rows if r.error is not None]
     if failed:
         print(f"{len(failed)} cells failed:", file=sys.stderr)
@@ -405,9 +420,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     points = [ParetoPoint(r.config_id, r.f1, r.memory_bytes, r.measured_pps) for r in scored]
     front, dominated = pareto_front(points)
     print(f"{len(front)} of {len(points)} configurations on the front:")
-    for p in front:
-        pps = "-" if p.measured_pps is None else f"{p.measured_pps:.0f}"
-        print(f"  {p.config_id}  f1={p.f1:.4f}  memory={p.memory_bytes}B  pps={pps}")
+    _print_front(front)
     return EXIT_OK
 
 

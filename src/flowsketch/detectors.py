@@ -20,6 +20,10 @@ computed once per epoch from StageCell() with zero state.  That is
 exact: such a bucket's cell is empty and its state is zero, so scoring
 it on its own would run the very same arithmetic on the very same
 numbers, whatever the threshold, k or alpha (negative ones included).
+
+A verdict file holds the verdicts as they are stored: per epoch, the
+explicit verdicts in ascending bucket order, then one row with no
+bucket, the verdict every other bucket of the epoch shares.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .ingest import csv_line, parse_flag, parse_float, parse_uint, read_csv, write_csv
+from .ingest import csv_line, opt_int, parse_flag, parse_float, parse_uint, read_csv, write_csv
 from .sketch import EpochSnapshot, StageCell
 
 FEATURES = ("pkt_count", "byte_sum", "byte_avg", "iat_avg_ns")
@@ -67,12 +70,13 @@ def feature_value(cell: StageCell, feature: str) -> float:
 
 
 class Verdict(NamedTuple):
-    """One detector decision for one bucket in one epoch, an immutable
-    tuple of its five fields."""
+    """One detector decision in one epoch, an immutable tuple of its five
+    fields: for one bucket, or with bucket None for every bucket of the
+    epoch that has no verdict of its own."""
 
     detector_id: str
     epoch_index: int
-    bucket: int
+    bucket: int | None
     score: float
     anomalous: bool
 
@@ -82,8 +86,7 @@ class EpochVerdicts:
     """One detector's verdicts on one epoch of bucket_count buckets.
 
     explicit holds the buckets scored one by one, in ascending bucket
-    order; every other bucket has the shared score and flag.  len() and
-    iteration give all bucket_count verdicts, in bucket order.
+    order; every other bucket has the shared score and flag.
     """
 
     detector_id: str
@@ -93,36 +96,23 @@ class EpochVerdicts:
     shared_score: float
     shared_anomalous: bool
 
-    def __len__(self) -> int:
-        return self.bucket_count
-
-    def __iter__(self) -> Iterator[Verdict]:
-        shared = partial(Verdict, self.detector_id, self.epoch_index)
-        score, anomalous = self.shared_score, self.shared_anomalous
-        start = 0
-        for v in self.explicit:
-            for bucket in range(start, v.bucket):
-                yield shared(bucket, score, anomalous)
-            yield v
-            start = v.bucket + 1
-        for bucket in range(start, self.bucket_count):
-            yield shared(bucket, score, anomalous)
-
 
 @dataclass(frozen=True)
 class Verdicts:
     """A detector's verdicts over a run of epochs, one EpochVerdicts
-    each.  len() counts every (bucket, epoch) verdict and iteration
-    yields them epoch by epoch in bucket order, as a dense list would,
-    while only the explicit verdicts are stored."""
+    each.  Iteration yields the rows of a verdict file: per epoch its
+    explicit verdicts, then its shared verdict with bucket None.  len()
+    counts those rows."""
 
     epochs: tuple[EpochVerdicts, ...]
 
     def __len__(self) -> int:
-        return sum(len(e) for e in self.epochs)
+        return sum(len(e.explicit) + 1 for e in self.epochs)
 
     def __iter__(self) -> Iterator[Verdict]:
-        return chain.from_iterable(self.epochs)
+        for e in self.epochs:
+            yield from e.explicit
+            yield Verdict(e.detector_id, e.epoch_index, None, e.shared_score, e.shared_anomalous)
 
 
 def _cells(snapshot: EpochSnapshot) -> dict[int, StageCell]:
@@ -342,7 +332,7 @@ def write_verdicts(path, verdicts: Iterable[Verdict]) -> None:
 
 
 def _verdict_row(f: list[str]) -> Verdict:
-    return Verdict(f[0], parse_uint(f[1]), parse_uint(f[2]), parse_float(f[3]), parse_flag(f[4]))
+    return Verdict(f[0], parse_uint(f[1]), opt_int(f[2]), parse_float(f[3]), parse_flag(f[4]))
 
 
 def parse_verdicts(lines: Iterable[str]) -> list[Verdict]:

@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .detectors import DetectorSetting, Verdicts, run_detector
 from .ingest import PARSE_CHUNK_ROWS, PacketRecord, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
@@ -86,10 +86,9 @@ def score(verdicts: Verdicts, grid: GroundTruthGrid) -> QualityScores:
     how many of the epoch's anomalous cells they hold.
     """
     expected = grid.bucket_count * grid.epoch_count
-    if len(verdicts) != expected:
-        raise ValueError(
-            f"verdicts cover {len(verdicts)} cells, grid has {expected}"
-        )
+    covered = sum(epoch.bucket_count for epoch in verdicts.epochs)
+    if covered != expected:
+        raise ValueError(f"verdicts cover {covered} cells, grid has {expected}")
     truth: dict[int, set[int]] = {}
     for b, e in grid.anomalous:
         truth.setdefault(e, set()).add(b)
@@ -288,15 +287,6 @@ def _config_id(config: SketchConfig, setting: DetectorSetting) -> str:
     )
 
 
-def _after_input(chunks: Iterator[list[PacketRecord]], message: str) -> ValueError:
-    """A grid error, to raise once the rest of the input is read: an
-    error in the input itself, such as a parse error, comes first, as it
-    did when the trace was read whole before the sweep."""
-    for _ in chunks:
-        pass
-    return ValueError(message)
-
-
 def sweep(
     records: Iterable[PacketRecord],
     sketch_configs: Sequence[SketchConfig],
@@ -317,7 +307,8 @@ def sweep(
     record is kept: each chunk goes through every pass below before the
     next is read, so peak memory is the passes' per-epoch state, not the
     trace.  An error raised by records itself, such as a parse error,
-    aborts the sweep.  With bench, records must be a sequence, since the
+    aborts the sweep.  A bad grid raises as soon as it is found, after
+    the first chunk is read and before the rest is.  With bench, records must be a sequence, since the
     throughput benchmark replays it.
 
     Snapshots hold stage 0, which does not depend on the stage count,
@@ -340,7 +331,7 @@ def sweep(
     chunks = iter(lambda: list(islice(it, PARSE_CHUNK_ROWS)), [])
     head = next(chunks, None)
     if not sketch_configs or not detector_settings:
-        raise _after_input(chunks, "sweep needs at least one sketch config and one detector setting")
+        raise ValueError("sweep needs at least one sketch config and one detector setting")
     if head is None:
         raise ValueError("sweep needs a nonempty trace")
     if bench:
@@ -349,7 +340,7 @@ def sweep(
         _config_id(c, s) for c in sketch_configs for s in detector_settings
     }
     if len(ids) != len(sketch_configs) * len(detector_settings):
-        raise _after_input(chunks, "sweep grid contains duplicate cells")
+        raise ValueError("sweep grid contains duplicate cells")
     groups: dict[tuple[KeySpec, int, int], list[SketchConfig]] = {}
     for config in sketch_configs:
         key = (config.key_spec, config.epoch_ns, config.hash_width)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from flowsketch.detectors import EpochVerdicts, Verdict, Verdicts
 from flowsketch.ingest import Label, PacketRecord, parse_ip
 from flowsketch.sketch import EpochSnapshot, StageCell
 
@@ -79,3 +80,34 @@ def dense_cells(stage: dict[int, StageCell], bucket_count: int) -> list[StageCel
     """All bucket_count cells of a sparse stage, an untouched one as
     StageCell()."""
     return [stage.get(b, StageCell()) for b in range(bucket_count)]
+
+
+def dense_verdicts(verdicts, bucket_count: int | None = None) -> list[Verdict]:
+    """The dense view of verdicts, the reference the tests compare with:
+    one verdict per (bucket, epoch), epoch by epoch in bucket order.
+
+    verdicts is an EpochVerdicts, a Verdicts, or the rows of a verdict
+    file with the bucket count of its epochs.  The rows are read in file
+    order and their layout is checked: per epoch, explicit verdicts in
+    strictly ascending bucket order within range, then exactly one
+    shared row (bucket None) of the same detector and epoch, which
+    stands for every other bucket.
+    """
+    if isinstance(verdicts, EpochVerdicts):
+        verdicts = Verdicts((verdicts,))
+    if isinstance(verdicts, Verdicts) and bucket_count is None:
+        bucket_count = verdicts.epochs[0].bucket_count if verdicts.epochs else 0
+    out: list[Verdict] = []
+    explicit: list[Verdict] = []
+    for v in verdicts:
+        if v.bucket is not None:
+            assert not explicit or explicit[-1].bucket < v.bucket, "explicit rows out of order"
+            explicit.append(v)
+            continue
+        assert all(e[:2] == v[:2] for e in explicit), "explicit row outside its epoch"
+        assert all(0 <= e.bucket < bucket_count for e in explicit), "bucket out of range"
+        own = {e.bucket: e for e in explicit}
+        out.extend(own.get(b) or v._replace(bucket=b) for b in range(bucket_count))
+        explicit = []
+    assert not explicit, "explicit rows with no shared row after them"
+    return out

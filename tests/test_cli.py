@@ -8,11 +8,13 @@ import sys
 import pytest
 
 from flowsketch.cli import main
-from flowsketch.detectors import parse_verdicts
+from flowsketch.detectors import Verdict, parse_verdicts
 from flowsketch.evaluation import parse_report_csv
 from flowsketch.hashing import KeySpec, extract_key, shift_xor_hash
 from flowsketch.ingest import read_trace
 from flowsketch.sketch import SNAPSHOT_HEADER, parse_snapshot, write_snapshot
+
+from conftest import dense_verdicts
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -133,14 +135,10 @@ def test_extract_empty_epoch_writes_header_only(tmp_path):
     assert (out_dir / "epoch_0002.csv").read_text() == SNAPSHOT_HEADER + "\n"
 
 
-def test_detect_across_a_long_gap_stays_small(tmp_path):
-    # Two packets 3 ms apart make 3000 completed 1-us epochs of 2**8
-    # buckets.  Only the one touched bucket is stored per epoch, so the
-    # process stays small while it writes every verdict.  The file is
-    # the dense one: bucket 11 (10.0.0.1 folded to 8 bits) scores
-    # |1 - 0.5| / 0.5 in epoch 0 and |0 - 0.5| / 0.5 after, against
-    # its two training epochs; every other bucket scores 0.
-    trace = write_gap_trace(tmp_path / "gap.csv", 3_000_000)
+def detect_across_gap(tmp_path, gap_ns):
+    """Run detect at W=8 on two packets gap_ns apart, in 1-us epochs.
+    Returns its summary line, its output file and its peak RSS in KiB."""
+    trace = write_gap_trace(tmp_path / "gap.csv", gap_ns)
     out = tmp_path / "verdicts.csv"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     # A process started from this (large) test process inherits its
@@ -155,12 +153,54 @@ def test_detect_across_a_long_gap_stays_small(tmp_path):
     *output, last = proc.stdout.splitlines()
     returncode, maxrss_kib = map(int, last.split())
     assert returncode == 0, proc.stderr
-    assert "768000 verdicts (0 anomalous) over 3000 completed epochs" in output[0]
+    return output[0], out, maxrss_kib
+
+
+def check_gap_verdicts(path, epochs):
+    """Check the verdict file of detect_across_gap line by line: bucket
+    11 (10.0.0.1 folded to 8 bits) scores |1 - 0.5| / 0.5 in epoch 0 and
+    |0 - 0.5| / 0.5 after, against its two training epochs; every other
+    bucket shares a score of 0.  Only the first differing lines are
+    reported, since a diff of the whole file takes minutes."""
+    text = path.read_text()
     expected = ["detector_id,epoch_index,bucket,score,anomalous"]
+    for epoch in range(epochs):
+        expected += [f"zscore,{epoch},11,1.0,false", f"zscore,{epoch},,0.0,false"]
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    assert [(n, got, want) for n, (got, want) in enumerate(zip(lines, expected), 1) if got != want][:3] == []
+    assert len(lines) == len(expected)
+
+
+def test_detect_across_a_long_gap_stays_small(tmp_path):
+    # Two packets 3 ms apart make 3000 completed 1-us epochs of 2**8
+    # buckets.  Only the one touched bucket is stored per epoch, and the
+    # file holds what is stored, so the process and the file stay small.
+    summary, out, maxrss_kib = detect_across_gap(tmp_path, 3_000_000)
+    assert "768000 verdicts (0 anomalous) over 3000 completed epochs" in summary
+    check_gap_verdicts(out, 3000)
+    assert maxrss_kib < 64 * 1024
+    # Expanded epoch by epoch, the file is the dense one.
+    with open(out, newline="") as fh:
+        rows = parse_verdicts(fh)
     for epoch in range(3000):
-        for bucket in range(256):
-            expected.append(f"zscore,{epoch},{bucket},{1.0 if bucket == 11 else 0.0},false")
-    assert out.read_text() == "\n".join(expected) + "\n"
+        assert dense_verdicts(rows[2 * epoch : 2 * epoch + 2], 256) == [
+            Verdict("zscore", epoch, bucket, 1.0 if bucket == 11 else 0.0, False)
+            for bucket in range(256)
+        ]
+
+
+def test_detect_across_a_thirty_ms_gap_writes_a_small_file(tmp_path):
+    # 30000 epochs of 256 buckets: one explicit and one shared row per
+    # epoch, where one row per bucket took 7.68M rows and 201 MB.  The
+    # summary still counts every (bucket, epoch).
+    summary, out, maxrss_kib = detect_across_gap(tmp_path, 30_000_000)
+    assert summary == (
+        f"zscore: 7680000 verdicts (0 anomalous) over 30000 completed epochs, written to {out}"
+    )
+    assert out.read_text().count("\n") == 60_001
+    check_gap_verdicts(out, 30000)
+    assert out.stat().st_size < 2_000_000
     assert maxrss_kib < 64 * 1024
 
 
@@ -174,7 +214,7 @@ def test_detect_writes_verdicts(tmp_path):
     with open(out, newline="") as fh:
         verdicts = parse_verdicts(fh)
     epochs = {v.epoch_index for v in verdicts}
-    assert len(verdicts) == 16 * len(epochs)
+    assert len(dense_verdicts(verdicts, 16)) == 16 * len(epochs)
     assert all(v.detector_id == "zscore" for v in verdicts)
 
 
@@ -195,7 +235,7 @@ def test_detect_prints_the_anomalous_count_it_writes(tmp_path, capsys, detector)
     assert run("detect", "--trace", str(trace), "--out", str(out), "--hash-width", "6", *detector) == 0
     printed = capsys.readouterr().out
     with open(out, newline="") as fh:
-        verdicts = parse_verdicts(fh)
+        verdicts = dense_verdicts(parse_verdicts(fh), 64)
     flagged = sum(v.anomalous for v in verdicts)
     assert 0 < flagged
     assert f"{len(verdicts)} verdicts ({flagged} anomalous)" in printed

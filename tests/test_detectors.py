@@ -23,7 +23,7 @@ from flowsketch.detectors import (
 from flowsketch.ingest import TraceFormatError
 from flowsketch.sketch import EpochSnapshot, StageCell
 
-from conftest import count_snapshot, dense_cells
+from conftest import count_snapshot, dense_cells, dense_verdicts
 
 
 def test_feature_values():
@@ -42,11 +42,11 @@ def test_feature_values():
 
 def test_threshold_detector():
     snap = count_snapshot(0, [0, 100, 99, 101])
-    verdicts = detect_threshold(snap, "pkt_count", 99.0)
+    verdicts = dense_verdicts(detect_threshold(snap, "pkt_count", 99.0))
     assert [v.anomalous for v in verdicts] == [False, True, False, True]
     assert [v.score for v in verdicts] == [0.0, 100.0, 99.0, 101.0]
     assert all(v.detector_id == "threshold" and v.epoch_index == 0 for v in verdicts)
-    none_flagged = detect_threshold(snap, "pkt_count", math.inf)
+    none_flagged = dense_verdicts(detect_threshold(snap, "pkt_count", math.inf))
     assert not any(v.anomalous for v in none_flagged)
 
 
@@ -54,16 +54,16 @@ def test_threshold_scale_equivariance():
     rng = random.Random(19)
     counts = [rng.randrange(200) for _ in range(16)]
     scaled = [3 * c for c in counts]
-    base = detect_threshold(count_snapshot(0, counts), "pkt_count", 70.0)
-    tripled = detect_threshold(count_snapshot(0, scaled), "pkt_count", 210.0)
+    base = dense_verdicts(detect_threshold(count_snapshot(0, counts), "pkt_count", 70.0))
+    tripled = dense_verdicts(detect_threshold(count_snapshot(0, scaled), "pkt_count", 210.0))
     assert [v.anomalous for v in base] == [v.anomalous for v in tripled]
 
 
 def test_threshold_monotone_in_threshold():
     rng = random.Random(29)
     snap = count_snapshot(0, [rng.randrange(100) for _ in range(32)])
-    low = {v.bucket for v in detect_threshold(snap, "pkt_count", 20.0) if v.anomalous}
-    high = {v.bucket for v in detect_threshold(snap, "pkt_count", 60.0) if v.anomalous}
+    low = {v.bucket for v in dense_verdicts(detect_threshold(snap, "pkt_count", 20.0)) if v.anomalous}
+    high = {v.bucket for v in dense_verdicts(detect_threshold(snap, "pkt_count", 60.0)) if v.anomalous}
     assert high <= low
 
 
@@ -99,10 +99,10 @@ def test_zscore_scores():
     train = [count_snapshot(0, [90]), count_snapshot(1, [110])]
     model = fit_baseline(train, "pkt_count")
     assert model.means[0] == 100.0 and model.stds[0] == 10.0
-    (v,) = detect_zscore(count_snapshot(2, [131]), model, k=3.0)
+    (v,) = dense_verdicts(detect_zscore(count_snapshot(2, [131]), model, k=3.0))
     assert v.score == pytest.approx(3.1)
     assert v.anomalous
-    (v,) = detect_zscore(count_snapshot(2, [129]), model, k=3.0)
+    (v,) = dense_verdicts(detect_zscore(count_snapshot(2, [129]), model, k=3.0))
     assert v.score == pytest.approx(2.9)
     assert not v.anomalous
     assert v.detector_id == "zscore"
@@ -110,9 +110,9 @@ def test_zscore_scores():
 
 def test_zscore_zero_std():
     model = fit_baseline([count_snapshot(0, [7]), count_snapshot(1, [7])], "pkt_count")
-    (v,) = detect_zscore(count_snapshot(2, [7]), model, k=3.0)
+    (v,) = dense_verdicts(detect_zscore(count_snapshot(2, [7]), model, k=3.0))
     assert v.score == 0.0 and not v.anomalous
-    (v,) = detect_zscore(count_snapshot(2, [8]), model, k=3.0)
+    (v,) = dense_verdicts(detect_zscore(count_snapshot(2, [8]), model, k=3.0))
     assert v.score == math.inf and v.anomalous
 
 
@@ -120,9 +120,9 @@ def test_zscore_cold_bucket():
     model = fit_baseline([count_snapshot(0, [0, 5]), count_snapshot(1, [0, 5])], "pkt_count")
     assert 0 not in model.means and 0 not in model.stds
     assert model.means.get(0, 0.0) == 0.0 and model.stds.get(0, 0.0) == 0.0
-    verdicts = list(detect_zscore(count_snapshot(2, [3, 5]), model, k=3.0))
+    verdicts = dense_verdicts(detect_zscore(count_snapshot(2, [3, 5]), model, k=3.0))
     assert verdicts[0].score == math.inf and verdicts[0].anomalous
-    verdicts = list(detect_zscore(count_snapshot(2, [0, 5]), model, k=3.0))
+    verdicts = dense_verdicts(detect_zscore(count_snapshot(2, [0, 5]), model, k=3.0))
     assert verdicts[0].score == 0.0 and not verdicts[0].anomalous
 
 
@@ -192,7 +192,7 @@ def zscore_runs(draw):
 def test_zscore_matches_cold_rule_reference(run, feature, k):
     snaps, train = run
     setting = DetectorSetting("zscore", feature, k=k, train_epochs=train)
-    assert list(run_detector(setting, snaps)) == reference_zscore(snaps, feature, k, train)
+    assert dense_verdicts(run_detector(setting, snaps)) == reference_zscore(snaps, feature, k, train)
 
 
 def test_zscore_shift_invariance():
@@ -206,10 +206,10 @@ def test_zscore_shift_invariance():
         [count_snapshot(e, [c + shift for c in row]) for e, row in enumerate(base[:3])],
         "pkt_count",
     )
-    plain = detect_zscore(count_snapshot(3, base[3]), plain_model, k=2.0)
-    shifted = detect_zscore(
+    plain = dense_verdicts(detect_zscore(count_snapshot(3, base[3]), plain_model, k=2.0))
+    shifted = dense_verdicts(detect_zscore(
         count_snapshot(3, [c + shift for c in base[3]]), shifted_model, k=2.0
-    )
+    ))
     # invariance is exact in the reals; floats only round the last bits
     assert [v.score for v in plain] == pytest.approx([v.score for v in shifted], rel=1e-9)
     assert [v.anomalous for v in plain] == [v.anomalous for v in shifted]
@@ -223,14 +223,14 @@ def test_zscore_bucket_count_mismatch():
 
 def test_ewma_first_epoch_benign():
     det = EwmaDetector("pkt_count", alpha=0.5, k=3.0)
-    verdicts = det.observe(count_snapshot(0, [50, 0, 9999]))
+    verdicts = dense_verdicts(det.observe(count_snapshot(0, [50, 0, 9999])))
     assert all(not v.anomalous and v.score == 0.0 for v in verdicts)
 
 
 def test_ewma_constant_series_stays_quiet():
     det = EwmaDetector("pkt_count", alpha=0.3, k=3.0)
     for epoch in range(10):
-        verdicts = det.observe(count_snapshot(epoch, [5, 5, 5, 5]))
+        verdicts = dense_verdicts(det.observe(count_snapshot(epoch, [5, 5, 5, 5])))
         assert all(v.score == 0.0 and not v.anomalous for v in verdicts)
 
 
@@ -241,7 +241,8 @@ def test_ewma_recurrence_frozen():
     #   epoch 3: m=16, d=6 after epoch 2, so |10-16| / 6 = 1
     det = EwmaDetector("pkt_count", alpha=0.5, k=3.0)
     scores = [
-        list(det.observe(count_snapshot(e, [x])))[0].score for e, x in enumerate((10, 10, 22, 10))
+        dense_verdicts(det.observe(count_snapshot(e, [x])))[0].score
+        for e, x in enumerate((10, 10, 22, 10))
     ]
     assert scores[0] == 0.0
     assert scores[1] == 0.0
@@ -253,7 +254,7 @@ def test_ewma_matches_independent_recurrence():
     rng = random.Random(43)
     series = [[rng.randrange(100) for _ in range(6)] for _ in range(20)]
     det = EwmaDetector("pkt_count", alpha=0.3, k=2.0)
-    got = [list(det.observe(count_snapshot(e, row))) for e, row in enumerate(series)]
+    got = [dense_verdicts(det.observe(count_snapshot(e, row))) for e, row in enumerate(series)]
     m = list(map(float, series[0]))
     d = [0.0] * 6
     for epoch in range(1, 20):
@@ -283,7 +284,7 @@ def test_ewma_validation():
 
 def test_run_detector_ewma_order():
     snaps = [count_snapshot(e, [1, 2]) for e in range(3)]
-    verdicts = run_detector(DetectorSetting("ewma", "pkt_count", alpha=0.5, k=1.0), snaps)
+    verdicts = dense_verdicts(run_detector(DetectorSetting("ewma", "pkt_count", alpha=0.5, k=1.0), snaps))
     assert len(verdicts) == 6
     assert all(v.detector_id == "ewma" for v in verdicts)
     assert [v.epoch_index for v in verdicts] == [0, 0, 1, 1, 2, 2]
@@ -296,7 +297,7 @@ def test_run_detector_dispatch_and_coverage():
         DetectorSetting("zscore", k=3.0, train_epochs=2),
         DetectorSetting("ewma", k=3.0, alpha=0.5),
     ):
-        verdicts = run_detector(setting, snaps)
+        verdicts = dense_verdicts(run_detector(setting, snaps))
         assert len(verdicts) == 20  # one per bucket per epoch, training included
         cells = {(v.epoch_index, v.bucket) for v in verdicts}
         assert len(cells) == 20
@@ -326,7 +327,7 @@ def test_verdict_invariant_score_exceeds_threshold():
         (DetectorSetting("zscore", k=1.5, train_epochs=3), 1.5),
         (DetectorSetting("ewma", k=1.5, alpha=0.4), 1.5),
     ):
-        for v in run_detector(setting, snaps):
+        for v in dense_verdicts(run_detector(setting, snaps)):
             assert v.anomalous == (v.score > bound)
 
 
@@ -343,17 +344,45 @@ def test_verdict_csv_round_trip(tmp_path):
     counts = ([0, 5, 3, 7], [0, 5, 4, 2], [1, 5, 9, 9], [0, 6, 2, 2])
     snaps = [count_snapshot(e, row) for e, row in enumerate(counts)]
     verdicts = run_detector(DetectorSetting("zscore", k=1.0, train_epochs=2), snaps)
-    assert any(v.score == math.inf for v in verdicts)  # cold/zero-std paths serialize
+    assert any(v.score == math.inf for v in dense_verdicts(verdicts))  # cold/zero-std paths serialize
     path = tmp_path / "verdicts.csv"
     write_verdicts(path, verdicts)
     with open(path, newline="") as fh:
         parsed = parse_verdicts(fh)
     assert parsed == list(verdicts)
+    assert dense_verdicts(parsed, 4) == dense_verdicts(verdicts)
     first = path.read_bytes()
     write_verdicts(path, parsed)
     assert path.read_bytes() == first
     with pytest.raises(ValueError):
         parse_verdicts(["wrong,header"])
+
+
+def test_verdict_file_holds_the_stored_rows(tmp_path):
+    # Per epoch: the explicit verdicts in ascending bucket order, then
+    # one row with an empty bucket for the buckets left over, written
+    # even where none is left over (epoch 1 touches both buckets).
+    snaps = [count_snapshot(0, [0, 7]), count_snapshot(1, [3, 5])]
+    verdicts = run_detector(DetectorSetting("threshold", threshold=4.0), snaps)
+    assert len(verdicts) == 5
+    path = tmp_path / "verdicts.csv"
+    write_verdicts(path, verdicts)
+    assert path.read_text() == (
+        f"{VERDICT_HEADER}\n"
+        "threshold,0,1,7.0,true\n"
+        "threshold,0,,0.0,false\n"
+        "threshold,1,0,3.0,false\n"
+        "threshold,1,1,5.0,true\n"
+        "threshold,1,,0.0,false\n"
+    )
+    with open(path, newline="") as fh:
+        assert parse_verdicts(fh) == [
+            Verdict("threshold", 0, 1, 7.0, True),
+            Verdict("threshold", 0, None, 0.0, False),
+            Verdict("threshold", 1, 0, 3.0, False),
+            Verdict("threshold", 1, 1, 5.0, True),
+            Verdict("threshold", 1, None, 0.0, False),
+        ]
 
 
 @pytest.mark.parametrize("bad", ["zscore,1,0", "zscore,1,0,0.5,maybe", "zscore,1,x,0.5,true"])

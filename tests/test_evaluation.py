@@ -29,6 +29,7 @@ from flowsketch.ingest import (
     AnomalyKind,
     AnomalyProfile,
     Label,
+    PARSE_CHUNK_ROWS,
     SyntheticProfile,
     TraceFormatError,
     generate_synthetic,
@@ -576,6 +577,24 @@ def test_sweep_validation():
         sweep(records, [config], [])
     with pytest.raises(ValueError):
         sweep(records, [config, config], [zs(3.0)])  # duplicate cell
+
+
+def test_sweep_raises_a_grid_error_without_reading_the_rest():
+    # The grid is checked once the first chunk is read.  An error later
+    # in the input is not reached: the CLI reads the rest itself when an
+    # error in the trace must come first.
+    records = flood_records()
+    assert len(records) > PARSE_CHUNK_ROWS
+
+    def stream():
+        yield from records
+        raise TraceFormatError(len(records) + 2, "bad label 'sideways'")
+
+    config = SketchConfig(4, 1, 1_000_000_000, SRC_KEY)
+    with pytest.raises(ValueError, match="sweep grid contains duplicate cells"):
+        sweep(stream(), [config, config], [zs(3.0)])
+    with pytest.raises(TraceFormatError, match="sideways"):
+        sweep(stream(), [config], [zs(3.0)])
 
 
 def test_sweep_with_bench_uses_three_objectives():

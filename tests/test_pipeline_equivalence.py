@@ -8,21 +8,31 @@ per-epoch snapshots of all 2**W stage-0 cells, detect_threshold,
 fit_baseline + detect_zscore, the EWMA recurrence and a cell-by-cell
 score.  Inputs cover random widths, stage counts, epoch lengths and key
 specs, gaps of several epochs, every feature, and thresholds, k and
-alpha at and below zero and at the edges of their ranges.
+alpha at and below zero and at the edges of their ranges.  The
+verdicts also go through a verdict file and back: the parsed rows are
+exactly the stored ones, and expanded they are the dense reference.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from flowsketch.detectors import FEATURES, DetectorSetting, Verdict, feature_value, run_detector
+from flowsketch.detectors import (
+    FEATURES,
+    DetectorSetting,
+    Verdict,
+    feature_value,
+    parse_verdicts,
+    run_detector,
+    write_verdicts,
+)
 from flowsketch.evaluation import GroundTruthGrid, score
 from flowsketch.hashing import KeySpec
 from flowsketch.ingest import Label
 from flowsketch.oracle import ExactTracker
 from flowsketch.sketch import Sketch, SketchConfig, collect_epochs, replay_epochs
 
-from conftest import dense_cells, make_packet
+from conftest import dense_cells, dense_verdicts, make_packet
 
 KEY_SPECS = (KeySpec(("src_ip",)), KeySpec(("src_ip", "dst_port")), KeySpec(("dst_port", "protocol")))
 EWMA_EPS = 1e-9
@@ -152,8 +162,11 @@ def exact_bits(verdicts):
     st.sampled_from((0.3, 1.0)),
     st.integers(2, 40),
 )
-def test_sparse_pipeline_matches_dense_reference(run, feature, threshold, k, alpha, train_epochs):
+def test_sparse_pipeline_matches_dense_reference(
+    tmp_path_factory, run, feature, threshold, k, alpha, train_epochs
+):
     config, packets = run
+    path = tmp_path_factory.mktemp("verdicts") / "verdicts.csv"
     reference = [(i, cells) for i, complete, cells in dense_snapshots(config, packets) if complete]
     completed = [s for s in collect_epochs(Sketch(config), packets) if s.complete]
     assert [s.epoch_index for s in completed] == [i for i, _ in reference]
@@ -182,7 +195,14 @@ def test_sparse_pipeline_matches_dense_reference(run, feature, threshold, k, alp
                 continue
             raise AssertionError(f"{setting} ran where the dense reference fails")
         got = run_detector(setting, completed)
-        assert len(got) == len(want)
-        assert exact_bits(got) == exact_bits(want)
+        dense = dense_verdicts(got, config.bucket_count)
+        assert len(dense) == len(want)
+        assert exact_bits(dense) == exact_bits(want)
+        write_verdicts(path, got)
+        with open(path, newline="") as fh:
+            parsed = parse_verdicts(fh)
+        assert parsed == list(got)
+        assert exact_bits(parsed) == exact_bits(got)
+        assert exact_bits(dense_verdicts(parsed, config.bucket_count)) == exact_bits(want)
         quality = score(got, grid)
         assert (quality.tp, quality.fp, quality.fn, quality.tn) == dense_score(want, grid)
