@@ -22,11 +22,13 @@ from typing import Iterable, Iterator, Sequence
 
 from .detectors import DETECTOR_PARAMS, FEATURES, DetectorSetting, run_detector, write_verdicts
 from .evaluation import (
+    GroundTruthGrid,
     ParetoPoint,
     SweepRow,
     bench_throughput,
     parse_report_csv,
     pareto_front,
+    score,
     sweep,
     write_report_csv,
     write_report_json,
@@ -334,14 +336,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             snapshots = [s for s in collect_epochs(Sketch(config), records) if s.complete]
     verdicts = run_detector(setting, snapshots)
     write_verdicts(args.out, verdicts)
-    # The summary counts every (bucket, epoch): each epoch's unlisted
-    # buckets share its one verdict.
-    cells = sum(epoch.bucket_count for epoch in verdicts.epochs)
-    flagged = sum(
-        sum(v.anomalous for v in epoch.explicit)
-        + (epoch.bucket_count - len(epoch.explicit)) * epoch.shared_anomalous
-        for epoch in verdicts.epochs
-    )
+    # score is the one counter of the cells a shared verdict stands for:
+    # against a grid with no anomalous cell, flagged cells are its fp.
+    counts = score(verdicts, GroundTruthGrid(config.bucket_count, len(snapshots), frozenset()))
+    cells, flagged = counts.fp + counts.tn, counts.fp
     print(
         f"{setting.detector_id()}: {cells} verdicts ({flagged} anomalous) "
         f"over {len(snapshots)} completed epochs, written to {args.out}"

@@ -10,16 +10,17 @@ z-score against a baseline fitted on a training prefix, and an EWMA
 tracker that scores deviation from a running mean scaled by a running
 mean absolute deviation.
 
-Verdicts are stored sparsely.  In each epoch a detector scores, one by
-one, the buckets the snapshot holds (the touched ones) and the buckets
-with state of their own: z-score buckets whose training mean or std is
-nonzero, and EWMA buckets whose running mean or deviation is nonzero.
-The mean alone would not do: with alpha 1 a bucket's mean is 0 one idle
-epoch before its deviation is.  Every other bucket shares one verdict,
-computed once per epoch from StageCell() with zero state.  That is
-exact: such a bucket's cell is empty and its state is zero, so scoring
-it on its own would run the very same arithmetic on the very same
-numbers, whatever the threshold, k or alpha (negative ones included).
+Verdicts are stored sparsely, by one loop for every detector,
+_sparse_verdicts.  In each epoch it scores, one by one, the buckets the
+snapshot holds (the touched ones) and the buckets with state of their
+own: z-score buckets whose training mean or std is nonzero, and EWMA
+buckets whose running mean or deviation is nonzero.  The mean alone
+would not do: with alpha 1 a bucket's mean is 0 one idle epoch before
+its deviation is.  Every other bucket shares one verdict, scored once
+per epoch from StageCell() with zero state.  That is exact: such a
+bucket's cell is empty and its state is zero, so scoring it on its own
+would run the very same arithmetic on the very same numbers, whatever
+the threshold, k or alpha (negative ones included).
 
 A verdict file holds the verdicts as they are stored: per epoch, the
 explicit verdicts in ascending bucket order, then one row with no
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .ingest import csv_line, opt_int, parse_flag, parse_float, parse_uint, read_csv, write_csv
 from .sketch import EpochSnapshot, StageCell
@@ -115,23 +116,27 @@ class Verdicts:
             yield Verdict(e.detector_id, e.epoch_index, None, e.shared_score, e.shared_anomalous)
 
 
-def _cells(snapshot: EpochSnapshot) -> dict[int, StageCell]:
-    return dict(zip(snapshot.buckets, snapshot.cells))
-
-
-def detect_threshold(
-    snapshot: EpochSnapshot, feature: str, threshold: float
+def _sparse_verdicts(
+    kind: str, snapshot: EpochSnapshot, feature: str, stateful: Collection[int],
+    score: Callable[[int | None, float], float], limit: float,
 ) -> EpochVerdicts:
-    """Score every bucket by its raw feature value."""
+    """Decide one epoch: score(bucket, x) for every bucket the snapshot
+    holds or in stateful, ascending, then the shared verdict as
+    score(None, x) of an empty cell; a score above limit is anomalous.
+    stateful is read before the first score call, which may update it."""
+    cells = dict(zip(snapshot.buckets, snapshot.cells))
     epoch = snapshot.epoch_index
     explicit = []
-    for bucket, cell in zip(snapshot.buckets, snapshot.cells):
-        x = feature_value(cell, feature)
-        explicit.append(Verdict("threshold", epoch, bucket, x, x > threshold))
-    x = feature_value(_EMPTY, feature)
-    return EpochVerdicts(
-        "threshold", epoch, snapshot.bucket_count, tuple(explicit), x, x > threshold
-    )
+    for b in sorted(cells.keys() | stateful):
+        s = score(b, feature_value(cells.get(b, _EMPTY), feature))
+        explicit.append(Verdict(kind, epoch, b, s, s > limit))
+    s = score(None, feature_value(_EMPTY, feature))
+    return EpochVerdicts(kind, epoch, snapshot.bucket_count, tuple(explicit), s, s > limit)
+
+
+def detect_threshold(snapshot: EpochSnapshot, feature: str, threshold: float) -> EpochVerdicts:
+    """Score every bucket by its raw feature value."""
+    return _sparse_verdicts("threshold", snapshot, feature, (), lambda b, x: x, threshold)
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ def fit_baseline(snapshots: Sequence[EpochSnapshot], feature: str) -> BaselineMo
     for snap in snapshots:
         if snap.bucket_count != bucket_count:
             raise ValueError("training snapshots disagree on bucket count")
-    epochs = [_cells(snap) for snap in snapshots]
+    epochs = [dict(zip(snap.buckets, snap.cells)) for snap in snapshots]
     means = {}
     stds = {}
     # A bucket no training epoch touched has mean 0 and std 0.
@@ -190,15 +195,11 @@ def detect_zscore(snapshot: EpochSnapshot, model: BaselineModel, k: float) -> Ep
         raise ValueError(
             f"snapshot has {snapshot.bucket_count} buckets, model expects {model.bucket_count}"
         )
-    cells = _cells(snapshot)
-    epoch = snapshot.epoch_index
-    explicit = []
-    for b in sorted(cells.keys() | model.means.keys()):
-        x = feature_value(cells.get(b, _EMPTY), model.feature)
-        score = _zscore(x, model.means.get(b, 0.0), model.stds.get(b, 0.0))
-        explicit.append(Verdict("zscore", epoch, b, score, score > k))
-    score = _zscore(feature_value(_EMPTY, model.feature), 0.0, 0.0)
-    return EpochVerdicts("zscore", epoch, model.bucket_count, tuple(explicit), score, score > k)
+    means, stds = model.means, model.stds
+    return _sparse_verdicts(
+        "zscore", snapshot, model.feature, means.keys(),
+        lambda b, x: _zscore(x, means.get(b, 0.0), stds.get(b, 0.0)), k,
+    )
 
 
 class EwmaDetector:
@@ -222,42 +223,36 @@ class EwmaDetector:
         # bucket -> (mean, deviation), both from previous epochs.
         self._state: dict[int, tuple[float, float]] = {}
 
-    def _step(self, x: float, mean: float, dev: float) -> tuple[float, float, float]:
-        """Score x against (mean, dev); return it with the next state."""
-        alpha = self.alpha
+    def _score(self, bucket: int | None, x: float) -> float:
+        """Score x against the bucket's (mean, dev), then fold x into a
+        real bucket's state, keeping it only while it is nonzero."""
+        mean, dev = self._state.get(bucket, (0.0, 0.0))
         delta = abs(x - mean)
         score = delta / max(dev, EWMA_EPS)
-        return score, alpha * x + (1.0 - alpha) * mean, alpha * delta + (1.0 - alpha) * dev
+        if bucket is not None:
+            alpha = self.alpha
+            mean, dev = alpha * x + (1.0 - alpha) * mean, alpha * delta + (1.0 - alpha) * dev
+            if mean or dev:
+                self._state[bucket] = (mean, dev)
+            else:
+                self._state.pop(bucket, None)
+        return score
 
     def observe(self, snapshot: EpochSnapshot) -> EpochVerdicts:
-        cells = _cells(snapshot)
-        epoch = snapshot.epoch_index
-        feature = self.feature
-        state = self._state
         if self._bucket_count is None:
+            # The first epoch only seeds the state: it scores no bucket.
             self._bucket_count = snapshot.bucket_count
-            for b, cell in cells.items():
-                x = feature_value(cell, feature)
+            for b, cell in zip(snapshot.buckets, snapshot.cells):
+                x = feature_value(cell, self.feature)
                 if x:
-                    state[b] = (x, 0.0)
-            return EpochVerdicts("ewma", epoch, snapshot.bucket_count, (), 0.0, False)
+                    self._state[b] = (x, 0.0)
+            return EpochVerdicts("ewma", snapshot.epoch_index, snapshot.bucket_count, (), 0.0, False)
         if snapshot.bucket_count != self._bucket_count:
             raise ValueError(
                 f"snapshot has {snapshot.bucket_count} buckets, "
                 f"detector state has {self._bucket_count}"
             )
-        k = self.k
-        explicit = []
-        for b in sorted(cells.keys() | state.keys()):
-            x = feature_value(cells.get(b, _EMPTY), feature)
-            score, mean, dev = self._step(x, *state.get(b, (0.0, 0.0)))
-            explicit.append(Verdict("ewma", epoch, b, score, score > k))
-            if mean or dev:
-                state[b] = (mean, dev)
-            else:
-                state.pop(b, None)
-        score, _, _ = self._step(feature_value(_EMPTY, feature), 0.0, 0.0)
-        return EpochVerdicts("ewma", epoch, self._bucket_count, tuple(explicit), score, score > k)
+        return _sparse_verdicts("ewma", snapshot, self.feature, self._state.keys(), self._score, self.k)
 
 
 @dataclass(frozen=True)
@@ -320,20 +315,45 @@ def run_detector(
     return Verdicts(tuple(observe(snap) for snap in snapshots))
 
 
-VERDICT_HEADER = "detector_id,epoch_index,bucket,score,anomalous"
+# A verdict file's columns are Verdict's fields; each has its parser here.
+VERDICT_HEADER = ",".join(Verdict._fields)
+_VERDICT_PARSERS = (str, parse_uint, opt_int, parse_float, parse_flag)
 
 
 def write_verdicts(path, verdicts: Iterable[Verdict]) -> None:
-    write_csv(
-        path,
-        VERDICT_HEADER,
-        (csv_line(v.detector_id, v.epoch_index, v.bucket, v.score, v.anomalous) for v in verdicts),
-    )
+    write_csv(path, VERDICT_HEADER, (csv_line(*v) for v in verdicts))
 
 
-def _verdict_row(f: list[str]) -> Verdict:
-    return Verdict(f[0], parse_uint(f[1]), opt_int(f[2]), parse_float(f[3]), parse_flag(f[4]))
+def _check_follows(last: Verdict, v: Verdict) -> None:
+    """Raise ValueError unless row v may follow row last in a verdict file."""
+    if v.detector_id != last.detector_id:
+        raise ValueError(f"detector {v.detector_id!r} after {last.detector_id!r} in one file")
+    if last.bucket is None and v.epoch_index <= last.epoch_index:
+        raise ValueError(f"epoch {v.epoch_index} after epoch {last.epoch_index}")
+    if last.bucket is not None and v.epoch_index != last.epoch_index:
+        raise ValueError(f"epoch {v.epoch_index} before the shared row of epoch {last.epoch_index}")
+    if last.bucket is not None and v.bucket is not None and v.bucket <= last.bucket:
+        raise ValueError(f"bucket {v.bucket} after bucket {last.bucket} in epoch {v.epoch_index}")
 
 
 def parse_verdicts(lines: Iterable[str]) -> list[Verdict]:
-    return list(read_csv(lines, VERDICT_HEADER, _verdict_row))
+    """Read a verdict file in the one layout write_verdicts gives it: one
+    detector, epochs ascending, and per epoch its explicit rows in
+    strictly ascending bucket order, then its shared row.  A row out of
+    that layout raises TraceFormatError naming its line.  Buckets are not
+    checked against a range: the file does not carry the bucket count."""
+    last: Verdict | None = None
+
+    def row(fields: list[str]) -> Verdict:
+        nonlocal last
+        v = Verdict._make(parse(text) for parse, text in zip(_VERDICT_PARSERS, fields))
+        if last is not None:
+            _check_follows(last, v)
+        last = v
+        return v
+
+    def end() -> None:
+        if last is not None and last.bucket is not None:
+            raise ValueError(f"epoch {last.epoch_index} has no shared row")
+
+    return list(read_csv(lines, VERDICT_HEADER, row, end))

@@ -18,6 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain, islice
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .detectors import DetectorSetting, Verdicts, run_detector
@@ -82,8 +83,8 @@ def score(verdicts: Verdicts, grid: GroundTruthGrid) -> QualityScores:
     once each: every grid epoch once, over the grid's buckets, with no
     explicit verdict outside its epoch or the grid and none repeated.
     Explicit verdicts are matched one by one.  The other buckets of an
-    epoch share one verdict, so their counts follow by arithmetic from
-    how many of the epoch's anomalous cells they hold.
+    epoch share one verdict, and this is the one place that counts them:
+    by arithmetic from how many of the epoch's anomalous cells they hold.
     """
     expected = grid.bucket_count * grid.epoch_count
     covered = sum(epoch.bucket_count for epoch in verdicts.epochs)
@@ -308,8 +309,8 @@ def sweep(
     next is read, so peak memory is the passes' per-epoch state, not the
     trace.  An error raised by records itself, such as a parse error,
     aborts the sweep.  A bad grid raises as soon as it is found, after
-    the first chunk is read and before the rest is.  With bench, records must be a sequence, since the
-    throughput benchmark replays it.
+    the first chunk is read and before the rest is.  With bench, records
+    must be a sequence, since the throughput benchmark replays it.
 
     Snapshots hold stage 0, which does not depend on the stage count,
     so a row's verdicts depend on its config only through (key spec,
@@ -435,31 +436,6 @@ def sweep(
     return rows
 
 
-REPORT_HEADER = (
-    "config_id,hash_width,mem_stages,epoch_ns,key_spec,detector_id,detector_params,"
-    "tp,fp,fn,tn,precision,recall,f1,memory_bytes,update_ops,measured_pps,on_front"
-)
-
-
-def write_report_csv(path, rows: Sequence[SweepRow]) -> None:
-    """Write sweep rows as CSV.  Failed rows keep their config columns
-    and leave the quality fields empty; error details live in the JSON
-    report."""
-    write_csv(
-        path,
-        REPORT_HEADER,
-        (
-            csv_line(
-                r.config_id, r.hash_width, r.mem_stages, r.epoch_ns, r.key_spec,
-                r.detector_id, r.detector_params, r.tp, r.fp, r.fn, r.tn,
-                r.precision, r.recall, r.f1, r.memory_bytes, r.update_ops,
-                r.measured_pps, r.on_front,
-            )
-            for r in rows
-        ),
-    )
-
-
 def _opt_ratio(text: str) -> float | None:
     value = opt_float(text)
     if value is not None and not 0.0 <= value <= 1.0:
@@ -467,27 +443,30 @@ def _opt_ratio(text: str) -> float | None:
     return value
 
 
+# The report's columns in file order, each a SweepRow field with its
+# parser; the header, writer and parser follow this table.  A failed
+# row's error lives in the JSON report only.
+_REPORT_COLUMNS = (
+    ("config_id", str), ("hash_width", parse_uint), ("mem_stages", parse_uint),
+    ("epoch_ns", parse_uint), ("key_spec", str), ("detector_id", str),
+    ("detector_params", str), ("tp", opt_int), ("fp", opt_int), ("fn", opt_int),
+    ("tn", opt_int), ("precision", _opt_ratio), ("recall", _opt_ratio), ("f1", _opt_ratio),
+    ("memory_bytes", opt_int), ("update_ops", opt_int), ("measured_pps", opt_float),
+    ("on_front", parse_flag),
+)
+REPORT_HEADER = ",".join(name for name, _ in _REPORT_COLUMNS)
+_report_fields = attrgetter(*(name for name, _ in _REPORT_COLUMNS))
+
+
+def write_report_csv(path, rows: Sequence[SweepRow]) -> None:
+    """Write sweep rows as CSV.  Failed rows keep their config columns
+    and leave the quality fields empty; error details live in the JSON
+    report."""
+    write_csv(path, REPORT_HEADER, (csv_line(*_report_fields(r)) for r in rows))
+
+
 def _report_row(f: list[str]) -> SweepRow:
-    return SweepRow(
-        config_id=f[0],
-        hash_width=parse_uint(f[1]),
-        mem_stages=parse_uint(f[2]),
-        epoch_ns=parse_uint(f[3]),
-        key_spec=f[4],
-        detector_id=f[5],
-        detector_params=f[6],
-        tp=opt_int(f[7]),
-        fp=opt_int(f[8]),
-        fn=opt_int(f[9]),
-        tn=opt_int(f[10]),
-        precision=_opt_ratio(f[11]),
-        recall=_opt_ratio(f[12]),
-        f1=_opt_ratio(f[13]),
-        memory_bytes=opt_int(f[14]),
-        update_ops=opt_int(f[15]),
-        measured_pps=opt_float(f[16]),
-        on_front=parse_flag(f[17]),
-    )
+    return SweepRow(**{name: parse(text) for (name, parse), text in zip(_REPORT_COLUMNS, f)})
 
 
 def parse_report_csv(lines: Iterable[str]) -> list[SweepRow]:

@@ -166,20 +166,28 @@ def _build_row(line_no: int, raw: str, width: int, build: Callable[[list[str]], 
 
 
 def read_csv(
-    lines: Iterable[str], header: str, build: Callable[[list[str]], _Row]
+    lines: Iterable[str], header: str, build: Callable[[list[str]], _Row],
+    end: Callable[[], None] | None = None,
 ) -> Iterator[_Row]:
     """Parse header-first CSV lines, yielding build(fields) per row.
 
     The header must match exactly, blank lines are skipped, and every
-    row must have as many fields as the header.  Any ValueError, one
-    raised by build included, becomes a TraceFormatError naming the
-    1-based line.
+    row must have as many fields as the header.  end(), if given, runs
+    after the last line.  Any ValueError, one raised by build or end
+    included, becomes a TraceFormatError naming the 1-based line (for
+    end, the last).
     """
     width = header.count(",") + 1
+    line_no = 1
     for line_no, raw in enumerate(_csv_body(lines, header), 2):
         row = _build_row(line_no, raw, width, build)
         if row is not None:
             yield row
+    if end is not None:
+        try:
+            end()
+        except ValueError as exc:
+            raise TraceFormatError(line_no, str(exc)) from None
 
 
 def write_csv(path, header: str, lines: Iterable[str]) -> None:

@@ -341,39 +341,29 @@ def collect_epochs(sketch: Sketch, packets: Iterable) -> list[EpochSnapshot]:
     return collector.finish()
 
 
-SNAPSHOT_HEADER = "stage,bucket,pkt_count,byte_sum,byte_min,byte_max,iat_count,iat_sum_ns,iat_min_ns,iat_max_ns"
+# The snapshot file's cell columns, after stage and bucket, in file order,
+# each with its parser; the header, writer and parser follow this table.
+# last_ts_ns is transient stream state and is not exported.
+_SNAPSHOT_CELL_COLUMNS = (
+    ("pkt_count", parse_uint), ("byte_sum", parse_uint), ("byte_min", opt_int),
+    ("byte_max", opt_int), ("iat_count", parse_uint), ("iat_sum_ns", parse_uint),
+    ("iat_min_ns", opt_int), ("iat_max_ns", opt_int),
+)
+SNAPSHOT_HEADER = ",".join(["stage", "bucket", *(name for name, _ in _SNAPSHOT_CELL_COLUMNS)])
+_cell_fields = attrgetter(*(name for name, _ in _SNAPSHOT_CELL_COLUMNS))
 
 
 def write_snapshot(path, rows: Sequence[tuple[int, int, StageCell]]) -> None:
     """Serialize (stage, bucket, cell) rows to CSV.  Rows are written as
     given; a sketch's rows come from Sketch.stage, so untouched buckets
-    have none.  last_ts_ns is transient stream state and is not
-    exported."""
-    write_csv(
-        path,
-        SNAPSHOT_HEADER,
-        (
-            csv_line(
-                stage, bucket, c.pkt_count, c.byte_sum, c.byte_min, c.byte_max,
-                c.iat_count, c.iat_sum_ns, c.iat_min_ns, c.iat_max_ns,
-            )
-            for stage, bucket, c in rows
-        ),
-    )
+    have none."""
+    write_csv(path, SNAPSHOT_HEADER, (csv_line(s, b, *_cell_fields(c)) for s, b, c in rows))
 
 
 def _snapshot_row(f: list[str]) -> tuple[int, int, StageCell]:
-    cell = StageCell(
-        pkt_count=parse_uint(f[2]),
-        byte_sum=parse_uint(f[3]),
-        byte_min=opt_int(f[4]),
-        byte_max=opt_int(f[5]),
-        iat_count=parse_uint(f[6]),
-        iat_sum_ns=parse_uint(f[7]),
-        iat_min_ns=opt_int(f[8]),
-        iat_max_ns=opt_int(f[9]),
-    )
-    return parse_uint(f[0]), parse_uint(f[1]), cell
+    stage, bucket = parse_uint(f[0]), parse_uint(f[1])
+    columns = zip(_SNAPSHOT_CELL_COLUMNS, f[2:])
+    return stage, bucket, StageCell(**{name: parse(text) for (name, parse), text in columns})
 
 
 def parse_snapshot(lines: Iterable[str]) -> list[tuple[int, int, StageCell]]:

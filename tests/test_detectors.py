@@ -250,22 +250,37 @@ def test_ewma_recurrence_frozen():
     assert scores[3] == pytest.approx(1.0)
 
 
-def test_ewma_matches_independent_recurrence():
-    rng = random.Random(43)
-    series = [[rng.randrange(100) for _ in range(6)] for _ in range(20)]
-    det = EwmaDetector("pkt_count", alpha=0.3, k=2.0)
+def _assert_ewma_recurrence(series: list[list[int]], alpha: float, k: float) -> None:
+    """EwmaDetector's dense verdicts against the recurrence written out
+    bucket by bucket."""
+    buckets = len(series[0])
+    det = EwmaDetector("pkt_count", alpha=alpha, k=k)
     got = [dense_verdicts(det.observe(count_snapshot(e, row))) for e, row in enumerate(series)]
     m = list(map(float, series[0]))
-    d = [0.0] * 6
-    for epoch in range(1, 20):
-        for b in range(6):
+    d = [0.0] * buckets
+    for epoch in range(1, len(series)):
+        for b in range(buckets):
             x = float(series[epoch][b])
             expected = abs(x - m[b]) / max(d[b], 1e-9)
             v = got[epoch][b]
             assert v.score == pytest.approx(expected, rel=1e-12)
-            assert v.anomalous == (v.score > 2.0)
-            d[b] = 0.3 * abs(x - m[b]) + 0.7 * d[b]
-            m[b] = 0.3 * x + 0.7 * m[b]
+            assert v.anomalous == (v.score > k)
+            d[b] = alpha * abs(x - m[b]) + (1 - alpha) * d[b]
+            m[b] = alpha * x + (1 - alpha) * m[b]
+
+
+def test_ewma_matches_independent_recurrence():
+    rng = random.Random(43)
+    _assert_ewma_recurrence([[rng.randrange(100) for _ in range(6)] for _ in range(20)], 0.3, 2.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_ewma_matches_recurrence_as_buckets_go_idle(alpha):
+    # Bursts between idle epochs: at alpha 1 an idle bucket's state falls
+    # to zero and is dropped in the same epoch that other idle buckets
+    # are scored from theirs.
+    rng = random.Random(47)
+    _assert_ewma_recurrence([[rng.choice((0, 0, 0, 7, 40)) for _ in range(8)] for _ in range(25)], alpha, 2.0)
 
 
 def test_ewma_validation():
@@ -356,6 +371,7 @@ def test_verdict_csv_round_trip(tmp_path):
     assert path.read_bytes() == first
     with pytest.raises(ValueError):
         parse_verdicts(["wrong,header"])
+    assert parse_verdicts([VERDICT_HEADER]) == []
 
 
 def test_verdict_file_holds_the_stored_rows(tmp_path):
@@ -412,8 +428,67 @@ def test_parse_verdicts_rejects_non_canonical_float(text):
 
 @pytest.mark.parametrize("text", ["inf", "-inf", "0.0", "1e-05", "12345.678"])
 def test_parse_verdicts_accepts_canonical_float(text):
-    (verdict,) = parse_verdicts([VERDICT_HEADER, f"zscore,1,8,{text},true"])
+    verdict, _ = parse_verdicts([VERDICT_HEADER, f"zscore,1,8,{text},true", "zscore,1,,0.0,false"])
     assert repr(verdict.score) == text
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # explicit buckets must strictly ascend within an epoch
+        pytest.param(
+            ["zscore,0,5,1.0,true", "zscore,0,3,1.0,true"], "bucket 3 after bucket 5 in epoch 0",
+            id="descending-bucket",
+        ),
+        pytest.param(
+            ["zscore,0,3,1.0,true", "zscore,0,3,2.0,false"], "bucket 3 after bucket 3 in epoch 0",
+            id="repeated-bucket",
+        ),
+        # explicit rows belong to the shared row that closes their epoch
+        pytest.param(
+            ["zscore,0,3,1.0,true", "zscore,1,,0.0,false"],
+            "epoch 1 before the shared row of epoch 0",
+            id="shared-row-of-another-epoch",
+        ),
+        pytest.param(
+            ["zscore,0,3,1.0,true", "ewma,0,,0.0,false"],
+            "detector 'ewma' after 'zscore' in one file",
+            id="shared-row-of-another-detector",
+        ),
+        # epochs ascend, so an epoch has one shared row
+        pytest.param(
+            ["zscore,1,,0.0,false", "zscore,0,,0.0,false"], "epoch 0 after epoch 1",
+            id="descending-epoch",
+        ),
+        pytest.param(
+            ["zscore,0,,0.0,false", "zscore,0,,0.0,false"], "epoch 0 after epoch 0",
+            id="second-shared-row",
+        ),
+        # one detector per file
+        pytest.param(
+            ["zscore,0,,0.0,false", "ewma,1,,0.0,false"],
+            "detector 'ewma' after 'zscore' in one file",
+            id="second-detector",
+        ),
+        # explicit rows need a shared row after them
+        pytest.param(
+            ["zscore,0,,0.0,false", "zscore,1,4,1.0,true"], "epoch 1 has no shared row",
+            id="no-shared-row-at-end",
+        ),
+        # rows that the parser once accepted whole
+        pytest.param(
+            ["zscore,0,5,1.0,true", "zscore,0,3,1.0,true", "zscore,0,3,2.0,false",
+             "ewma,7,,0.0,false", "zscore,0,,1.0,true"],
+            "bucket 3 after bucket 5 in epoch 0",
+            id="found-rows",
+        ),
+    ],
+)
+def test_parse_verdicts_accepts_only_the_written_layout(rows, message):
+    with pytest.raises(TraceFormatError) as err:
+        parse_verdicts([VERDICT_HEADER, *rows])
+    assert err.value.line_no == 3
+    assert str(err.value) == f"line 3: {message}"
 
 
 def test_params_str_follows_detector_params():

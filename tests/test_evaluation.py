@@ -1,5 +1,6 @@
 """Quality scoring, resource model, Pareto partition, bench, and sweep."""
 
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -15,6 +16,7 @@ from flowsketch.evaluation import (
     GroundTruthGrid,
     ParetoPoint,
     QualityScores,
+    SweepRow,
     bench_throughput,
     pareto_front,
     parse_report_csv,
@@ -639,6 +641,13 @@ def test_report_json_carries_errors(tmp_path):
     assert by_error[True]["f1"] is None
     assert by_error[False]["f1"] == next(r.f1 for r in rows if r.error is None)
     assert by_error[False]["memory_bytes"] == 16 * CELL_BYTES
+
+
+def test_report_columns_are_the_sweep_row_fields():
+    # The report's one column table names every SweepRow field but error,
+    # which only the JSON report carries.
+    names = [f.name for f in dataclasses.fields(SweepRow) if f.name != "error"]
+    assert REPORT_HEADER.split(",") == names
 
 
 def test_parse_report_rejects_garbage():

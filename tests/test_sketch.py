@@ -394,6 +394,14 @@ def test_parse_snapshot_rejects_non_canonical_integer(field, text):
     assert err.value.line_no == 3
 
 
+def test_parse_snapshot_checks_fields_in_file_order():
+    # stage and bucket come first, so a bad bucket is named before a bad
+    # cell field on the same row
+    with pytest.raises(TraceFormatError) as err:
+        parse_snapshot([SNAPSHOT_HEADER, "0,-1,x,60,60,60,0,0,,"])
+    assert str(err.value) == "line 2: non-canonical integer '-1'"
+
+
 def test_collect_epochs_counts_and_flags():
     profile = SyntheticProfile(flows=6, packets_per_flow=40, duration_ns=3_500_000_000)
     records = generate_synthetic(profile, seed=13)
