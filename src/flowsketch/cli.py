@@ -16,8 +16,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from itertools import chain, count
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .detectors import DETECTOR_PARAMS, FEATURES, DetectorSetting, run_detector, write_verdicts
@@ -38,13 +37,14 @@ from .ingest import (
     AnomalyKind,
     AnomalyProfile,
     SyntheticProfile,
+    TraceColumns,
     generate_synthetic,
     open_trace,
-    parse_trace,
+    parse_trace_chunks,
     read_trace,
     write_trace,
 )
-from .sketch import Sketch, SketchConfig, collect_epochs, replay_epochs, write_snapshot
+from .sketch import EpochCollector, Sketch, SketchConfig, replay_epochs, write_snapshot
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,14 +171,14 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[argparse.Nam
 
 
 @contextmanager
-def _trace_errors_first(records: Iterable) -> Iterator[None]:
-    """On a ValueError, read the rest of records and then re-raise, so
+def _trace_errors_first(chunks: Iterable) -> Iterator[None]:
+    """On a ValueError, read the rest of chunks and then re-raise, so
     that an error in the trace itself, such as a bad row further on, is
     the one reported."""
     try:
         yield
     except ValueError:
-        for _ in records:
+        for _ in chunks:
             pass
         raise
 
@@ -307,7 +307,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _sketch_config(args)
-    records, _ = read_trace(args.trace)
+    # The trace is read whole first, so that an error in it leaves no
+    # file behind.
+    with open_trace(args.trace) as fh:
+        chunks = list(parse_trace_chunks(fh))
+    sketch = Sketch(config)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
 
@@ -322,7 +326,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         write_snapshot(path, rows)
         written.append(path)
 
-    replay_epochs(Sketch(config), records, visit)
+    for chunk in chunks:
+        sketch.update_columns(chunk, visit=visit)
+    # A replay of no packets visits only the trailing partial epoch.
+    replay_epochs(sketch, (), visit)
     print(f"wrote {len(written)} epoch snapshots to {args.out_dir}")
     return EXIT_OK
 
@@ -331,9 +338,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     config = _sketch_config(args)
     setting = _detector_setting(args)
     with open_trace(args.trace) as fh:
-        records = parse_trace(fh)
-        with _trace_errors_first(records):
-            snapshots = [s for s in collect_epochs(Sketch(config), records) if s.complete]
+        chunks = parse_trace_chunks(fh)
+        with _trace_errors_first(chunks):
+            collector = EpochCollector(Sketch(config))
+            for chunk in chunks:
+                collector.feed(chunk)
+            snapshots = [s for s in collector.finish() if s.complete]
     verdicts = run_detector(setting, snapshots)
     write_verdicts(args.out, verdicts)
     # score is the one counter of the cells a shared verdict stands for:
@@ -358,23 +368,27 @@ def _cmd_sweep(*runs: argparse.Namespace) -> int:
         for e in args.epoch_ns
         for k in args.key_specs
     ]
-    # zip ends at the end of the trace without drawing from the counter,
-    # so the counter's next value is then the record count.
-    counter = count()
+    record_count = 0
+
+    def counted(chunks: Iterable[TraceColumns]) -> Iterator[TraceColumns]:
+        nonlocal record_count
+        for chunk in chunks:
+            record_count += len(chunk.timestamp_ns)
+            yield chunk
+
     with open_trace(args.trace) as fh:
-        records = map(itemgetter(0), zip(parse_trace(fh), counter))
+        chunks = counted(parse_trace_chunks(fh))
         if args.bench:
             # The benchmark replays the trace, so it is read whole.
-            records = list(records)
-        with _trace_errors_first(records):
+            chunks = list(chunks)
+        with _trace_errors_first(chunks):
             rows = sweep(
-                records,
+                chunks,
                 configs,
                 settings,
                 bench=args.bench,
                 bench_repetitions=args.bench_repetitions,
             )
-    record_count = next(counter)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "report.csv")
     json_path = os.path.join(args.out_dir, "report.json")

@@ -304,6 +304,8 @@ def run_detector(
         observe = partial(detect_threshold, feature=setting.feature, threshold=setting.threshold)
     elif setting.kind == "zscore":
         train = setting.train_epochs
+        if train < 0:
+            raise ValueError(f"train_epochs={train} must be nonnegative")
         if train > len(snapshots):
             raise ValueError(
                 f"train_epochs={train} exceeds available epochs ({len(snapshots)})"

@@ -2,7 +2,7 @@
 and Pareto comparison across configurations.
 
 A sweep runs a grid of (sketch config x detector setting) cells over
-one labeled trace.  Each cell is scored against a ground-truth grid at
+one labeled trace, read once as column chunks.  Each cell is scored against a ground-truth grid at
 (bucket, epoch) granularity, costed with a simple memory model, and
 optionally benchmarked for update throughput.  Cells on the Pareto
 front (maximize f1 and throughput, minimize memory) are flagged in the
@@ -17,12 +17,12 @@ import statistics
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .detectors import DetectorSetting, Verdicts, run_detector
-from .ingest import PARSE_CHUNK_ROWS, PacketRecord, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
+from .ingest import PacketRecord, TraceColumns, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
 from .hashing import KeySpec, fold
 from .oracle import AnomalousKeys, ExactTracker
 from .sketch import CELL_BYTES, UPDATE_OPS, EpochCollector, Sketch, SketchConfig
@@ -289,14 +289,16 @@ def _config_id(config: SketchConfig, setting: DetectorSetting) -> str:
 
 
 def sweep(
-    records: Iterable[PacketRecord],
+    chunks: Iterable[TraceColumns],
     sketch_configs: Sequence[SketchConfig],
     detector_settings: Sequence[DetectorSetting],
     bench: bool = False,
     bench_repetitions: int = 3,
 ) -> list[SweepRow]:
-    """Evaluate every (sketch config, detector setting) cell on a trace
-    and return its rows, ordered by config id.
+    """Evaluate every (sketch config, detector setting) cell on a trace,
+    given as timestamp-sorted column chunks (ingest.TraceColumns, as
+    ingest.parse_trace_chunks yields them), and return its rows, ordered
+    by config id.
 
     Only completed epochs are scored; a trailing partial epoch is
     excluded from both verdicts and ground truth.  A failing cell does
@@ -304,13 +306,15 @@ def sweep(
     remaining cells still run.  Benchmark preconditions depend only on
     the trace, so they are checked before any cell runs.
 
-    The trace is read once, PARSE_CHUNK_ROWS records at a time, and no
-    record is kept: each chunk goes through every pass below before the
-    next is read, so peak memory is the passes' per-epoch state, not the
-    trace.  An error raised by records itself, such as a parse error,
-    aborts the sweep.  A bad grid raises as soon as it is found, after
-    the first chunk is read and before the rest is.  With bench, records
-    must be a sequence, since the throughput benchmark replays it.
+    The chunks are read once and none is kept: each goes through every
+    pass below before the next is read, so peak memory is the passes'
+    per-epoch state, not the trace.  Each chunk's key column is built
+    once per key spec and shared by the passes of that spec.  An error
+    raised by chunks itself, such as a parse error, aborts the sweep.  A
+    bad grid raises as soon as it is found, after the first chunk is
+    read and before the rest is.  With bench, chunks must be a sequence:
+    the throughput benchmark replays the trace as packet records, as
+    bench_throughput does.
 
     Snapshots hold stage 0, which does not depend on the stage count,
     so a row's verdicts depend on its config only through (key spec,
@@ -328,14 +332,14 @@ def sweep(
     group within the budget, and a detector error on every row of the
     group for that setting.
     """
-    it = iter(records)
-    chunks = iter(lambda: list(islice(it, PARSE_CHUNK_ROWS)), [])
-    head = next(chunks, None)
+    it = iter(chunks)
+    head = next(it, None)
     if not sketch_configs or not detector_settings:
         raise ValueError("sweep needs at least one sketch config and one detector setting")
     if head is None:
         raise ValueError("sweep needs a nonempty trace")
     if bench:
+        records = list(chain.from_iterable(map(TraceColumns.records, chunks)))
         _check_bench(len(records), bench_repetitions)
     ids = {
         _config_id(c, s) for c in sketch_configs for s in detector_settings
@@ -359,17 +363,18 @@ def sweep(
                 if key not in replays:
                     replays[key] = EpochCollector(sketch)
                     if key[:2] not in truths:
-                        truths[key[:2]] = AnomalousKeys(*key[:2])
+                        truths[key[:2]] = AnomalousKeys(key[1])
     # A pass that fails stops taking chunks; the trace is still read to
     # its end, so that an error in the input itself aborts the sweep.
     failures: dict[tuple, str] = {}
     live: dict[tuple, EpochCollector | AnomalousKeys] = {**replays, **truths}
-    chunks = chain([head], chunks)
+    it = chain([head], it)
     del head
-    for chunk in chunks:
+    for chunk in it:
+        columns = {key_spec: key_spec.key_column(chunk) for key_spec in {key[0] for key in live}}
         for key, stream_pass in list(live.items()):
             try:
-                stream_pass.feed(chunk)
+                stream_pass.feed(chunk, columns[key[0]])
             except ValueError as exc:
                 failures[key] = str(exc)
                 del live[key]

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import lshift, or_
+from typing import Sequence
 
 MIN_HASH_WIDTH = 1
 MAX_HASH_WIDTH = 24
@@ -62,6 +65,19 @@ class KeySpec:
             shift -= FIELD_WIDTHS[name]
             pairs.append((name, shift))
         return tuple(pairs)
+
+    def key_column(self, columns) -> Sequence[int]:
+        """The raw key value of every row of a column chunk, such as an
+        ingest.TraceColumns: each field's column shifted by its layout
+        shift and ORed in, by C-level maps, into a list.  A single-field
+        key's column is that field's column itself."""
+        keys = None
+        for name, shift in self.layout:
+            values = getattr(columns, name)
+            if shift:
+                values = map(lshift, values, repeat(shift))
+            keys = values if keys is None else map(or_, keys, values)
+        return list(keys) if type(keys) is map else keys
 
     @classmethod
     def parse(cls, text: str) -> "KeySpec":

@@ -8,8 +8,10 @@ helpers (read_csv, write_csv, csv_line) serve every CSV format in the
 package: traces, snapshots, verdicts and sweep reports; parse_uint and
 parse_float read all of their numbers in the one canonical form.
 
-parse_trace reads a trace PARSE_CHUNK_ROWS lines at a time.  It joins
-a chunk's lines with commas and splits the text once; each line must
+parse_trace_chunks, the one trace parser, reads a trace
+PARSE_CHUNK_ROWS lines at a time and yields each chunk as a
+TraceColumns, nine lists named as PacketRecord's fields.  It joins a
+chunk's lines with commas and splits the text once; each line must
 end with a newline, which only a label field may hold, so a checked
 label column pins every line to nine fields.  Each column is checked by
 C-level calls: a canonical-integer regex over the joined timestamps and
@@ -19,10 +21,10 @@ for the timestamp order, carried over from the previous chunk.  Each
 distinct address, port, protocol or length text is converted and range
 checked on first use, so equal texts share one int; a table is cleared
 when it reaches CONVERT_MEMO_MAX entries, so that a high-cardinality
-trace does not grow it without bound.  A chunk that fails
-any check goes through the per-field parsers line by line, which name
-the line and its first bad field in the error.  Records are immutable
-tuples.
+trace does not grow it without bound.  A chunk that fails any check
+goes through the per-field parsers line by line, which name the line
+and its first bad field in the error.  parse_trace is a thin adapter
+that turns the chunks into records, immutable tuples.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, countOf, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -65,54 +67,78 @@ class _PacketFields(NamedTuple):
     label: Label
 
 
+def _checked_fields(
+    timestamp_ns: int,
+    src_ip: int,
+    dst_ip: int,
+    src_port: int,
+    dst_port: int,
+    protocol: int,
+    length_bytes: int,
+    tcp_seq: int,
+    label: Label,
+) -> tuple:
+    """The nine fields of a packet as a plain tuple, each checked."""
+    if timestamp_ns < 0:
+        raise ValueError("timestamp_ns must be nonnegative")
+    if not 0 <= src_ip < (1 << 32):
+        raise ValueError("src_ip out of range")
+    if not 0 <= dst_ip < (1 << 32):
+        raise ValueError("dst_ip out of range")
+    if not 0 <= src_port < (1 << 16):
+        raise ValueError("src_port out of range")
+    if not 0 <= dst_port < (1 << 16):
+        raise ValueError("dst_port out of range")
+    if not 0 <= protocol < (1 << 8):
+        raise ValueError("protocol out of range")
+    if not 0 <= length_bytes <= MAX_LENGTH_BYTES:
+        raise ValueError("length_bytes out of range")
+    if not 0 <= tcp_seq < (1 << 32):
+        raise ValueError("tcp_seq out of range")
+    if not isinstance(label, Label):
+        raise ValueError("label must be a Label")
+    return (timestamp_ns, src_ip, dst_ip, src_port, dst_port, protocol, length_bytes, tcp_seq, label)
+
+
 class PacketRecord(_PacketFields):
     """One observed packet, an immutable tuple of its nine fields.
     Addresses and ports are plain integers; ports and tcp_seq are 0
     where the protocol has none.
 
-    The constructor checks every field.  parse_trace, whose column
-    checks have already checked them, and generate_synthetic, whose
-    fields are in range by construction, build records with
-    tuple.__new__ instead.
+    The constructor checks every field.  TraceColumns.records, whose
+    columns parse_trace_chunks has already checked, and
+    generate_synthetic, whose fields are in range by construction,
+    build records with tuple.__new__ instead.
     The inherited _make and _replace skip the checks too; nothing in
     this package calls them.  Being tuples, records compare equal to
     plain tuples of the same fields."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        timestamp_ns: int,
-        src_ip: int,
-        dst_ip: int,
-        src_port: int,
-        dst_port: int,
-        protocol: int,
-        length_bytes: int,
-        tcp_seq: int,
-        label: Label,
-    ) -> "PacketRecord":
-        if timestamp_ns < 0:
-            raise ValueError("timestamp_ns must be nonnegative")
-        if not 0 <= src_ip < (1 << 32):
-            raise ValueError("src_ip out of range")
-        if not 0 <= dst_ip < (1 << 32):
-            raise ValueError("dst_ip out of range")
-        if not 0 <= src_port < (1 << 16):
-            raise ValueError("src_port out of range")
-        if not 0 <= dst_port < (1 << 16):
-            raise ValueError("dst_port out of range")
-        if not 0 <= protocol < (1 << 8):
-            raise ValueError("protocol out of range")
-        if not 0 <= length_bytes <= MAX_LENGTH_BYTES:
-            raise ValueError("length_bytes out of range")
-        if not 0 <= tcp_seq < (1 << 32):
-            raise ValueError("tcp_seq out of range")
-        if not isinstance(label, Label):
-            raise ValueError("label must be a Label")
-        return tuple.__new__(
-            cls, (timestamp_ns, src_ip, dst_ip, src_port, dst_port, protocol, length_bytes, tcp_seq, label)
-        )
+    def __new__(cls, *fields, **named) -> "PacketRecord":
+        return tuple.__new__(cls, _checked_fields(*fields, **named))
+
+
+class TraceColumns(NamedTuple):
+    """One chunk of a trace as nine equal-length lists, named as
+    PacketRecord's fields: row i of the chunk is the packet whose fields
+    are the lists' items i.  In a chunk from parse_trace_chunks every
+    value is checked as PacketRecord checks it, and the timestamps do
+    not fall below each other or the previous chunk's."""
+
+    timestamp_ns: list[int]
+    src_ip: list[int]
+    dst_ip: list[int]
+    src_port: list[int]
+    dst_port: list[int]
+    protocol: list[int]
+    length_bytes: list[int]
+    tcp_seq: list[int]
+    label: list[Label]
+
+    def records(self) -> Iterator[PacketRecord]:
+        """The chunk's rows as records, in order."""
+        return map(tuple.__new__, repeat(PacketRecord), zip(*self))
 
 
 @dataclass(frozen=True)
@@ -283,16 +309,18 @@ CONVERT_MEMO_MAX = 4096
 
 class _Memo(dict):
     """key -> convert(key), each distinct key converted on first use, so
-    equal keys share one result while they stay in the table."""
+    equal keys share one result while they stay in the table.  The table
+    is cleared when it holds limit entries and a new key comes."""
 
-    __slots__ = ("convert",)
+    __slots__ = ("convert", "limit")
 
-    def __init__(self, convert: Callable):
+    def __init__(self, convert: Callable, limit: int):
         super().__init__()
         self.convert = convert
+        self.limit = limit
 
     def __missing__(self, key):
-        if len(self) >= CONVERT_MEMO_MAX:
+        if len(self) >= self.limit:
             self.clear()
         value = self[key] = self.convert(key)
         return value
@@ -306,7 +334,7 @@ _LABEL_TEXTS = {id(label): label.value for label in Label}
 def format_rows(records: Iterable[PacketRecord]) -> Iterator[str]:
     """Each record's trace row.  Addresses repeat, so each distinct one
     is formatted once per call."""
-    addresses = _Memo(format_ip)
+    addresses = _Memo(format_ip, CONVERT_MEMO_MAX)
     labels = _LABEL_TEXTS
     for ts, src, dst, src_port, dst_port, protocol, length, seq, label in records:
         yield (
@@ -336,23 +364,25 @@ def _uint_below(limit: int, text: str) -> int:
     return value
 
 
-def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
-    """Parse trace CSV lines into records, validating as it goes.
+def parse_trace_chunks(lines: Iterable[str]) -> Iterator[TraceColumns]:
+    """Parse trace CSV lines into column chunks, validating as it goes:
+    one TraceColumns per PARSE_CHUNK_ROWS lines, none for a chunk of
+    blank lines only.
 
     Raises TraceFormatError (with the offending line number) on a bad
     header, malformed fields, out-of-range values, or a timestamp
-    regression.
+    regression; the chunk holding the bad line is not yielded.
     """
     prev_ts = -1
 
-    def build(fields: list[str]) -> PacketRecord:
+    def build(fields: list[str]) -> tuple:
         # The per-field path, for every line of a chunk that the column
         # checks turn down: its error names the first bad field.
         nonlocal prev_ts
         label = _LABELS.get(fields[8])
         if label is None:
             raise ValueError(f"bad label {fields[8]!r}")
-        record = PacketRecord(
+        row = _checked_fields(
             timestamp_ns=parse_uint(fields[0]),
             src_ip=parse_ip(fields[1]),
             dst_ip=parse_ip(fields[2]),
@@ -363,20 +393,20 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
             tcp_seq=parse_uint(fields[7]),
             label=label,
         )
-        if record.timestamp_ns < prev_ts:
-            raise ValueError(f"timestamp regression: {record.timestamp_ns} after {prev_ts}")
-        prev_ts = record.timestamp_ns
-        return record
+        if row[0] < prev_ts:
+            raise ValueError(f"timestamp regression: {row[0]} after {prev_ts}")
+        prev_ts = row[0]
+        return row
 
     # Addresses, ports, protocols and lengths take few values: each
     # distinct text is checked and converted on first use, and equal
     # texts share one int.
-    addresses = _Memo(parse_ip)
-    ports = _Memo(partial(_uint_below, 1 << 16))
-    protocols = _Memo(partial(_uint_below, 1 << 8))
-    lengths = _Memo(partial(_uint_below, MAX_LENGTH_BYTES + 1))
+    addresses = _Memo(parse_ip, CONVERT_MEMO_MAX)
+    ports = _Memo(partial(_uint_below, 1 << 16), CONVERT_MEMO_MAX)
+    protocols = _Memo(partial(_uint_below, 1 << 8), CONVERT_MEMO_MAX)
+    lengths = _Memo(partial(_uint_below, MAX_LENGTH_BYTES + 1), CONVERT_MEMO_MAX)
 
-    def columns(chunk: list[str]) -> list[list] | None:
+    def columns(chunk: list[str]) -> TraceColumns | None:
         """The chunk's nine columns, converted and checked; None unless
         every line is one canonical row in range and the timestamps do
         not fall below prev_ts or each other."""
@@ -403,7 +433,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
             # int() raises ValueError past its digit limit.
             ts = list(map(int, ts))
             seq = list(map(int, seq))
-            parsed = [
+            parsed = TraceColumns(
                 ts,
                 list(map(addresses.__getitem__, src)),
                 list(map(addresses.__getitem__, dst)),
@@ -413,7 +443,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
                 list(map(lengths.__getitem__, length)),
                 seq,
                 list(map(_LABEL_LINES.__getitem__, label)),
-            ]
+            )
         except (KeyError, ValueError):
             return None
         if prev_ts <= ts[0] and ts == sorted(ts) and max(seq) < (1 << 32):
@@ -426,14 +456,22 @@ def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
     while chunk := list(islice(it, PARSE_CHUNK_ROWS)):
         parsed = columns(chunk)
         if parsed is not None:
-            prev_ts = parsed[0][-1]
-            yield from map(tuple.__new__, repeat(PacketRecord), zip(*parsed))
+            prev_ts = parsed.timestamp_ns[-1]
+            yield parsed
         else:
-            for offset, raw in enumerate(chunk):
-                record = _build_row(line_no + offset, raw, width, build)
-                if record is not None:
-                    yield record
+            rows = [
+                row for offset, raw in enumerate(chunk)
+                if (row := _build_row(line_no + offset, raw, width, build)) is not None
+            ]
+            if rows:
+                yield TraceColumns(*map(list, zip(*rows)))
         line_no += len(chunk)
+
+
+def parse_trace(lines: Iterable[str]) -> Iterator[PacketRecord]:
+    """Parse trace CSV lines into records: parse_trace_chunks' rows, in
+    order, with its checks and errors."""
+    return chain.from_iterable(map(TraceColumns.records, parse_trace_chunks(lines)))
 
 
 def trace_meta(records: Sequence[PacketRecord]) -> TraceMeta:

@@ -12,17 +12,21 @@ sketch internals.
 
 AnomalousKeys is the light pass that ground truth needs: it keeps the
 tracker's epoch arithmetic and regression check, but looks at the keys
-of anomalous-labelled packets only.  It takes the trace a batch at a
-time, so a sweep streams the trace through one per key spec and epoch
-length and folds its keys for each hash width.
+of anomalous-labelled packets only.  It takes the trace a column chunk
+at a time, reading the timestamp and label columns and the chunk's key
+column, so a sweep streams the trace through one per key spec and
+epoch length and folds its keys for each hash width.  ExactTracker
+takes packet records, one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import compress, islice, repeat
+from operator import is_
+from typing import Iterator, Sequence
 
-from .hashing import FlowKey, KeySpec, extract_key, shift_xor_hash
+from .hashing import FlowKey, extract_key, shift_xor_hash
 from .ingest import Label, PacketRecord
 from .sketch import SketchConfig, StageCell
 
@@ -154,38 +158,43 @@ class ExactTracker:
 
 
 class AnomalousKeys:
-    """The light ground-truth pass, fed in batches: (raw key value,
-    epoch) pairs that received at least one anomalous-labelled packet,
-    with epochs anchored at the first packet as in ExactTracker."""
+    """The light ground-truth pass, fed in column chunks: (raw key
+    value, epoch) pairs that received at least one anomalous-labelled
+    packet, with epochs anchored at the first packet as in
+    ExactTracker."""
 
-    def __init__(self, key_spec: KeySpec, epoch_ns: int):
-        self._key_spec = key_spec
+    def __init__(self, epoch_ns: int):
         self._epoch_ns = epoch_ns
         self._pairs: set[tuple[int, int]] = set()
         self._t0: int | None = None
         self._last_ts: int | None = None
 
-    def feed(self, records: Iterable[PacketRecord]) -> None:
-        """Take the next timestamp-sorted batch.  Raises ValueError on a
-        timestamp regression, including against earlier batches, with
-        the tracker's message."""
-        key_spec = self._key_spec
-        epoch_ns = self._epoch_ns
-        pairs = self._pairs
-        t0, last_ts = self._t0, self._last_ts
-        try:
-            for packet in records:
-                ts = packet.timestamp_ns
-                if last_ts is None:
-                    t0 = ts
-                elif ts < last_ts:
-                    raise ValueError(f"timestamp regression: {ts} after {last_ts}")
-                last_ts = ts
-                if packet.label is Label.ANOMALOUS:
-                    pairs.add((extract_key(packet, key_spec).value, (ts - t0) // epoch_ns))
-        finally:
-            self._t0, self._last_ts = t0, last_ts
+    def feed(self, chunk, keys: Sequence[int]) -> None:
+        """Take the next timestamp-sorted column chunk (an
+        ingest.TraceColumns) and its key column.  Raises ValueError on a
+        timestamp regression, including against earlier chunks, with
+        the tracker's message; the pairs of the rows before it are
+        kept."""
+        times = chunk.timestamp_ns
+        if not times:
+            return
+        if self._t0 is None:
+            self._t0 = self._last_ts = times[0]
+        last_ts = self._last_ts
+        end = len(times)
+        if not (last_ts <= times[0] and times == sorted(times)):
+            # Stop at the first row below the one before it.
+            before = [last_ts, *times]
+            end = next(i for i, (ts, prev) in enumerate(zip(times, before)) if ts < prev)
+            last_ts = before[end]
+        t0, epoch_ns = self._t0, self._epoch_ns
+        anomalous = map(is_, chunk.label, repeat(Label.ANOMALOUS))
+        rows = compress(islice(zip(keys, times), end), anomalous)
+        self._pairs.update((key, (ts - t0) // epoch_ns) for key, ts in rows)
+        if end < len(times):
+            self._last_ts = last_ts
+            raise ValueError(f"timestamp regression: {times[end]} after {last_ts}")
+        self._last_ts = times[-1]
 
     def finish(self) -> frozenset[tuple[int, int]]:
         return frozenset(self._pairs)
-

@@ -18,19 +18,29 @@ at first_ts + k * epoch_ns.  Gaps in traffic still shift once per
 elapsed epoch.  Inter-arrival tracking restarts each epoch: the first
 packet a bucket sees in an epoch contributes no gap sample.
 
+The sketch has one update loop, over (timestamp, length, raw key) rows,
+which folds each key to its bucket through a bounded memo.  A column
+chunk (ingest.TraceColumns) reaches it through zip of its timestamp and
+length columns and its key column; packet records reach it through
+Sketch._rows.
+
 A bucket's state is one StageCell of nine raw metrics.  Sketch.stage
-and the per-epoch snapshots return copies of cells; derived features
-such as averages are read from a cell by detectors.feature_value.
+returns copies of cells.  The per-epoch snapshots of EpochCollector
+hold the cells themselves, since nothing writes to a cell once its
+epoch has closed.  Derived features such as averages are read from a
+cell by detectors.feature_value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, islice, starmap
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .hashing import KeySpec, check_width, fold
-from .ingest import csv_line, opt_int, parse_uint, read_csv, write_csv
+from .ingest import PARSE_CHUNK_ROWS, TraceColumns, _Memo, csv_line, opt_int, parse_uint, read_csv, write_csv
 
 # Resource model constants: a cell holds 9 metric words of 8 bytes, and
 # one update mutates at most 9 metric fields.
@@ -107,14 +117,12 @@ class Sketch:
         self._epoch_start: int | None = None
         self._epoch_index = 0
         self._last_ts: int | None = None
-        fields = config.key_spec.fields
-        # Single-field keys read all three packet fields in one C call.
-        self._getter = (
-            attrgetter("timestamp_ns", "length_bytes", fields[0])
-            if len(fields) == 1
-            else None
+        # Raw key value -> bucket: a value is folded once while the memo
+        # holds it.
+        self._buckets = _Memo(
+            partial(fold, key_bits=config.key_spec.total_bits, width_bits=config.hash_width),
+            FOLD_MEMO_MAX,
         )
-        self._fold_memo: dict[int, int] = {}
 
     @property
     def config(self) -> SketchConfig:
@@ -131,41 +139,54 @@ class Sketch:
         return self._epoch_index
 
     def _rows(self, packets: Iterable) -> Iterator[tuple[int, int, int]]:
-        """Yield (timestamp, length, raw key) per packet.  Single-field
-        keys go through one attrgetter call; wider keys concatenate."""
-        if self._getter is not None:
-            return map(self._getter, packets)
-        layout = self._config.key_spec.layout
+        """(timestamp, length, raw key) per packet record.  A
+        single-field key reads all three in one attrgetter call; wider
+        keys are built as a column chunk's are, from the records
+        transposed PARSE_CHUNK_ROWS at a time."""
+        fields = self._config.key_spec.fields
+        if len(fields) == 1:
+            return map(attrgetter("timestamp_ns", "length_bytes", fields[0]), packets)
+        it = iter(packets)
+        batches = iter(lambda: list(islice(it, PARSE_CHUNK_ROWS)), [])
+        return chain.from_iterable(map(self._column_rows, map(TraceColumns._make, starmap(zip, batches))))
 
-        def rows():
-            for pkt in packets:
-                v = 0
-                for name, shift in layout:
-                    v |= getattr(pkt, name) << shift
-                yield pkt.timestamp_ns, pkt.length_bytes, v
-
-        return rows()
+    def _column_rows(self, chunk, keys: Sequence[int] | None = None) -> Iterator[tuple[int, int, int]]:
+        """(timestamp, length, raw key) per row of a column chunk, with
+        the chunk's key column when it is given."""
+        if keys is None:
+            keys = self._config.key_spec.key_column(chunk)
+        return zip(chunk.timestamp_ns, chunk.length_bytes, keys)
 
     def update_many(
         self,
         packets: Iterable,
         visit: Callable[[Sketch, int, bool], None] | None = None,
     ) -> int:
-        """Fold a timestamp-sorted batch of packets; returns the count.
+        """Fold a timestamp-sorted batch of packet records; returns the
+        count.  Raises ValueError on a timestamp regression, including
+        against packets from earlier calls.  With a visitor, every epoch
+        that closes is passed to visit(sketch, epoch_index, True) just
+        before its rotation; see replay_epochs."""
+        return self._update(self._rows(packets), visit)
 
-        This is the hot path: the per-packet work is one field fetch, a
-        memoized hash fold, one cell fetch, and nine field updates.
-        Raises ValueError on a timestamp regression, including against
-        packets from earlier calls.  With a visitor, every epoch that
-        closes is passed to visit(sketch, epoch_index, True) just before
-        its rotation; see replay_epochs.
-        """
-        config = self._config
-        epoch_ns = config.epoch_ns
-        width = config.hash_width
-        key_bits = config.key_spec.total_bits
-        memo_get = self._fold_memo.get
-        fold_memo = self._fold_memo
+    def update_columns(
+        self,
+        chunk,
+        keys: Sequence[int] | None = None,
+        visit: Callable[[Sketch, int, bool], None] | None = None,
+    ) -> int:
+        """update_many for a column chunk (an ingest.TraceColumns), whose
+        key column, if already built, is keys."""
+        return self._update(self._column_rows(chunk, keys), visit)
+
+    def _update(self, rows: Iterable[tuple[int, int, int]], visit: Callable | None) -> int:
+        """The update loop over (timestamp, length, raw key) rows.
+
+        This is the hot path: the per-packet work is a memoized hash
+        fold, one cell fetch, and nine field updates."""
+        epoch_ns = self._config.epoch_ns
+        buckets = self._buckets
+        bucket_get = buckets.get
         stages = self._stages
         stage0 = stages[0]
         last_ts = self._last_ts if self._last_ts is not None else -1
@@ -173,7 +194,7 @@ class Sketch:
         boundary = None if epoch_start is None else epoch_start + epoch_ns
         count = 0
         try:
-            for ts, nbytes, v in self._rows(packets):
+            for ts, nbytes, v in rows:
                 if ts < last_ts:
                     raise ValueError(f"timestamp regression: {ts} after {last_ts}")
                 last_ts = ts
@@ -186,12 +207,9 @@ class Sketch:
                     epoch_start = self._epoch_start
                     boundary = epoch_start + epoch_ns
                     stage0 = stages[0]
-                b = memo_get(v)
+                b = bucket_get(v)
                 if b is None:
-                    b = fold(v, key_bits, width)
-                    if len(fold_memo) >= FOLD_MEMO_MAX:
-                        fold_memo.clear()
-                    fold_memo[v] = b
+                    b = buckets[v]
                 try:
                     cell = stage0[b]
                 except KeyError:
@@ -300,44 +318,58 @@ def replay_epochs(
 
 
 class EpochCollector:
-    """Per-epoch stage-0 snapshots of a stream fed in batches: each
-    completed epoch is snapshotted as it closes, and finish() adds the
-    final partial epoch.  Only the snapshots are held, not the packets."""
+    """Per-epoch stage-0 snapshots of a stream fed in column chunks:
+    each completed epoch is snapshotted as it closes, and finish() adds
+    the final partial epoch.  Only the snapshots are held, not the
+    packets.
+
+    A snapshot holds stage 0's cells themselves, not copies: nothing
+    writes to a cell once its epoch has closed, and finish() closes the
+    collector, after which feed() and finish() raise."""
 
     def __init__(self, sketch: Sketch):
         self._sketch = sketch
-        self._snapshots: list[EpochSnapshot] = []
+        self._snapshots: list[EpochSnapshot] | None = []
 
     def _take(self, sketch: Sketch, index: int, complete: bool) -> None:
-        cells = sketch.stage(0)
+        cells = sketch._stages[0]
+        buckets = sorted(cells)
         self._snapshots.append(
             EpochSnapshot(
                 index, sketch.epoch_start_ns, complete, sketch.config.bucket_count,
-                tuple(cells), tuple(cells.values()),
+                tuple(buckets), tuple(map(cells.__getitem__, buckets)),
             )
         )
 
-    def feed(self, packets: Iterable) -> None:
-        """Stream the next timestamp-sorted batch through the sketch.
-        Raises ValueError on a timestamp regression, including against
-        earlier batches."""
-        self._sketch.update_many(packets, self._take)
+    def _open(self) -> list[EpochSnapshot]:
+        if self._snapshots is None:
+            raise ValueError("the epoch collector is finished")
+        return self._snapshots
+
+    def feed(self, chunk, keys: Sequence[int] | None = None) -> None:
+        """Stream the next timestamp-sorted column chunk (an
+        ingest.TraceColumns), whose key column, if already built, is
+        keys, through the sketch.  Raises ValueError on a timestamp
+        regression, including against earlier chunks."""
+        self._open()
+        self._sketch.update_columns(chunk, keys, self._take)
 
     def finish(self) -> list[EpochSnapshot]:
         """The snapshots, in epoch order, with the trailing partial
-        epoch last; empty when no packet was fed.  Call it once, after
-        the last batch."""
+        epoch last; empty when no packet was fed."""
+        snapshots = self._open()
         # A replay of no packets visits only the trailing partial epoch.
         replay_epochs(self._sketch, (), self._take)
-        return self._snapshots
+        self._snapshots = None
+        return snapshots
 
 
 def collect_epochs(sketch: Sketch, packets: Iterable) -> list[EpochSnapshot]:
-    """Run the stream and collect per-epoch stage-0 snapshots, one per
-    completed epoch plus the final partial epoch.  Empty traces yield
-    an empty list."""
+    """Run a stream of packet records and collect per-epoch stage-0
+    snapshots, one per completed epoch plus the final partial epoch.
+    Empty traces yield an empty list."""
     collector = EpochCollector(sketch)
-    collector.feed(packets)
+    sketch.update_many(packets, collector._take)
     return collector.finish()
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from flowsketch.detectors import EpochVerdicts, Verdict, Verdicts
-from flowsketch.ingest import Label, PacketRecord, parse_ip
+from flowsketch.ingest import PARSE_CHUNK_ROWS, Label, PacketRecord, TraceColumns, parse_ip
 from flowsketch.sketch import EpochSnapshot, StageCell
 
 
@@ -31,6 +31,15 @@ def make_packet(
         tcp_seq=seq,
         label=label,
     )
+
+
+def column_chunks(records, rows: int = PARSE_CHUNK_ROWS) -> list[TraceColumns]:
+    """The records as column chunks of up to rows rows each, as
+    parse_trace_chunks yields a trace."""
+    return [
+        TraceColumns(*map(list, zip(*records[lo : lo + rows])))
+        for lo in range(0, len(records), rows)
+    ]
 
 
 def random_records(

@@ -47,7 +47,7 @@ from flowsketch.sketch import (
     write_snapshot,
 )
 
-from conftest import dense_cells, random_records
+from conftest import column_chunks, dense_cells, random_records
 
 FIVE_TUPLE = KeySpec(("src_ip", "dst_ip", "src_port", "dst_port", "protocol"))
 SRC_ONLY = KeySpec(("src_ip",))
@@ -325,7 +325,7 @@ def test_criterion_10_csv_round_trips(capfd, tmp_path):
         round_trip("verdicts", write_verdicts, parse_verdicts, verdicts)
 
         report = sweep(
-            records,
+            column_chunks(records),
             [config, SketchConfig(5, 1, EPOCH_NS, SRC_ONLY)],
             [setting],
         )

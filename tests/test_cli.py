@@ -295,6 +295,15 @@ def test_bad_last_row_aborts_without_output(tmp_path, capsys, command, fault):
     assert not (tmp_path / out).exists()
 
 
+def test_detect_rejects_a_negative_train_epochs(tmp_path, capsys):
+    trace = gen_trace(tmp_path)
+    capsys.readouterr()
+    code = run("detect", "--trace", str(trace), "--out", str(tmp_path / "v.csv"),
+               "--detector", "zscore", "--train-epochs", "-1")
+    assert code == 2
+    assert capsys.readouterr().err == "flowsketch: train_epochs=-1 must be nonnegative\n"
+
+
 def test_sweep_writes_reports(tmp_path, capsys):
     trace = gen_trace(tmp_path, "--anomaly", "flood")
     out_dir = tmp_path / "sweep"

@@ -326,6 +326,8 @@ def test_run_detector_validation():
         run_detector(DetectorSetting("zscore", k=1.0), snaps)  # no train_epochs
     with pytest.raises(ValueError):
         run_detector(DetectorSetting("zscore", k=1.0, train_epochs=4), snaps)
+    with pytest.raises(ValueError, match=r"train_epochs=-1 must be nonnegative"):
+        run_detector(DetectorSetting("zscore", k=1.0, train_epochs=-1), snaps * 2)
     with pytest.raises(ValueError):
         run_detector(DetectorSetting("ewma", k=1.0), snaps)  # no alpha
     with pytest.raises(ValueError):

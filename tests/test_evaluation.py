@@ -36,14 +36,14 @@ from flowsketch.ingest import (
     TraceFormatError,
     generate_synthetic,
     open_trace,
-    parse_trace,
+    parse_trace_chunks,
     read_trace,
     write_trace,
 )
 from flowsketch.oracle import AnomalousKeys, ExactTracker
 from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, EpochCollector, Sketch, SketchConfig, collect_epochs
 
-from conftest import random_records
+from conftest import column_chunks, random_records
 
 SRC_KEY = KeySpec(("src_ip",))
 
@@ -173,8 +173,9 @@ def test_grid_from_keys_matches_tracker_at_every_width():
         records = before + [r._replace(timestamp_ns=r.timestamp_ns + 9_000_000) for r in after]
         key = keys[trial % 3]
         for epoch_ns in (100_000, 700_000):
-            truth = AnomalousKeys(key, epoch_ns)
-            truth.feed(records)
+            truth = AnomalousKeys(epoch_ns)
+            for chunk in column_chunks(records, 128):
+                truth.feed(chunk, key.key_column(chunk))
             pairs = truth.finish()
             for width in range(1, 13):
                 config = SketchConfig(width, 1, epoch_ns, key)
@@ -393,7 +394,7 @@ def zs(k, train=3):
 def test_sweep_single_cell():
     records = flood_records()
     config = SketchConfig(4, 1, 1_000_000_000, SRC_KEY)
-    (row,) = sweep(records, [config], [zs(3.0)])
+    (row,) = sweep(column_chunks(records), [config], [zs(3.0)])
     assert row.error is None
     assert row.on_front
     assert row.memory_bytes == 16 * CELL_BYTES
@@ -417,7 +418,7 @@ def test_sweep_grid_cardinality_and_order():
         for w in (4, 5)
         for s in (1, 3)
     ]
-    rows = sweep(records, configs, [zs(2.0), zs(3.0)])
+    rows = sweep(column_chunks(records), configs, [zs(2.0), zs(3.0)])
     assert len(rows) == 8
     assert [r.config_id for r in rows] == sorted(r.config_id for r in rows)
     assert all(r.error is None for r in rows)
@@ -435,7 +436,7 @@ def test_sweep_grid_cardinality_and_order():
 def test_sweep_records_cell_failures_and_continues():
     records = flood_records()
     configs = [SketchConfig(4, s, 1_000_000_000, SRC_KEY) for s in (1, 2)]
-    rows = sweep(records, configs, [zs(3.0), zs(3.0, train=99)])
+    rows = sweep(column_chunks(records), configs, [zs(3.0), zs(3.0, train=99)])
     assert len(rows) == 4
     bad = [r for r in rows if r.error is not None]
     # The failing setting fails on the rows of both stage counts.
@@ -453,7 +454,7 @@ def test_sweep_budget_failure_stays_on_its_rows():
     records = flood_records()
     configs = [SketchConfig(24, s, 1_000_000_000, SRC_KEY) for s in (5, 4)]
     assert configs[1].cell_count == DEFAULT_MAX_CELLS
-    rows = sweep(records, configs, [zs(3.0), DetectorSetting("threshold", threshold=20.0)])
+    rows = sweep(column_chunks(records), configs, [zs(3.0), DetectorSetting("threshold", threshold=20.0)])
     completed = sum(s.complete for s in collect_epochs(Sketch(configs[1]), records))
     for row in rows:
         if row.mem_stages == 5:
@@ -480,7 +481,7 @@ def test_sweep_timestamp_regression_fails_every_row_it_reaches():
         for e in (500_000_000, 1_000_000_000)
         for k in (SRC_KEY, KeySpec(("src_ip", "dst_port")))
     ]
-    rows = sweep(records, configs, [zs(3.0), DetectorSetting("ewma", k=3.0, alpha=0.3)])
+    rows = sweep(column_chunks(records), configs, [zs(3.0), DetectorSetting("ewma", k=3.0, alpha=0.3)])
     assert len(rows) == 32
     for row in rows:
         if row.hash_width == 24 and row.mem_stages == 5:
@@ -506,8 +507,8 @@ def test_sweep_computes_shared_passes_once(monkeypatch):
     configs = [SketchConfig(w, s, 1_000_000_000, SRC_KEY) for w in (8, 12) for s in (1, 2)]
     settings = [zs(3.0), DetectorSetting("ewma", k=3.0, alpha=0.3), DetectorSetting("threshold", threshold=100.0)]
     records = flood_records()
-    assert len(records) > 2 * evaluation.PARSE_CHUNK_ROWS
-    want = sweep(records, configs, settings)
+    assert len(records) > 2 * PARSE_CHUNK_ROWS
+    want = sweep(column_chunks(records), configs, settings)
     calls = {"replay": 0, "ground truth": 0, "tracker": 0, "run_detector": 0, "score": 0}
 
     def counting(name, fn):
@@ -521,7 +522,7 @@ def test_sweep_computes_shared_passes_once(monkeypatch):
     monkeypatch.setattr(ExactTracker, "update", counting("tracker", ExactTracker.update))
     monkeypatch.setattr(evaluation, "run_detector", counting("run_detector", run_detector))
     monkeypatch.setattr(evaluation, "score", counting("score", score))
-    trace = OneShot(records)
+    trace = OneShot(column_chunks(records))
     rows = sweep(trace, configs, settings)
     assert len(rows) == 12 and all(r.error is None for r in rows)
     assert rows == want
@@ -546,11 +547,11 @@ def test_sweep_of_a_trace_file_holds_no_records(tmp_path):
         )
         path = tmp_path / f"trace{packets_per_flow}.csv"
         write_trace(path, generate_synthetic(profile, seed=5))
-        want = sweep(read_trace(path)[0], configs, settings)
+        want = sweep(column_chunks(read_trace(path)[0]), configs, settings)
         with open_trace(path) as fh:
             tracemalloc.start()
             try:
-                rows = sweep(parse_trace(fh), configs, settings)
+                rows = sweep(parse_trace_chunks(fh), configs, settings)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -563,8 +564,8 @@ def test_sweep_of_a_trace_file_holds_no_records(tmp_path):
 def test_sweep_determinism():
     records = flood_records()
     configs = [SketchConfig(w, 1, 1_000_000_000, SRC_KEY) for w in (4, 5)]
-    a = sweep(records, configs, [zs(3.0)])
-    b = sweep(records, configs, [zs(3.0)])
+    a = sweep(column_chunks(records), configs, [zs(3.0)])
+    b = sweep(column_chunks(records), configs, [zs(3.0)])
     assert a == b
 
 
@@ -574,11 +575,11 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep([], [config], [zs(3.0)])
     with pytest.raises(ValueError):
-        sweep(records, [], [zs(3.0)])
+        sweep(column_chunks(records), [], [zs(3.0)])
     with pytest.raises(ValueError):
-        sweep(records, [config], [])
+        sweep(column_chunks(records), [config], [])
     with pytest.raises(ValueError):
-        sweep(records, [config, config], [zs(3.0)])  # duplicate cell
+        sweep(column_chunks(records), [config, config], [zs(3.0)])  # duplicate cell
 
 
 def test_sweep_raises_a_grid_error_without_reading_the_rest():
@@ -589,7 +590,7 @@ def test_sweep_raises_a_grid_error_without_reading_the_rest():
     assert len(records) > PARSE_CHUNK_ROWS
 
     def stream():
-        yield from records
+        yield from column_chunks(records)
         raise TraceFormatError(len(records) + 2, "bad label 'sideways'")
 
     config = SketchConfig(4, 1, 1_000_000_000, SRC_KEY)
@@ -599,13 +600,22 @@ def test_sweep_raises_a_grid_error_without_reading_the_rest():
         sweep(stream(), [config], [zs(3.0)])
 
 
+def test_sweep_puts_a_negative_train_epochs_on_its_rows():
+    records = flood_records()
+    configs = [SketchConfig(w, 1, 1_000_000_000, SRC_KEY) for w in (4, 5)]
+    rows = sweep(column_chunks(records), configs, [zs(3.0), zs(3.0, train=-1)])
+    bad = [r for r in rows if r.error is not None]
+    assert [r.hash_width for r in bad] == [4, 5]
+    assert all(r.error == "train_epochs=-1 must be nonnegative" for r in bad)
+
+
 def test_sweep_with_bench_uses_three_objectives():
     records = bench_trace()
     config = SketchConfig(4, 1, 1_000_000_000, SRC_KEY)
-    rows = sweep(records, [config], [DetectorSetting("threshold", threshold=1e9)])
+    rows = sweep(column_chunks(records), [config], [DetectorSetting("threshold", threshold=1e9)])
     assert rows[0].measured_pps is None
     benched = sweep(
-        records, [config], [DetectorSetting("threshold", threshold=1e9)], bench=True
+        column_chunks(records), [config], [DetectorSetting("threshold", threshold=1e9)], bench=True
     )
     assert benched[0].measured_pps > 0
 
@@ -613,7 +623,7 @@ def test_sweep_with_bench_uses_three_objectives():
 def test_report_csv_round_trip(tmp_path):
     records = flood_records()
     configs = [SketchConfig(w, 1, 1_000_000_000, SRC_KEY) for w in (4, 5)]
-    rows = sweep(records, configs, [zs(3.0), zs(3.0, train=99)])
+    rows = sweep(column_chunks(records), configs, [zs(3.0), zs(3.0, train=99)])
     path = tmp_path / "report.csv"
     write_report_csv(path, rows)
     with open(path, newline="") as fh:
@@ -632,7 +642,7 @@ def test_report_csv_round_trip(tmp_path):
 def test_report_json_carries_errors(tmp_path):
     records = flood_records()
     config = SketchConfig(4, 1, 1_000_000_000, SRC_KEY)
-    rows = sweep(records, [config], [zs(3.0), zs(3.0, train=99)])
+    rows = sweep(column_chunks(records), [config], [zs(3.0), zs(3.0, train=99)])
     path = tmp_path / "report.json"
     write_report_json(path, rows)
     payload = json.loads(path.read_text())

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowsketch.hashing import FlowKey, KeySpec, extract_key, fold, shift_xor_hash
 
-from conftest import make_packet
+from conftest import column_chunks, make_packet, random_records
 
 # 10-bit key 1011001101 at width 5: windows 10110 and 01101 XOR to 11011.
 W5_EXAMPLE_KEY = FlowKey(0b1011001101, 10)
@@ -205,3 +205,20 @@ def test_hash_uniformity_on_random_keys():
     for _ in range(100_000):
         counts[shift_xor_hash(FlowKey(rng.getrandbits(32), 32), 4)] += 1
     assert max(abs(c - 6250) for c in counts) < 400
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(HEADER_BITS)), min_size=1, max_size=5, unique=True),
+    st.integers(0, 2**32),
+    st.integers(1, 40),
+)
+def test_key_column_matches_extract_key(fields, seed, rows):
+    spec = KeySpec(tuple(fields))
+    records = random_records(random.Random(seed), rows, pool=300)
+    (chunk,) = column_chunks(records)
+    keys = spec.key_column(chunk)
+    assert keys == [extract_key(r, spec).value for r in records]
+    if len(fields) == 1:
+        # A single field's column is used as it is.
+        assert keys is getattr(chunk, fields[0])

@@ -5,6 +5,7 @@ import io
 import random
 import sys
 import tracemalloc
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -306,6 +307,42 @@ def test_chunked_parse_trace_matches_the_per_field_reference(text, chunk_rows):
     # and the timestamp carried between chunks all over a short trace.
     with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", chunk_rows):
         assert outcome(parse_trace, text) == outcome(reference_parse_trace, text)
+
+
+def chunk_outcome(text):
+    """parse_trace_chunks' columns, each joined across the chunks, or
+    the error's line and message."""
+    try:
+        chunks = list(ingest.parse_trace_chunks(io.StringIO(text, newline="")))
+    except TraceFormatError as exc:
+        return ("error", exc.line_no, str(exc))
+    for chunk in chunks:
+        assert 0 < len(chunk.timestamp_ns) <= ingest.PARSE_CHUNK_ROWS
+        assert all(type(column) is list and len(column) == len(chunk.timestamp_ns) for column in chunk)
+    return [list(chain.from_iterable(columns)) for columns in zip(*chunks)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(trace_texts(max_rows=20), st.integers(1, 3))
+def test_trace_chunks_are_the_per_field_reference_transposed(tmp_path_factory, text, chunk_rows):
+    # The chunk parser's columns, joined, are the reference's records
+    # column by column, and an error names the same line and message.
+    # parse_trace and read_trace, built on it, match the reference too.
+    want = outcome(reference_parse_trace, text)
+    path = tmp_path_factory.getbasetemp() / "chunked_trace.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", chunk_rows):
+        got = chunk_outcome(text)
+        assert outcome(parse_trace, text) == want
+        try:
+            read = [tuple(r) for r in read_trace(path)[0]]
+        except TraceFormatError as exc:
+            read = ("error", exc.line_no, str(exc))
+    assert read == want
+    if want and want[0] == "error":
+        assert got == want
+    else:
+        assert got == [list(column) for column in zip(*want)]
 
 
 def test_field_counts_that_only_sum_to_nine_per_row_are_rejected():

@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from flowsketch.hashing import FlowKey, KeySpec, shift_xor_hash
-from flowsketch.ingest import Label
+from flowsketch.ingest import Label, TraceColumns
 from flowsketch.oracle import AnomalousKeys, ExactTracker, FlowStats, merge_flow_stats
 from flowsketch.sketch import SketchConfig, StageCell
 
@@ -152,11 +153,13 @@ def test_oracle_rejects_regression():
 
 
 def anomalous_keys(packets, key, epoch_ns, cuts=()):
-    """AnomalousKeys fed the packets in batches that end at the cuts."""
-    keys = AnomalousKeys(key, epoch_ns)
+    """AnomalousKeys fed the packets in column chunks that end at the
+    cuts; a cut may make an empty chunk."""
+    keys = AnomalousKeys(epoch_ns)
     bounds = [0, *cuts, len(packets)]
     for lo, hi in zip(bounds, bounds[1:]):
-        keys.feed(packets[lo:hi])
+        chunk = TraceColumns._make(map(list, zip(*packets[lo:hi])) if hi > lo else [[]] * 9)
+        keys.feed(chunk, key.key_column(chunk))
     return keys.finish()
 
 
@@ -204,3 +207,42 @@ def test_keys_in_epoch():
     tr.update(make_packet(ts=120, src=1))
     assert sorted(k.value for k in tr.keys_in_epoch(0)) == [1, 2]
     assert [k.value for k in tr.keys_in_epoch(1)] == [1]
+
+
+KEY_SPECS = (
+    SRC_KEY,
+    KeySpec(("dst_port", "src_ip")),
+    KeySpec(("src_ip", "dst_ip", "src_port", "dst_port", "protocol")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.lists(st.integers(0, 60), max_size=4),
+    st.sampled_from(KEY_SPECS),
+    st.sampled_from((50, 1000, 10**6)),
+)
+def test_anomalous_keys_over_random_cuts_match_the_tracker(seed, cuts, key, epoch_ns):
+    records = random_records(random.Random(seed), 60, span_ns=20_000, anomalous_rate=0.3)
+    tr = tracker(epoch_ns=epoch_ns, key=key)
+    for r in records:
+        tr.update(r)
+    want = {(k.value, e) for k, e in tr._anomalous}
+    assert anomalous_keys(records, key, epoch_ns, sorted(cuts)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 39), st.lists(st.integers(0, 40), max_size=3))
+def test_anomalous_keys_name_a_regression_as_the_tracker_does(seed, at, cuts):
+    # The regressing row may sit inside a chunk or open one.
+    records = random_records(random.Random(seed), 40, span_ns=20_000, anomalous_rate=0.3)
+    assume(records[at - 1].timestamp_ns > 0)
+    records[at] = records[at]._replace(timestamp_ns=records[at - 1].timestamp_ns - 1)
+    tr = tracker()
+    with pytest.raises(ValueError) as want:
+        for r in records:
+            tr.update(r)
+    with pytest.raises(ValueError) as got:
+        anomalous_keys(records, SRC_KEY, 1000, sorted(cuts))
+    assert str(got.value) == str(want.value)

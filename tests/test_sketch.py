@@ -1,19 +1,23 @@
 """Sketch update, epoch rotation, query, and snapshot behavior."""
 
+import copy
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowsketch.detectors import feature_value
 from flowsketch.hashing import FlowKey, KeySpec, extract_key, shift_xor_hash
-from flowsketch.ingest import SyntheticProfile, TraceFormatError, generate_synthetic
+from flowsketch.ingest import SyntheticProfile, TraceColumns, TraceFormatError, generate_synthetic
 import flowsketch.sketch as sketch_module
 from flowsketch.oracle import ExactTracker
 from flowsketch.sketch import (
     CELL_BYTES,
     DEFAULT_MAX_CELLS,
     SNAPSHOT_HEADER,
+    EpochCollector,
+    EpochSnapshot,
     UPDATE_OPS,
     Sketch,
     SketchConfig,
@@ -24,7 +28,7 @@ from flowsketch.sketch import (
     write_snapshot,
 )
 
-from conftest import make_packet, random_records
+from conftest import column_chunks, make_packet, random_records
 
 SRC_KEY = KeySpec(("src_ip",))
 
@@ -447,3 +451,76 @@ def test_per_epoch_conservation():
             1 for r in records if (r.timestamp_ns - t0) // 6000 == snap.epoch_index
         )
         assert sum(c.pkt_count for c in snap.cells) == in_epoch
+
+
+KEY_SPECS = (SRC_KEY, KeySpec(("src_ip", "dst_port")), KeySpec(("src_ip", "dst_ip", "src_port", "dst_port", "protocol")))
+
+
+def gapped_records(seed, n=80):
+    """Random packets with a gap of several epochs of 1000 ns."""
+    rng = random.Random(seed)
+    records = random_records(rng, n, span_ns=6_000)
+    cut = rng.randrange(n)
+    return records[:cut] + [r._replace(timestamp_ns=r.timestamp_ns + 9_000) for r in records[cut:]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.lists(st.integers(0, 80), max_size=5),
+    st.integers(1, 10),
+    st.integers(1, 3),
+    st.sampled_from(KEY_SPECS),
+    st.booleans(),
+)
+def test_epoch_collector_fed_columns_matches_collect_epochs(seed, cuts, width, stages, key, given_keys):
+    # Chunks end at random cuts, empty ones included; the key column is
+    # either passed in or built by the sketch.
+    records = gapped_records(seed)
+    config = cfg(width=width, stages=stages, key=key)
+    collector = EpochCollector(Sketch(config))
+    bounds = [0, *sorted(cuts), len(records)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = TraceColumns._make(map(list, zip(*records[lo:hi])) if hi > lo else [[]] * 9)
+        collector.feed(chunk, key.key_column(chunk) if given_keys else None)
+    assert collector.finish() == collect_epochs(Sketch(config), records)
+
+
+def test_snapshots_do_not_change_as_later_chunks_are_fed():
+    records = gapped_records(7, n=400)
+    config = cfg(width=3, stages=2)
+    collector = EpochCollector(Sketch(config))
+    taken = []
+    for chunk in column_chunks(records, 9):
+        collector.feed(chunk)
+        taken.append(copy.deepcopy(collector._snapshots))
+    snapshots = collector.finish()
+    assert len(snapshots) > 10
+    for earlier in taken:
+        assert snapshots[: len(earlier)] == earlier
+    # Each equals the copy of stage 0 that a visitor takes as its epoch
+    # closes.
+    copies = []
+
+    def visit(sk, index, complete):
+        cells = sk.stage(0)
+        copies.append(
+            EpochSnapshot(index, sk.epoch_start_ns, complete, 8, tuple(cells), tuple(cells.values()))
+        )
+
+    replay_epochs(Sketch(config), records, visit)
+    assert snapshots == copies
+
+
+def test_epoch_collector_is_closed_by_finish():
+    records = random_records(random.Random(3), 50, span_ns=6_000)
+    (chunk,) = column_chunks(records)
+    collector = EpochCollector(Sketch(cfg()))
+    collector.feed(chunk)
+    snapshots = collector.finish()
+    assert snapshots == collect_epochs(Sketch(cfg()), records)
+    with pytest.raises(ValueError, match="finished"):
+        collector.finish()
+    with pytest.raises(ValueError, match="finished"):
+        collector.feed(chunk)
+    assert snapshots == collect_epochs(Sketch(cfg()), records)

@@ -11,11 +11,8 @@ and then, two packets out of order.  A z-score setting whose
 train_epochs exceeds the completed epochs makes some rows fail.
 """
 
-from unittest import mock
-
 from hypothesis import given, settings, strategies as st
 
-from flowsketch import evaluation
 from flowsketch.detectors import DetectorSetting, run_detector
 from flowsketch.evaluation import GroundTruthGrid, score, sweep
 from flowsketch.hashing import KeySpec
@@ -23,7 +20,7 @@ from flowsketch.ingest import Label
 from flowsketch.oracle import ExactTracker
 from flowsketch.sketch import Sketch, SketchConfig, collect_epochs
 
-from conftest import make_packet
+from conftest import column_chunks, make_packet
 
 KEY_SPECS = (
     KeySpec(("src_ip",)),
@@ -110,7 +107,7 @@ def test_sweep_matches_per_config_reference(run, threshold, k, train_epochs):
         DetectorSetting("ewma", feature="byte_sum", k=k, alpha=0.3),
     ]
     want = reference_rows(records, configs, settings_)
-    rows = sweep(records, configs, settings_)
+    rows = sweep(column_chunks(records), configs, settings_)
     assert [r.config_id for r in rows] == sorted(want)
     for row in rows:
         assert (row.tp, row.fp, row.fn, row.tn, row.error) == want[row.config_id], row.config_id
@@ -129,9 +126,8 @@ def test_sweep_of_a_stream_in_small_chunks_matches_the_whole_list(run, chunk_row
         DetectorSetting("threshold", threshold=0.5),
         DetectorSetting("zscore", k=3.0, train_epochs=train_epochs),
     ]
-    want = sweep(records, configs, settings_)
-    with mock.patch.object(evaluation, "PARSE_CHUNK_ROWS", chunk_rows):
-        rows = sweep(iter(records), configs, settings_)
+    want = sweep(column_chunks(records), configs, settings_)
+    rows = sweep(iter(column_chunks(records, chunk_rows)), configs, settings_)
     assert rows == want
     reference = reference_rows(records, configs, settings_)
     assert {r.config_id: (r.tp, r.fp, r.fn, r.tn, r.error) for r in rows} == reference
