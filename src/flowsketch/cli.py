@@ -117,19 +117,13 @@ def _config_tokens(
     for key, value in settings.items():
         if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
-        flag = "--" + key.replace("_", "-")
-        if isinstance(getattr(args, key), bool):
-            if not isinstance(value, bool):
-                raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
-            token = [flag] if value else []
-        else:
-            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            token = [f"{flag}={text}"]
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        token = f"--{key.replace('_', '-')}={text}"
         try:
-            args.parser.parse_args(token + rest)
+            args.parser.parse_args([token, *rest])
         except _UsageError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-        tokens += token
+        tokens.append(token)
     return tokens
 
 
@@ -185,8 +179,7 @@ def _trace_errors_first(chunks: Iterable) -> Iterator[None]:
 
 def _print_front(points: Iterable[ParetoPoint | SweepRow]) -> None:
     for p in points:
-        pps = "-" if p.measured_pps is None else f"{p.measured_pps:.0f}"
-        print(f"  {p.config_id}  f1={p.f1:.4f}  memory={p.memory_bytes}B  pps={pps}")
+        print(f"  {p.config_id}  f1={p.f1:.4f}  memory={p.memory_bytes}B")
 
 
 def _sketch_config(args: argparse.Namespace) -> SketchConfig:
@@ -259,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mem-stages", type=_int_list, default=[1])
     p.add_argument("--epoch-ns", type=_int_list, default=[1_000_000_000])
     p.add_argument("--key-specs", type=_str_list, default=["src_ip"])
-    p.add_argument("--bench", action="store_true")
-    p.add_argument("--bench-repetitions", type=int, default=3)
     _add_detector_flags(p)
     _add_config_flag(p)
     p.set_defaults(func=_cmd_sweep, parser=p)
@@ -378,17 +369,8 @@ def _cmd_sweep(*runs: argparse.Namespace) -> int:
 
     with open_trace(args.trace) as fh:
         chunks = counted(parse_trace_chunks(fh))
-        if args.bench:
-            # The benchmark replays the trace, so it is read whole.
-            chunks = list(chunks)
         with _trace_errors_first(chunks):
-            rows = sweep(
-                chunks,
-                configs,
-                settings,
-                bench=args.bench,
-                bench_repetitions=args.bench_repetitions,
-            )
+            rows = sweep(chunks, configs, settings)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "report.csv")
     json_path = os.path.join(args.out_dir, "report.json")
@@ -429,8 +411,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     scored = [r for r in rows if r.f1 is not None and r.memory_bytes is not None]
     if not scored:
         raise ValueError("report has no scored rows")
-    points = [ParetoPoint(r.config_id, r.f1, r.memory_bytes, r.measured_pps) for r in scored]
-    front, dominated = pareto_front(points)
+    points = [ParetoPoint(r.config_id, r.f1, r.memory_bytes) for r in scored]
+    front, dominated = pareto_front(points, use_pps=False)
     print(f"{len(front)} of {len(points)} configurations on the front:")
     _print_front(front)
     return EXIT_OK

@@ -1,12 +1,13 @@
-"""Evaluation pipeline: detection quality, resource cost, throughput,
-and Pareto comparison across configurations.
+"""Evaluation pipeline: detection quality, resource cost, update
+throughput, and Pareto comparison across configurations.
 
 A sweep runs a grid of (sketch config x detector setting) cells over
-one labeled trace, read once as column chunks.  Each cell is scored against a ground-truth grid at
-(bucket, epoch) granularity, costed with a simple memory model, and
-optionally benchmarked for update throughput.  Cells on the Pareto
-front (maximize f1 and throughput, minimize memory) are flagged in the
-report.
+one labeled trace, read once as column chunks.  Each cell is scored
+against a ground-truth grid at (bucket, epoch) granularity and costed
+with a simple memory model.  Cells on the Pareto front (maximize f1,
+minimize memory) are flagged in the report, so the report depends only
+on the trace and the grid.  bench_throughput measures one config's
+update throughput on its own.
 """
 
 from __future__ import annotations
@@ -161,15 +162,6 @@ class BenchResult:
     mean_packet_bytes: float
 
 
-def _check_bench(packet_count: int, repetitions: int) -> None:
-    if packet_count < BENCH_MIN_PACKETS:
-        raise ValueError(
-            f"benchmark needs at least {BENCH_MIN_PACKETS} packets, got {packet_count}"
-        )
-    if repetitions < 3:
-        raise ValueError("benchmark needs at least 3 repetitions")
-
-
 def bench_throughput(
     config: SketchConfig,
     records: Sequence[PacketRecord],
@@ -183,7 +175,10 @@ def bench_throughput(
     reported figure is the median over repetitions.
     """
     n = len(records)
-    _check_bench(n, repetitions)
+    if n < BENCH_MIN_PACKETS:
+        raise ValueError(f"benchmark needs at least {BENCH_MIN_PACKETS} packets, got {n}")
+    if repetitions < 3:
+        raise ValueError("benchmark needs at least 3 repetitions")
     Sketch(config).update_many(records)  # warmup
     runs = []
     gc_was_enabled = gc.isenabled()
@@ -256,9 +251,9 @@ def pareto_front(
 
 @dataclass
 class SweepRow:
-    """One grid cell of a sweep: configuration, detection quality,
-    resource cost, and optional throughput.  error is set (and the
-    quality fields are None) when the cell failed."""
+    """One grid cell of a sweep: configuration, detection quality and
+    resource cost.  error is set (and the quality fields are None) when
+    the cell failed."""
 
     config_id: str
     hash_width: int
@@ -276,7 +271,6 @@ class SweepRow:
     f1: float | None = None
     memory_bytes: int | None = None
     update_ops: int | None = None
-    measured_pps: float | None = None
     on_front: bool = False
     error: str | None = None
 
@@ -292,8 +286,6 @@ def sweep(
     chunks: Iterable[TraceColumns],
     sketch_configs: Sequence[SketchConfig],
     detector_settings: Sequence[DetectorSetting],
-    bench: bool = False,
-    bench_repetitions: int = 3,
 ) -> list[SweepRow]:
     """Evaluate every (sketch config, detector setting) cell on a trace,
     given as timestamp-sorted column chunks (ingest.TraceColumns, as
@@ -303,8 +295,8 @@ def sweep(
     Only completed epochs are scored; a trailing partial epoch is
     excluded from both verdicts and ground truth.  A failing cell does
     not abort the sweep: the failure is recorded on its row and the
-    remaining cells still run.  Benchmark preconditions depend only on
-    the trace, so they are checked before any cell runs.
+    remaining cells still run.  The Pareto front ranks f1 and memory
+    only, so the rows depend on nothing but the trace and the grid.
 
     The chunks are read once and none is kept: each goes through every
     pass below before the next is read, so peak memory is the passes'
@@ -312,9 +304,7 @@ def sweep(
     once per key spec and shared by the passes of that spec.  An error
     raised by chunks itself, such as a parse error, aborts the sweep.  A
     bad grid raises as soon as it is found, after the first chunk is
-    read and before the rest is.  With bench, chunks must be a sequence:
-    the throughput benchmark replays the trace as packet records, as
-    bench_throughput does.
+    read and before the rest is.
 
     Snapshots hold stage 0, which does not depend on the stage count,
     so a row's verdicts depend on its config only through (key spec,
@@ -324,8 +314,7 @@ def sweep(
     detector run and score per setting.  Ground truth is one light
     oracle.AnomalousKeys pass per (key spec, epoch length), folded to
     buckets for each hash width.  The cell budget check of
-    Sketch(config), the resource model and the throughput benchmark
-    run per config.
+    Sketch(config) and the resource model run per config.
 
     A budget error stays on its config's rows.  An error of a shared
     pass, such as a timestamp regression, lands on every row of the
@@ -338,9 +327,6 @@ def sweep(
         raise ValueError("sweep needs at least one sketch config and one detector setting")
     if head is None:
         raise ValueError("sweep needs a nonempty trace")
-    if bench:
-        records = list(chain.from_iterable(map(TraceColumns.records, chunks)))
-        _check_bench(len(records), bench_repetitions)
     ids = {
         _config_id(c, s) for c in sketch_configs for s in detector_settings
     }
@@ -395,15 +381,9 @@ def sweep(
                 except ValueError as exc:
                     outcomes.append(str(exc))
         for config in configs:
-            bench_pps: float | None = None
             error = budget_errors.get(config)
             if error is None and isinstance(outcomes, str):
                 error = outcomes
-            if error is None and bench:
-                try:
-                    bench_pps = bench_throughput(config, records, repetitions=bench_repetitions).pps
-                except ValueError as exc:
-                    error = str(exc)
             cost = resource_model(config)
             cells = outcomes if error is None else [error] * len(detector_settings)
             for setting, outcome in zip(detector_settings, cells):
@@ -417,7 +397,6 @@ def sweep(
                     detector_params=setting.params_str(),
                     memory_bytes=cost.memory_bytes,
                     update_ops=cost.update_ops,
-                    measured_pps=bench_pps,
                 )
                 if isinstance(outcome, str):
                     row.error = outcome
@@ -429,11 +408,8 @@ def sweep(
                 rows.append(row)
     clean = [r for r in rows if r.error is None]
     if clean:
-        points = [
-            ParetoPoint(r.config_id, r.f1, r.memory_bytes, r.measured_pps)
-            for r in clean
-        ]
-        pareto_front(points, use_pps=bench)
+        points = [ParetoPoint(r.config_id, r.f1, r.memory_bytes) for r in clean]
+        pareto_front(points, use_pps=False)
         flags = {p.config_id: not p.dominated for p in points}
         for r in clean:
             r.on_front = flags[r.config_id]
@@ -456,8 +432,7 @@ _REPORT_COLUMNS = (
     ("epoch_ns", parse_uint), ("key_spec", str), ("detector_id", str),
     ("detector_params", str), ("tp", opt_int), ("fp", opt_int), ("fn", opt_int),
     ("tn", opt_int), ("precision", _opt_ratio), ("recall", _opt_ratio), ("f1", _opt_ratio),
-    ("memory_bytes", opt_int), ("update_ops", opt_int), ("measured_pps", opt_float),
-    ("on_front", parse_flag),
+    ("memory_bytes", opt_int), ("update_ops", opt_int), ("on_front", parse_flag),
 )
 REPORT_HEADER = ",".join(name for name, _ in _REPORT_COLUMNS)
 _report_fields = attrgetter(*(name for name, _ in _REPORT_COLUMNS))
@@ -475,6 +450,9 @@ def _report_row(f: list[str]) -> SweepRow:
 
 
 def parse_report_csv(lines: Iterable[str]) -> list[SweepRow]:
+    """Parse a report in the one layout write_report_csv writes; a
+    report from before the measured_pps column was removed is rejected
+    by its header."""
     return list(read_csv(lines, REPORT_HEADER, _report_row))
 
 

@@ -318,7 +318,6 @@ def test_sweep_writes_reports(tmp_path, capsys):
     assert len(rows) == 2
     assert {r.hash_width for r in rows} == {4, 5}
     assert any(r.on_front for r in rows)
-    assert all(r.measured_pps is None for r in rows)  # bench off
     payload = json.loads((out_dir / "report.json").read_text())
     assert len(payload) == 2
     assert "front" in capsys.readouterr().out.lower()
@@ -428,23 +427,31 @@ def test_bench_short_trace_exits_2(tmp_path, capsys):
     assert "10000" in capsys.readouterr().err
 
 
-def test_sweep_bench_short_trace_exits_2_before_the_grid(tmp_path, capsys):
+def test_sweep_has_no_bench_option(tmp_path, capsys):
+    # Throughput is measured by the bench command alone.
     trace = gen_trace(tmp_path, "--anomaly", "flood")
     out_dir = tmp_path / "sweep"
-    assert run("sweep", "--trace", str(trace), "--out-dir", str(out_dir), "--bench") == 2
-    assert "10000" in capsys.readouterr().err
+    assert run("sweep", "--trace", str(trace), "--out-dir", str(out_dir), "--bench") == 1
+    assert "unrecognized arguments: --bench" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
-def test_sweep_bench_two_repetitions_exits_2_before_the_grid(tmp_path, capsys):
-    trace = tmp_path / "big.csv"
-    assert run("generate", "--out", str(trace), "--flows", "100",
-               "--packets-per-flow", "100", "--seed", "1") == 0
-    out_dir = tmp_path / "sweep"
-    assert run("sweep", "--trace", str(trace), "--out-dir", str(out_dir),
-               "--bench", "--bench-repetitions", "2") == 2
-    assert "3 repetitions" in capsys.readouterr().err
-    assert not out_dir.exists()
+def test_sweep_twice_writes_identical_reports(tmp_path, capsys):
+    # The report and the front depend only on the trace and the grid.
+    trace = gen_trace(tmp_path, "--anomaly", "flood")
+    capsys.readouterr()
+    outputs = []
+    for name in ("a", "b"):
+        out_dir = tmp_path / name
+        assert run("sweep", "--trace", str(trace), "--out-dir", str(out_dir),
+                   "--hash-widths", "4,5", "--mem-stages", "1,2",
+                   "--detector", "zscore", "--k", "3", "--train-epochs", "2") == 0
+        stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
+        outputs.append((
+            (out_dir / "report.csv").read_bytes(), (out_dir / "report.json").read_bytes(), stdout,
+        ))
+    assert outputs[0] == outputs[1]
+    assert "W4-S1" in outputs[0][2]
 
 
 def run_with_config(tmp_path, command, doc, *extra):
@@ -466,16 +473,18 @@ def run_with_config(tmp_path, command, doc, *extra):
         ("sweep", {"sweep": {"hash_widths": "4,5"}}, (), 0, "W5-S1"),
         # a float for an integer option is not truncated
         ("detect", {"sketch": {"hash_width": 4.7}}, (), 2, "hash_width"),
+        # nor is true taken for 1
+        ("detect", {"sketch": {"hash_width": True}}, (), 2, "hash_width"),
         # a misspelled section is not ignored
         ("extract", {"sketh": {"hash_width": 5}}, (), 2, "sketh"),
         # a flag reaches every entry of the detectors list
         ("sweep", {"sweep": {"detectors": [{"detector": "zscore"}]}}, ("--k", "100"), 0, "k=100.0"),
-        # bool("no") is True; only true and false are accepted
-        ("sweep", {"sweep": {"bench": "no"}}, (), 2, "bench"),
+        # sweep has no bench option, so its key is unknown
+        ("sweep", {"sweep": {"bench": True}}, (), 2, "bench"),
         # an unknown detector is a config error, not a failed cell
         ("sweep", {"sweep": {"detector": "bogus"}}, (), 2, "detector"),
     ],
-    ids=["comma-text", "float-width", "unknown-section", "flag-over-list", "bench-no", "bad-kind"],
+    ids=["comma-text", "float-width", "true-width", "unknown-section", "flag-over-list", "bench-unknown", "bad-kind"],
 )
 def test_config_values_pass_the_flags_checks(tmp_path, capsys, command, doc, extra, code, needle):
     assert run_with_config(tmp_path, command, doc, *extra)[0] == code

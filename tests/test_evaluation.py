@@ -370,9 +370,13 @@ def test_bench_stability_under_length_doubling():
 
 def test_bench_more_stages_is_not_faster():
     records = bench_trace(n=50_000)
+    # 1-us epochs against ~100-us gaps between packets: almost every
+    # packet crosses at least 3 boundaries, so S=3 rotates 3 times per
+    # packet where S=1 rotates once.  At 100-ms epochs few packets cross
+    # a boundary, so both do nearly the same work.
     ratio = paired_ratio(
-        (SketchConfig(4, 1, 100_000_000, SRC_KEY), records),
-        (SketchConfig(4, 3, 100_000_000, SRC_KEY), records),
+        (SketchConfig(4, 1, 1_000, SRC_KEY), records),
+        (SketchConfig(4, 3, 1_000, SRC_KEY), records),
     )
     # rotation work grows with the stage count; allow measurement noise
     assert ratio <= 1.1
@@ -399,7 +403,6 @@ def test_sweep_single_cell():
     assert row.on_front
     assert row.memory_bytes == 16 * CELL_BYTES
     assert row.update_ops == 9
-    assert row.measured_pps is None  # bench off
     # cross-check the row against a direct scoring pass
     snaps = [s for s in collect_epochs(Sketch(config), records) if s.complete]
     tracker = ExactTracker(config)
@@ -609,17 +612,6 @@ def test_sweep_puts_a_negative_train_epochs_on_its_rows():
     assert all(r.error == "train_epochs=-1 must be nonnegative" for r in bad)
 
 
-def test_sweep_with_bench_uses_three_objectives():
-    records = bench_trace()
-    config = SketchConfig(4, 1, 1_000_000_000, SRC_KEY)
-    rows = sweep(column_chunks(records), [config], [DetectorSetting("threshold", threshold=1e9)])
-    assert rows[0].measured_pps is None
-    benched = sweep(
-        column_chunks(records), [config], [DetectorSetting("threshold", threshold=1e9)], bench=True
-    )
-    assert benched[0].measured_pps > 0
-
-
 def test_report_csv_round_trip(tmp_path):
     records = flood_records()
     configs = [SketchConfig(w, 1, 1_000_000_000, SRC_KEY) for w in (4, 5)]
@@ -667,7 +659,7 @@ def test_parse_report_rejects_garbage():
 
 @pytest.mark.parametrize("flag", ["yes", ""])
 def test_parse_report_names_bad_line(flag):
-    row = "a,4,1,1000,src_ip,zscore,k=3.0,1,0,0,15,1.0,1.0,1.0,1152,9,,"
+    row = "a,4,1,1000,src_ip,zscore,k=3.0,1,0,0,15,1.0,1.0,1.0,1152,9,"
     with pytest.raises(TraceFormatError) as err:
         parse_report_csv([REPORT_HEADER, row + "true", row + flag])
     assert err.value.line_no == 3
@@ -678,7 +670,7 @@ def test_parse_report_names_bad_line(flag):
     [(1, "+8"), (3, "1_000"), (2, "01"), (7, " 1"), (10, "015"), (14, "-0")],
 )
 def test_parse_report_rejects_non_canonical_integer(field, text):
-    good = "a,4,1,1000,src_ip,zscore,k=3.0,1,0,0,15,1.0,1.0,1.0,1152,9,,true"
+    good = "a,4,1,1000,src_ip,zscore,k=3.0,1,0,0,15,1.0,1.0,1.0,1152,9,true"
     fields = good.split(",")
     fields[field] = text
     with pytest.raises(TraceFormatError) as err:
@@ -690,14 +682,14 @@ def test_parse_report_rejects_non_canonical_integer(field, text):
 @pytest.mark.parametrize(
     "field, text",
     [(11, "+1_0.0"), (11, "10.0"), (12, "-0.5"), (13, "1.5"), (13, "1.00"), (12, "nan"),
-     (13, "inf"), (16, "5E+3"), (16, " 12.5"), (12, "1e0")],
+     (13, "inf"), (11, "5E-1"), (12, " 0.5"), (12, "1e0")],
 )
 def test_parse_report_rejects_non_canonical_float(field, text):
-    good = "a,4,1,1000,src_ip,zscore,k=3.0,1,0,0,15,1.0,0.5,0.6666666666666666,1152,9,1250000.0,true"
+    good = "a,4,1,1000,src_ip,zscore,k=3.0,1,0,0,15,1.0,0.5,0.6666666666666666,1152,9,true"
     fields = good.split(",")
     fields[field] = text
     rows = parse_report_csv([REPORT_HEADER, good])
-    assert (rows[0].precision, rows[0].f1, rows[0].measured_pps) == (1.0, 0.6666666666666666, 1250000.0)
+    assert (rows[0].precision, rows[0].recall, rows[0].f1) == (1.0, 0.5, 0.6666666666666666)
     with pytest.raises(TraceFormatError) as err:
         parse_report_csv([REPORT_HEADER, good, ",".join(fields)])
     assert err.value.line_no == 3
