@@ -17,21 +17,9 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .detectors import DETECTOR_PARAMS, FEATURES, DetectorSetting, run_detector, write_verdicts
-from .evaluation import (
-    GroundTruthGrid,
-    ParetoPoint,
-    SweepRow,
-    bench_throughput,
-    parse_report_csv,
-    pareto_front,
-    score,
-    sweep,
-    write_report_csv,
-    write_report_json,
-)
 from .hashing import KeySpec
 from .ingest import (
     AnomalyKind,
@@ -45,6 +33,12 @@ from .ingest import (
     write_trace,
 )
 from .sketch import EpochCollector, Sketch, SketchConfig, replay_epochs, write_snapshot
+
+# evaluation, and through it oracle, fractions and statistics, is
+# imported inside the four commands that score or bench, so that
+# generate and extract start without compiling or importing them.
+if TYPE_CHECKING:
+    from .evaluation import ParetoPoint, SweepRow
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -326,6 +320,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    from .evaluation import GroundTruthGrid, score
+
     config = _sketch_config(args)
     setting = _detector_setting(args)
     with open_trace(args.trace) as fh:
@@ -349,6 +345,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(*runs: argparse.Namespace) -> int:
+    from .evaluation import sweep, write_report_csv, write_report_json
+
     # One namespace per detector setting; only their detector options differ.
     args = runs[0]
     settings = [_detector_setting(run) for run in runs]
@@ -392,6 +390,8 @@ def _cmd_sweep(*runs: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .evaluation import bench_throughput
+
     config = _sketch_config(args)
     records, _ = read_trace(args.trace)
     result = bench_throughput(config, records, repetitions=args.repetitions)
@@ -406,6 +406,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
+    from .evaluation import ParetoPoint, parse_report_csv, pareto_front
+
     with open(args.report, "r", encoding="utf-8", newline="") as fh:
         rows = parse_report_csv(fh)
     scored = [r for r in rows if r.f1 is not None and r.memory_bytes is not None]

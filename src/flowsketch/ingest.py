@@ -34,7 +34,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, cycle, islice, repeat
 from operator import attrgetter, countOf, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -535,24 +535,60 @@ _BENIGN_SRC_BASE = parse_ip("10.0.0.1")
 _DST_BASE = parse_ip("192.168.0.1")
 _ATTACK_SRC = parse_ip("10.255.255.254")
 _BENIGN_LENGTHS = (60, 576, 1500)
+# generate_synthetic's rows name their label by its index here.
+_ROW_LABELS = (Label.BENIGN, Label.ANOMALOUS)
+_ROW_BENIGN, _ROW_ANOMALOUS = range(2)
 
 
-def _flow_times(rng: random.Random, profile: SyntheticProfile) -> list[int]:
+def _randranges(rng: random.Random, n: int, count: int) -> list[int]:
+    """count values of rng.randrange(n), draw for draw.  randrange(n)
+    takes getrandbits(n.bit_length()) until a value falls below n, so
+    the values below n among the next need such draws are the next
+    values it returns: each round draws once for every value still
+    needed, keeps those below n, and draws again only for the rest."""
+    if n < 1:
+        raise ValueError(f"no value below {n} to draw")
+    bits = n.bit_length()
+    values: list[int] = []
+    need = count
+    while need > 0:
+        drawn = list(filter(n.__gt__, map(rng.getrandbits, repeat(bits, need))))
+        values += drawn
+        need -= len(drawn)
+    return values
+
+
+def _tcp_seqs(first: int, count: int) -> Iterator[int]:
+    """count successive tcp_seq values from first, wrapping at 2**32."""
+    mask = 0xFFFFFFFF
+    return map(mask.__and__, range(first, first + count))
+
+
+def _flow_times(rng: random.Random, profile: SyntheticProfile) -> Sequence[int]:
+    """One benign flow's packet offsets, ascending.  Uniform timing
+    sorts packets_per_flow values of randrange(duration_ns), drawn in
+    bulk; periodic timing sends one packet every duration_ns //
+    packets_per_flow from a phase drawn below that period, so every
+    packet falls inside the trace."""
     count = profile.packets_per_flow
     duration = profile.duration_ns
     if profile.timing == "uniform":
-        return sorted(rng.randrange(duration) for _ in range(count))
-    # periodic: fixed spacing with a random phase, entirely inside the trace
+        times = _randranges(rng, duration, count)
+        times.sort()
+        return times
     period = duration // count
     phase = rng.randrange(period)
-    return [phase + j * period for j in range(count)]
+    return range(phase, phase + count * period, period)
 
 
 def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecord]:
     """Generate a timestamp-sorted labeled trace.
 
     Pure function of (profile, seed): the same arguments always produce
-    the identical record sequence.
+    the identical record sequence.  Each flow's per-packet draws (its
+    offsets, then its lengths) and the anomaly's offsets are taken in
+    bulk, and match one randrange or choice call per packet exactly, so
+    they rest only on random() and getrandbits.
     """
     if profile.duration_ns <= 0:
         raise ValueError("profile duration must be positive")
@@ -570,11 +606,23 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
             raise ValueError("anomaly window must satisfy 0 <= start < stop <= 1")
         if anomaly.rate_multiplier <= 0:
             raise ValueError("anomaly rate_multiplier must be positive")
+        lo = int(anomaly.window_start * profile.duration_ns)
+        hi = int(anomaly.window_stop * profile.duration_ns)
+        span = anomaly.window_stop - anomaly.window_start
+        anomaly_count = round(anomaly.rate_multiplier * profile.packets_per_flow * span)
+        if anomaly_count > 0 and hi <= lo:
+            raise ValueError(
+                f"anomaly window [{lo}, {hi}) ns is empty at duration_ns={profile.duration_ns}"
+            )
 
     rng = random.Random(seed)
     # Rows are (offset, fields...) tuples; records are built only after
     # the sort, so they (and their timestamps) sit in memory in stream
-    # order and a pass over the trace reads memory sequentially.
+    # order and a pass over the trace reads memory sequentially.  A row
+    # holds its label as an index into _ROW_LABELS: a row of ints only
+    # is untracked by the cyclic garbage collector once it survives a
+    # collection, so the collections during generation walk the records
+    # alone, not the rows as well.
     rows: list[tuple] = []
 
     for i in range(profile.flows):
@@ -594,30 +642,28 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
             dst_port = rng.choice((80, 443, 53, 8080))
         seq = rng.randrange(1 << 32) if protocol == _PROTO_TCP else 0
         times = _flow_times(rng, profile)
-        for ts in times:
-            rows.append(
-                (ts, src, dst, src_port, dst_port, protocol,
-                 rng.choice(_BENIGN_LENGTHS), seq, Label.BENIGN)
-            )
-            if protocol == _PROTO_TCP:
-                seq = (seq + 1) & 0xFFFFFFFF
+        # choice(_BENIGN_LENGTHS) is _BENIGN_LENGTHS[randrange(3)].
+        picks = _randranges(rng, len(_BENIGN_LENGTHS), len(times))
+        rows += zip(
+            times, repeat(src), repeat(dst), repeat(src_port), repeat(dst_port), repeat(protocol),
+            map(_BENIGN_LENGTHS.__getitem__, picks),
+            _tcp_seqs(seq, len(times)) if protocol == _PROTO_TCP else repeat(0),
+            repeat(_ROW_BENIGN),
+        )
 
     if anomaly is not None:
-        lo = int(anomaly.window_start * profile.duration_ns)
-        hi = int(anomaly.window_stop * profile.duration_ns)
-        span = anomaly.window_stop - anomaly.window_start
-        count = round(anomaly.rate_multiplier * profile.packets_per_flow * span)
-        times = sorted(lo + rng.randrange(hi - lo) for _ in range(count))
+        offsets = _randranges(rng, hi - lo, anomaly_count) if anomaly_count > 0 else []
+        times = sorted(map(lo.__add__, offsets))
         seq = rng.randrange(1 << 32)
-        for j, ts in enumerate(times):
-            if anomaly.kind is AnomalyKind.FLOOD:
-                dst_port = 80
-            else:
-                dst_port = 1 + (j % 65535)
-            rows.append(
-                (ts, _ATTACK_SRC, _DST_BASE, 40000, dst_port, _PROTO_TCP,
-                 60, (seq + j) & 0xFFFFFFFF, Label.ANOMALOUS)
-            )
+        if anomaly.kind is AnomalyKind.FLOOD:
+            dst_ports = repeat(80)
+        else:
+            # Packet j goes to port 1 + j % 65535.
+            dst_ports = cycle(range(1, 65536))
+        rows += zip(
+            times, repeat(_ATTACK_SRC), repeat(_DST_BASE), repeat(40000), dst_ports,
+            repeat(_PROTO_TCP), repeat(60), _tcp_seqs(seq, len(times)), repeat(_ROW_ANOMALOUS),
+        )
 
     rows.sort(key=itemgetter(0))
     start = profile.start_ts_ns
@@ -629,7 +675,8 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
     if rows and start + rows[0][0] < 0:
         raise ValueError("timestamp_ns must be nonnegative")
     new = tuple.__new__
+    labels = _ROW_LABELS
     return [
-        new(PacketRecord, (start + ts, src, dst, src_port, dst_port, protocol, length, seq, label))
+        new(PacketRecord, (start + ts, src, dst, src_port, dst_port, protocol, length, seq, labels[label]))
         for ts, src, dst, src_port, dst_port, protocol, length, seq, label in rows
     ]

@@ -63,6 +63,45 @@ def test_generate_rejects_bad_window(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_generate_rejects_an_empty_anomaly_window(tmp_path, capsys):
+    # [int(0.4 * 5), int(0.5 * 5)) holds no nanosecond, yet it must hold
+    # round(50 * 3 * 0.1) = 15 flood packets.
+    out = tmp_path / "t.csv"
+    code = run(
+        "generate", "--out", str(out), "--flows", "2", "--packets-per-flow", "3",
+        "--duration-ns", "5", "--anomaly", "flood",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "flowsketch: anomaly window [2, 2) ns is empty at duration_ns=5\n"
+    assert not out.exists()
+
+
+# Runs the command in argv[1:] through main() and prints its exit code
+# and whether it imported evaluation or oracle.
+IMPORT_PROBE = (
+    "import sys\n"
+    "from flowsketch.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, sorted(m for m in ('flowsketch.evaluation', 'flowsketch.oracle') if m in sys.modules))\n"
+)
+
+
+def test_generate_and_extract_do_not_import_the_scoring_modules(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    trace = tmp_path / "trace.csv"
+    commands = [
+        ["generate", "--out", str(trace), "--flows", "3", "--packets-per-flow", "20",
+         "--anomaly", "flood", "--seed", "21"],
+        ["extract", "--trace", str(trace), "--out-dir", str(tmp_path / "epochs")],
+    ]
+    for command in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *command], capture_output=True, env=env, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", (command[0], proc.stdout)
+
+
 def test_usage_errors_exit_1(capsys):
     assert run("generate", "--no-such-flag") == 1
     assert run("frobnicate") == 1

@@ -642,6 +642,56 @@ def test_generate_validation():
         )
 
 
+def test_generate_empty_anomaly_window():
+    # [int(0.4 * 5), int(0.5 * 5)) = [2, 2) holds no nanosecond.
+    due = SyntheticProfile(flows=2, packets_per_flow=3, duration_ns=5,
+                           anomaly=AnomalyProfile(AnomalyKind.FLOOD, rate_multiplier=50.0))
+    with pytest.raises(ValueError) as exc:
+        generate_synthetic(due, seed=0)
+    assert str(exc.value) == "anomaly window [2, 2) ns is empty at duration_ns=5"
+    # round(1 * 3 * 0.1) = 0 packets need no window, so the trace is
+    # generated as before: benign packets only.
+    none_due = SyntheticProfile(flows=2, packets_per_flow=3, duration_ns=5,
+                                anomaly=AnomalyProfile(AnomalyKind.FLOOD, rate_multiplier=1.0))
+    records = generate_synthetic(none_due, seed=0)
+    assert len(records) == 6
+    assert all(r.label is Label.BENIGN for r in records)
+    assert records == reference_generate_synthetic(none_due, seed=0)
+
+
+RANDRANGE_BOUNDS = (1, 2, 3, 4, 5, 16, 17, 1000, 2**32, 10**10, 2**34 - 1, 2**34 + 1)
+DRAW_COUNTS = (0, 1, 7, 200)
+
+
+@pytest.mark.parametrize("n", RANDRANGE_BOUNDS)
+def test_bulk_draws_match_randrange_draw_for_draw(n):
+    for seed in range(30):
+        for count in DRAW_COUNTS:
+            rng, rng2 = random.Random(seed), random.Random(seed)
+            assert ingest._randranges(rng, n, count) == [rng2.randrange(n) for _ in range(count)]
+            assert rng.getstate() == rng2.getstate()
+
+
+def test_bulk_length_picks_match_choice():
+    lengths = ingest._BENIGN_LENGTHS
+    for seed in range(30):
+        for count in DRAW_COUNTS:
+            rng, rng2 = random.Random(seed), random.Random(seed)
+            picks = ingest._randranges(rng, len(lengths), count)
+            assert [lengths[i] for i in picks] == [rng2.choice(lengths) for _ in range(count)]
+            assert rng.getstate() == rng2.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_bulk_draws_below_one_raise(n):
+    rng = random.Random(7)
+    before = rng.getstate()
+    for count in DRAW_COUNTS:
+        with pytest.raises(ValueError):
+            ingest._randranges(rng, n, count)
+    assert rng.getstate() == before
+
+
 def test_packet_record_validation():
     with pytest.raises(ValueError):
         make_packet(ts=-1)
@@ -680,6 +730,12 @@ def reference_generate_synthetic(profile, seed):
             raise ValueError("anomaly window must satisfy 0 <= start < stop <= 1")
         if anomaly.rate_multiplier <= 0:
             raise ValueError("anomaly rate_multiplier must be positive")
+        lo = int(anomaly.window_start * profile.duration_ns)
+        hi = int(anomaly.window_stop * profile.duration_ns)
+        count = round(anomaly.rate_multiplier * profile.packets_per_flow
+                      * (anomaly.window_stop - anomaly.window_start))
+        if count > 0 and hi <= lo:
+            raise ValueError(f"anomaly window [{lo}, {hi}) ns is empty at duration_ns={profile.duration_ns}")
 
     benign_src_base = parse_ip("10.0.0.1")
     dst_base = parse_ip("192.168.0.1")
