@@ -32,7 +32,7 @@ from .ingest import (
     read_trace,
     write_trace,
 )
-from .sketch import EpochCollector, Sketch, SketchConfig, replay_epochs, write_snapshot
+from .sketch import EpochCollector, EpochSnapshot, Sketch, SketchConfig, write_snapshot
 
 # evaluation, and through it oracle, fractions and statistics, is
 # imported inside the four commands that score or bench, so that
@@ -290,32 +290,38 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _epoch_snapshots(trace: str, config: SketchConfig) -> list[EpochSnapshot]:
+    """The stage-0 snapshot of every elapsed epoch of the trace, in
+    order, the trailing partial epoch last.  The trace is read a chunk
+    at a time, and an error in it is reported ahead of a config's."""
+    with open_trace(trace) as fh:
+        chunks = parse_trace_chunks(fh)
+        with _trace_errors_first(chunks):
+            collector = EpochCollector(Sketch(config))
+            for chunk in chunks:
+                collector.feed(chunk)
+            return collector.finish()
+
+
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _sketch_config(args)
-    # The trace is read whole first, so that an error in it leaves no
-    # file behind.
-    with open_trace(args.trace) as fh:
-        chunks = list(parse_trace_chunks(fh))
-    sketch = Sketch(config)
+    # Every row is read before the first file is written, so that an
+    # error in the trace leaves no file behind.
+    snapshots = _epoch_snapshots(args.trace, config)
     os.makedirs(args.out_dir, exist_ok=True)
-    written = []
-
-    def visit(sketch: Sketch, index: int, complete: bool) -> None:
-        suffix = "" if complete else "_partial"
-        path = os.path.join(args.out_dir, f"epoch_{index:04d}{suffix}.csv")
+    for e, snapshot in enumerate(snapshots):
+        suffix = "" if snapshot.complete else "_partial"
+        path = os.path.join(args.out_dir, f"epoch_{e:04d}{suffix}.csv")
+        # Stage s at the close of epoch e is epoch e - s, bit for bit,
+        # and the list holds every elapsed epoch, so epoch e - s is
+        # snapshots[e - s].
         rows = [
-            (stage, bucket, cell)
-            for stage in range(config.mem_stages)
-            for bucket, cell in sketch.stage(stage).items()
+            (s, bucket, cell)
+            for s in range(min(config.mem_stages, e + 1))
+            for bucket, cell in zip(snapshots[e - s].buckets, snapshots[e - s].cells)
         ]
         write_snapshot(path, rows)
-        written.append(path)
-
-    for chunk in chunks:
-        sketch.update_columns(chunk, visit=visit)
-    # A replay of no packets visits only the trailing partial epoch.
-    replay_epochs(sketch, (), visit)
-    print(f"wrote {len(written)} epoch snapshots to {args.out_dir}")
+    print(f"wrote {len(snapshots)} epoch snapshots to {args.out_dir}")
     return EXIT_OK
 
 
@@ -324,13 +330,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     config = _sketch_config(args)
     setting = _detector_setting(args)
-    with open_trace(args.trace) as fh:
-        chunks = parse_trace_chunks(fh)
-        with _trace_errors_first(chunks):
-            collector = EpochCollector(Sketch(config))
-            for chunk in chunks:
-                collector.feed(chunk)
-            snapshots = [s for s in collector.finish() if s.complete]
+    snapshots = [s for s in _epoch_snapshots(args.trace, config) if s.complete]
     verdicts = run_detector(setting, snapshots)
     write_verdicts(args.out, verdicts)
     # score is the one counter of the cells a shared verdict stands for:

@@ -16,16 +16,14 @@ from itertools import repeat
 from operator import lshift, or_
 from typing import Sequence
 
+from .ingest import FIELD_BITS
+
 MIN_HASH_WIDTH = 1
 MAX_HASH_WIDTH = 24
 
 # Header fields a key may select, with their bit widths.
 FIELD_WIDTHS = {
-    "src_ip": 32,
-    "dst_ip": 32,
-    "src_port": 16,
-    "dst_port": 16,
-    "protocol": 8,
+    name: FIELD_BITS[name] for name in ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
 }
 
 

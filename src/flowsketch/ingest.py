@@ -30,8 +30,10 @@ that turns the chunks into records, immutable tuples.
 from __future__ import annotations
 
 import enum
+import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, cycle, islice, repeat
@@ -40,7 +42,19 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 TRACE_HEADER = "timestamp_ns,src_ip,dst_ip,src_port,dst_port,protocol,length_bytes,tcp_seq,label"
 
-MAX_LENGTH_BYTES = 65535
+# The bit width of each integer field after the timestamp, in file
+# order: a field's value must lie in [0, 2**width).
+FIELD_BITS = {
+    "src_ip": 32,
+    "dst_ip": 32,
+    "src_port": 16,
+    "dst_port": 16,
+    "protocol": 8,
+    "length_bytes": 16,
+    "tcp_seq": 32,
+}
+
+MAX_LENGTH_BYTES = (1 << FIELD_BITS["length_bytes"]) - 1
 
 # Rows joined into one string per write call by write_csv.
 WRITE_CHUNK_ROWS = 4096
@@ -81,23 +95,13 @@ def _checked_fields(
     """The nine fields of a packet as a plain tuple, each checked."""
     if timestamp_ns < 0:
         raise ValueError("timestamp_ns must be nonnegative")
-    if not 0 <= src_ip < (1 << 32):
-        raise ValueError("src_ip out of range")
-    if not 0 <= dst_ip < (1 << 32):
-        raise ValueError("dst_ip out of range")
-    if not 0 <= src_port < (1 << 16):
-        raise ValueError("src_port out of range")
-    if not 0 <= dst_port < (1 << 16):
-        raise ValueError("dst_port out of range")
-    if not 0 <= protocol < (1 << 8):
-        raise ValueError("protocol out of range")
-    if not 0 <= length_bytes <= MAX_LENGTH_BYTES:
-        raise ValueError("length_bytes out of range")
-    if not 0 <= tcp_seq < (1 << 32):
-        raise ValueError("tcp_seq out of range")
+    fields = (src_ip, dst_ip, src_port, dst_port, protocol, length_bytes, tcp_seq)
+    for (name, bits), value in zip(FIELD_BITS.items(), fields):
+        if not 0 <= value < (1 << bits):
+            raise ValueError(f"{name} out of range")
     if not isinstance(label, Label):
         raise ValueError("label must be a Label")
-    return (timestamp_ns, src_ip, dst_ip, src_port, dst_port, protocol, length_bytes, tcp_seq, label)
+    return (timestamp_ns, *fields, label)
 
 
 class PacketRecord(_PacketFields):
@@ -400,11 +404,12 @@ def parse_trace_chunks(lines: Iterable[str]) -> Iterator[TraceColumns]:
 
     # Addresses, ports, protocols and lengths take few values: each
     # distinct text is checked and converted on first use, and equal
-    # texts share one int.
+    # texts share one int.  The two port fields share one table, as they
+    # share one width.
     addresses = _Memo(parse_ip, CONVERT_MEMO_MAX)
-    ports = _Memo(partial(_uint_below, 1 << 16), CONVERT_MEMO_MAX)
-    protocols = _Memo(partial(_uint_below, 1 << 8), CONVERT_MEMO_MAX)
-    lengths = _Memo(partial(_uint_below, MAX_LENGTH_BYTES + 1), CONVERT_MEMO_MAX)
+    ports = _Memo(partial(_uint_below, 1 << FIELD_BITS["src_port"]), CONVERT_MEMO_MAX)
+    protocols = _Memo(partial(_uint_below, 1 << FIELD_BITS["protocol"]), CONVERT_MEMO_MAX)
+    lengths = _Memo(partial(_uint_below, 1 << FIELD_BITS["length_bytes"]), CONVERT_MEMO_MAX)
 
     def columns(chunk: list[str]) -> TraceColumns | None:
         """The chunk's nine columns, converted and checked; None unless
@@ -446,7 +451,7 @@ def parse_trace_chunks(lines: Iterable[str]) -> Iterator[TraceColumns]:
             )
         except (KeyError, ValueError):
             return None
-        if prev_ts <= ts[0] and ts == sorted(ts) and max(seq) < (1 << 32):
+        if prev_ts <= ts[0] and ts == sorted(ts) and max(seq) < (1 << FIELD_BITS["tcp_seq"]):
             return parsed
         return None
 
@@ -606,10 +611,17 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
             raise ValueError("anomaly window must satisfy 0 <= start < stop <= 1")
         if anomaly.rate_multiplier <= 0:
             raise ValueError("anomaly rate_multiplier must be positive")
+        if not math.isfinite(anomaly.rate_multiplier):
+            raise ValueError(f"anomaly rate_multiplier must be finite, got {anomaly.rate_multiplier}")
         lo = int(anomaly.window_start * profile.duration_ns)
         hi = int(anomaly.window_stop * profile.duration_ns)
         span = anomaly.window_stop - anomaly.window_start
-        anomaly_count = round(anomaly.rate_multiplier * profile.packets_per_flow * span)
+        expected = anomaly.rate_multiplier * profile.packets_per_flow * span
+        # No more values than sys.maxsize can be drawn into one list (and
+        # a finite multiplier can still make the product infinite).
+        if expected > sys.maxsize:
+            raise ValueError(f"anomaly packet count {expected:g} exceeds {sys.maxsize}")
+        anomaly_count = round(expected)
         if anomaly_count > 0 and hi <= lo:
             raise ValueError(
                 f"anomaly window [{lo}, {hi}) ns is empty at duration_ns={profile.duration_ns}"

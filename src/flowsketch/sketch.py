@@ -19,10 +19,10 @@ elapsed epoch.  Inter-arrival tracking restarts each epoch: the first
 packet a bucket sees in an epoch contributes no gap sample.
 
 The sketch has one update loop, over (timestamp, length, raw key) rows,
-which folds each key to its bucket through a bounded memo.  A column
-chunk (ingest.TraceColumns) reaches it through zip of its timestamp and
-length columns and its key column; packet records reach it through
-Sketch._rows.
+which folds each key to its bucket through a bounded memo.  Packet
+records reach it through Sketch.update_many; a column chunk
+(ingest.TraceColumns) reaches it through EpochCollector.feed, as zip of
+its timestamp and length columns and its key column.
 
 A bucket's state is one StageCell of nine raw metrics.  Sketch.stage
 returns copies of cells.  The per-epoch snapshots of EpochCollector
@@ -148,14 +148,11 @@ class Sketch:
             return map(attrgetter("timestamp_ns", "length_bytes", fields[0]), packets)
         it = iter(packets)
         batches = iter(lambda: list(islice(it, PARSE_CHUNK_ROWS)), [])
-        return chain.from_iterable(map(self._column_rows, map(TraceColumns._make, starmap(zip, batches))))
-
-    def _column_rows(self, chunk, keys: Sequence[int] | None = None) -> Iterator[tuple[int, int, int]]:
-        """(timestamp, length, raw key) per row of a column chunk, with
-        the chunk's key column when it is given."""
-        if keys is None:
-            keys = self._config.key_spec.key_column(chunk)
-        return zip(chunk.timestamp_ns, chunk.length_bytes, keys)
+        key_column = self._config.key_spec.key_column
+        return chain.from_iterable(
+            zip(chunk.timestamp_ns, chunk.length_bytes, key_column(chunk))
+            for chunk in map(TraceColumns._make, starmap(zip, batches))
+        )
 
     def update_many(
         self,
@@ -168,16 +165,6 @@ class Sketch:
         that closes is passed to visit(sketch, epoch_index, True) just
         before its rotation; see replay_epochs."""
         return self._update(self._rows(packets), visit)
-
-    def update_columns(
-        self,
-        chunk,
-        keys: Sequence[int] | None = None,
-        visit: Callable[[Sketch, int, bool], None] | None = None,
-    ) -> int:
-        """update_many for a column chunk (an ingest.TraceColumns), whose
-        key column, if already built, is keys."""
-        return self._update(self._column_rows(chunk, keys), visit)
 
     def _update(self, rows: Iterable[tuple[int, int, int]], visit: Callable | None) -> int:
         """The update loop over (timestamp, length, raw key) rows.
@@ -352,7 +339,9 @@ class EpochCollector:
         keys, through the sketch.  Raises ValueError on a timestamp
         regression, including against earlier chunks."""
         self._open()
-        self._sketch.update_columns(chunk, keys, self._take)
+        if keys is None:
+            keys = self._sketch.config.key_spec.key_column(chunk)
+        self._sketch._update(zip(chunk.timestamp_ns, chunk.length_bytes, keys), self._take)
 
     def finish(self) -> list[EpochSnapshot]:
         """The snapshots, in epoch order, with the trailing partial
@@ -387,8 +376,8 @@ _cell_fields = attrgetter(*(name for name, _ in _SNAPSHOT_CELL_COLUMNS))
 
 def write_snapshot(path, rows: Sequence[tuple[int, int, StageCell]]) -> None:
     """Serialize (stage, bucket, cell) rows to CSV.  Rows are written as
-    given; a sketch's rows come from Sketch.stage, so untouched buckets
-    have none."""
+    given; flowsketch extract takes them from epoch snapshots, so
+    untouched buckets have none."""
     write_csv(path, SNAPSHOT_HEADER, (csv_line(s, b, *_cell_fields(c)) for s, b, c in rows))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,10 +12,10 @@ from flowsketch.cli import main
 from flowsketch.detectors import Verdict, parse_verdicts
 from flowsketch.evaluation import parse_report_csv
 from flowsketch.hashing import KeySpec, extract_key, shift_xor_hash
-from flowsketch.ingest import read_trace
-from flowsketch.sketch import SNAPSHOT_HEADER, parse_snapshot, write_snapshot
+from flowsketch.ingest import read_trace, write_trace
+from flowsketch.sketch import SNAPSHOT_HEADER, Sketch, SketchConfig, parse_snapshot, replay_epochs, write_snapshot
 
-from conftest import dense_verdicts
+from conftest import dense_verdicts, make_packet
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -73,6 +74,25 @@ def test_generate_rejects_an_empty_anomaly_window(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err == "flowsketch: anomaly window [2, 2) ns is empty at duration_ns=5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "multiplier, message",
+    [
+        ("inf", "anomaly rate_multiplier must be finite, got inf"),
+        ("nan", "anomaly rate_multiplier must be finite, got nan"),
+        ("1e300", f"anomaly packet count 1e+301 exceeds {sys.maxsize}"),
+    ],
+)
+def test_generate_rejects_a_multiplier_it_cannot_draw(tmp_path, capsys, multiplier, message):
+    out = tmp_path / "t.csv"
+    code = run(
+        "generate", "--out", str(out), "--flows", "0", "--anomaly", "flood",
+        "--rate-multiplier", multiplier,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"flowsketch: {message}\n"
     assert not out.exists()
 
 
@@ -172,6 +192,60 @@ def test_extract_empty_epoch_writes_header_only(tmp_path):
     with open(out_dir / "epoch_0001.csv", newline="") as fh:
         assert [(stage, cell.pkt_count) for stage, _, cell in parse_snapshot(fh)] == [(1, 1)]
     assert (out_dir / "epoch_0002.csv").read_text() == SNAPSHOT_HEADER + "\n"
+
+
+def reference_extract(records, config, out_dir):
+    """The snapshot files of a sketch driven by hand: at each epoch's
+    close, every stage of the live sketch, the partial epoch last."""
+    os.makedirs(out_dir)
+
+    def visit(sketch, index, complete):
+        suffix = "" if complete else "_partial"
+        rows = [(s, b, c) for s in range(config.mem_stages) for b, c in sketch.stage(s).items()]
+        write_snapshot(os.path.join(out_dir, f"epoch_{index:04d}{suffix}.csv"), rows)
+
+    replay_epochs(Sketch(config), records, visit)
+
+
+def bursts_and_gaps(rng, stages, epoch_ns):
+    """Bursts of random packets from a small pool, each burst followed
+    by a gap longer than stages epochs."""
+    records, ts = [], 0
+    for _ in range(rng.randrange(2, 6)):
+        for _ in range(rng.randrange(1, 30)):
+            records.append(make_packet(
+                ts=ts, src=rng.randrange(1, 9), dport=rng.choice((53, 80, 443)),
+                length=rng.choice((60, 576, 1500)),
+            ))
+            ts += rng.randrange(epoch_ns // 3)
+        ts += rng.randrange((stages + 1) * epoch_ns, (stages + 4) * epoch_ns)
+    return records
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("width", [1, 4])
+def test_extract_writes_the_live_sketch_stages(tmp_path, capsys, stages, width):
+    # extract derives stage s of epoch e from epoch e - s's stage-0
+    # snapshot; a sketch driven by hand holds its stages themselves.
+    epoch_ns = 1000
+    for seed in range(8):
+        rng = random.Random(100 * stages + 10 * width + seed)
+        records = bursts_and_gaps(rng, stages, epoch_ns)
+        key = rng.choice(("src_ip", "src_ip+dst_port"))
+        config = SketchConfig(width, stages, epoch_ns, KeySpec.parse(key))
+        trace, want, got = tmp_path / f"t{seed}.csv", tmp_path / f"want{seed}", tmp_path / f"got{seed}"
+        write_trace(trace, records)
+        reference_extract(records, config, want)
+        assert run(
+            "extract", "--trace", str(trace), "--out-dir", str(got), "--hash-width", str(width),
+            "--mem-stages", str(stages), "--epoch-ns", str(epoch_ns), "--key-spec", key,
+        ) == 0
+        names = sorted(os.listdir(want))
+        assert names[-1].endswith("_partial.csv")
+        assert capsys.readouterr().out == f"wrote {len(names)} epoch snapshots to {got}\n"
+        assert sorted(os.listdir(got)) == names
+        for name in names:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), (seed, name)
 
 
 def detect_across_gap(tmp_path, gap_ns):
@@ -308,6 +382,8 @@ def test_malformed_trace_reports_line(tmp_path, capsys):
         # well, the trace's error is still the one named.
         ("sweep", "--out-dir", "out", "--hash-widths", "4,4"),
         ("detect", "--out", "out", "--hash-width", "24", "--mem-stages", "5"),
+        ("extract", "--out-dir", "out", "--hash-width", "4"),
+        ("extract", "--out-dir", "out", "--hash-width", "24", "--mem-stages", "5"),
     ],
 )
 def test_bad_last_row_aborts_without_output(tmp_path, capsys, command, fault):

@@ -216,26 +216,6 @@ def test_resource_model_monotonicity():
         assert resource_model(SketchConfig(w, s + 1, 1000, SRC_KEY)).memory_bytes > base
 
 
-def brute_force_front(points, use_pps):
-    """Independent O(n^2) domination check with explicit comparisons."""
-    front, dominated = [], []
-    for p in points:
-        is_dominated = False
-        for q in points:
-            if q is p:
-                continue
-            ge = q.f1 >= p.f1 and q.memory_bytes <= p.memory_bytes
-            gt = q.f1 > p.f1 or q.memory_bytes < p.memory_bytes
-            if use_pps:
-                ge = ge and q.measured_pps >= p.measured_pps
-                gt = gt or q.measured_pps > p.measured_pps
-            if ge and gt:
-                is_dominated = True
-                break
-        (dominated if is_dominated else front).append(p.config_id)
-    return set(front), set(dominated)
-
-
 def test_pareto_three_point_example():
     a = ParetoPoint("a", 0.9, 1000)
     b = ParetoPoint("b", 0.8, 500)
@@ -276,30 +256,6 @@ def test_pareto_mixed_pps_falls_back_to_two_objectives():
     pts = [ParetoPoint("a", 0.5, 100, 10.0), ParetoPoint("b", 0.5, 100, None)]
     front, dominated = pareto_front(pts)  # pps ignored: identical vectors
     assert len(front) == 2 and not dominated
-
-
-def test_pareto_matches_brute_force():
-    rng = random.Random(13)
-    for trial in range(200):
-        use_pps = trial % 2 == 0
-        n = rng.randrange(1, 21)
-        pts = [
-            ParetoPoint(
-                f"p{i}",
-                rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)),
-                rng.choice((100, 200, 300, 400)),
-                rng.choice((1e5, 2e5, 3e5)) if use_pps else None,
-            )
-            for i in range(n)
-        ]
-        front, dominated = pareto_front(pts, use_pps=use_pps)
-        expected_front, expected_dominated = brute_force_front(pts, use_pps)
-        assert {p.config_id for p in front} == expected_front
-        assert {p.config_id for p in dominated} == expected_dominated
-        # idempotence: the front survives a second partition intact
-        refront, redominated = pareto_front(front, use_pps=use_pps)
-        assert not redominated
-        assert {p.config_id for p in refront} == expected_front
 
 
 def test_pareto_dominating_point_prunes():

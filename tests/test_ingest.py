@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import random
 import sys
 import tracemalloc
@@ -659,6 +660,27 @@ def test_generate_empty_anomaly_window():
     assert records == reference_generate_synthetic(none_due, seed=0)
 
 
+# A multiplier that is not finite, or one whose packet count is past
+# sys.maxsize, is refused by name before any draw.  A finite count below
+# sys.maxsize but far past memory is not tried: it would be drawn.
+HUGE_MULTIPLIERS = [
+    (math.inf, "anomaly rate_multiplier must be finite, got inf"),
+    (math.nan, "anomaly rate_multiplier must be finite, got nan"),
+    (1e300, f"anomaly packet count 1e+301 exceeds {sys.maxsize}"),
+    (1e308, f"anomaly packet count inf exceeds {sys.maxsize}"),
+]
+
+
+@pytest.mark.parametrize("multiplier, message", HUGE_MULTIPLIERS)
+def test_generate_refuses_a_multiplier_it_cannot_draw(multiplier, message):
+    profile = SyntheticProfile(flows=0, anomaly=AnomalyProfile(AnomalyKind.FLOOD, rate_multiplier=multiplier))
+    for generate in (generate_synthetic, reference_generate_synthetic):
+        with mock.patch.object(random.Random, "getrandbits", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError) as exc:
+                generate(profile, seed=0)
+        assert str(exc.value) == message
+
+
 RANDRANGE_BOUNDS = (1, 2, 3, 4, 5, 16, 17, 1000, 2**32, 10**10, 2**34 - 1, 2**34 + 1)
 DRAW_COUNTS = (0, 1, 7, 200)
 
@@ -730,10 +752,15 @@ def reference_generate_synthetic(profile, seed):
             raise ValueError("anomaly window must satisfy 0 <= start < stop <= 1")
         if anomaly.rate_multiplier <= 0:
             raise ValueError("anomaly rate_multiplier must be positive")
+        if not math.isfinite(anomaly.rate_multiplier):
+            raise ValueError(f"anomaly rate_multiplier must be finite, got {anomaly.rate_multiplier}")
         lo = int(anomaly.window_start * profile.duration_ns)
         hi = int(anomaly.window_stop * profile.duration_ns)
-        count = round(anomaly.rate_multiplier * profile.packets_per_flow
-                      * (anomaly.window_stop - anomaly.window_start))
+        expected = (anomaly.rate_multiplier * profile.packets_per_flow
+                    * (anomaly.window_stop - anomaly.window_start))
+        if expected > sys.maxsize:
+            raise ValueError(f"anomaly packet count {expected:g} exceeds {sys.maxsize}")
+        count = round(expected)
         if count > 0 and hi <= lo:
             raise ValueError(f"anomaly window [{lo}, {hi}) ns is empty at duration_ns={profile.duration_ns}")
 
