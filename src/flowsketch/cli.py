@@ -34,7 +34,7 @@ from .ingest import (
 )
 from .sketch import EpochCollector, EpochSnapshot, Sketch, SketchConfig, write_snapshot
 
-# evaluation, and through it oracle, fractions and statistics, is
+# evaluation, and through it oracle and fractions, is
 # imported inside the four commands that score or bench, so that
 # generate and extract start without compiling or importing them.
 if TYPE_CHECKING:

@@ -22,6 +22,10 @@ bucket's cell is empty and its state is zero, so scoring it on its own
 would run the very same arithmetic on the very same numbers, whatever
 the threshold, k or alpha (negative ones included).
 
+Verdict, EpochVerdicts, BaselineModel and DetectorSetting are immutable
+tuples.  Verdicts is an immutable object, as its iteration and len()
+are those of the verdict rows, not of its one field.
+
 A verdict file holds the verdicts as they are stored: per epoch, the
 explicit verdicts in ascending bucket order, then one row with no
 bucket, the verdict every other bucket of the epoch shares.
@@ -30,11 +34,10 @@ bucket, the verdict every other bucket of the epoch shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .ingest import csv_line, opt_int, parse_flag, parse_float, parse_uint, read_csv, write_csv
+from .ingest import _Record, csv_line, opt_int, parse_flag, parse_float, parse_uint, read_csv, write_csv
 from .sketch import EpochSnapshot, StageCell
 
 FEATURES = ("pkt_count", "byte_sum", "byte_avg", "iat_avg_ns")
@@ -82,8 +85,7 @@ class Verdict(NamedTuple):
     anomalous: bool
 
 
-@dataclass(frozen=True)
-class EpochVerdicts:
+class EpochVerdicts(NamedTuple):
     """One detector's verdicts on one epoch of bucket_count buckets.
 
     explicit holds the buckets scored one by one, in ascending bucket
@@ -98,14 +100,23 @@ class EpochVerdicts:
     shared_anomalous: bool
 
 
-@dataclass(frozen=True)
-class Verdicts:
+class Verdicts(_Record):
     """A detector's verdicts over a run of epochs, one EpochVerdicts
     each.  Iteration yields the rows of a verdict file: per epoch its
     explicit verdicts, then its shared verdict with bucket None.  len()
-    counts those rows."""
+    counts those rows.  Immutable and hashable, like its epochs."""
 
-    epochs: tuple[EpochVerdicts, ...]
+    def __init__(self, epochs: tuple[EpochVerdicts, ...]):
+        object.__setattr__(self, "epochs", epochs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self.epochs)
 
     def __len__(self) -> int:
         return sum(len(e.explicit) + 1 for e in self.epochs)
@@ -139,8 +150,7 @@ def detect_threshold(snapshot: EpochSnapshot, feature: str, threshold: float) ->
     return _sparse_verdicts("threshold", snapshot, feature, (), lambda b, x: x, threshold)
 
 
-@dataclass(frozen=True)
-class BaselineModel:
+class BaselineModel(NamedTuple):
     """Per-bucket mean and population standard deviation of one feature
     over a training prefix of epochs.  Only buckets whose mean or std
     is nonzero have entries; every other bucket has mean 0 and std 0."""
@@ -255,8 +265,7 @@ class EwmaDetector:
         return _sparse_verdicts("ewma", snapshot, self.feature, self._state.keys(), self._score, self.k)
 
 
-@dataclass(frozen=True)
-class DetectorSetting:
+class DetectorSetting(NamedTuple):
     """Declarative description of one detector run.
 
     kind is a key of DETECTOR_PARAMS; only the parameters listed there

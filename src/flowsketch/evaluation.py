@@ -8,22 +8,24 @@ with a simple memory model.  Cells on the Pareto front (maximize f1,
 minimize memory) are flagged in the report, so the report depends only
 on the trace and the grid.  bench_throughput measures one config's
 update throughput on its own.
+
+Grids, scores and costs are immutable tuples; QualityScores keeps its
+ratios as exact Fractions.  SweepRow and ParetoPoint are plain objects,
+since the sweep and the Pareto pass fill their fields in place.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import statistics
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .detectors import DetectorSetting, Verdicts, run_detector
-from .ingest import PacketRecord, TraceColumns, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
+from .ingest import PacketRecord, TraceColumns, _Record, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
 from .hashing import KeySpec, fold
 from .oracle import AnomalousKeys, ExactTracker
 from .sketch import CELL_BYTES, UPDATE_OPS, EpochCollector, Sketch, SketchConfig
@@ -31,8 +33,7 @@ from .sketch import CELL_BYTES, UPDATE_OPS, EpochCollector, Sketch, SketchConfig
 BENCH_MIN_PACKETS = 10_000
 
 
-@dataclass(frozen=True)
-class GroundTruthGrid:
+class GroundTruthGrid(NamedTuple):
     """Labels projected onto sketch coordinates: a (bucket, epoch) cell
     is anomalous iff at least one anomalous-labeled packet hashed into
     it during that epoch."""
@@ -63,8 +64,7 @@ class GroundTruthGrid:
         return cls(config.bucket_count, epoch_count, cells)
 
 
-@dataclass(frozen=True)
-class QualityScores:
+class QualityScores(NamedTuple):
     """Confusion counts and exact rational quality metrics.  Ratios with
     a zero denominator are defined as 0."""
 
@@ -138,8 +138,7 @@ def score(verdicts: Verdicts, grid: GroundTruthGrid) -> QualityScores:
     return QualityScores(tp, fp, fn, tn, precision, recall, f1)
 
 
-@dataclass(frozen=True)
-class ResourceCost:
+class ResourceCost(NamedTuple):
     """Modeled footprint of a configuration.  memory_bytes counts every
     cell at a fixed 72-byte size (9 eight-byte metric words); update_ops
     is the constant number of metric-field mutations per packet."""
@@ -152,8 +151,7 @@ def resource_model(config: SketchConfig) -> ResourceCost:
     return ResourceCost(config.cell_count * CELL_BYTES, UPDATE_OPS)
 
 
-@dataclass(frozen=True)
-class BenchResult:
+class BenchResult(NamedTuple):
     """Throughput measurement: median packets/second over the runs."""
 
     pps: float
@@ -174,6 +172,10 @@ def bench_throughput(
     runs first and garbage collection is paused while timing.  The
     reported figure is the median over repetitions.
     """
+    # Imported here, as only this command needs it: every other command
+    # starts without it.
+    import statistics
+
     n = len(records)
     if n < BENCH_MIN_PACKETS:
         raise ValueError(f"benchmark needs at least {BENCH_MIN_PACKETS} packets, got {n}")
@@ -197,16 +199,23 @@ def bench_throughput(
     return BenchResult(statistics.median(runs), tuple(runs), n, mean_bytes)
 
 
-@dataclass
-class ParetoPoint:
+class ParetoPoint(_Record):
     """One configuration's objectives: f1 up, memory down, and (when
     benchmarked) throughput up."""
 
-    config_id: str
-    f1: float
-    memory_bytes: int
-    measured_pps: float | None = None
-    dominated: bool = False
+    def __init__(
+        self,
+        config_id: str,
+        f1: float,
+        memory_bytes: int,
+        measured_pps: float | None = None,
+        dominated: bool = False,
+    ):
+        self.config_id = config_id
+        self.f1 = f1
+        self.memory_bytes = memory_bytes
+        self.measured_pps = measured_pps
+        self.dominated = dominated
 
 
 def _dominates(a: ParetoPoint, b: ParetoPoint, use_pps: bool) -> bool:
@@ -249,30 +258,50 @@ def pareto_front(
     return front, dominated
 
 
-@dataclass
-class SweepRow:
+class SweepRow(_Record):
     """One grid cell of a sweep: configuration, detection quality and
     resource cost.  error is set (and the quality fields are None) when
     the cell failed."""
 
-    config_id: str
-    hash_width: int
-    mem_stages: int
-    epoch_ns: int
-    key_spec: str
-    detector_id: str
-    detector_params: str
-    tp: int | None = None
-    fp: int | None = None
-    fn: int | None = None
-    tn: int | None = None
-    precision: float | None = None
-    recall: float | None = None
-    f1: float | None = None
-    memory_bytes: int | None = None
-    update_ops: int | None = None
-    on_front: bool = False
-    error: str | None = None
+    def __init__(
+        self,
+        config_id: str,
+        hash_width: int,
+        mem_stages: int,
+        epoch_ns: int,
+        key_spec: str,
+        detector_id: str,
+        detector_params: str,
+        tp: int | None = None,
+        fp: int | None = None,
+        fn: int | None = None,
+        tn: int | None = None,
+        precision: float | None = None,
+        recall: float | None = None,
+        f1: float | None = None,
+        memory_bytes: int | None = None,
+        update_ops: int | None = None,
+        on_front: bool = False,
+        error: str | None = None,
+    ):
+        self.config_id = config_id
+        self.hash_width = hash_width
+        self.mem_stages = mem_stages
+        self.epoch_ns = epoch_ns
+        self.key_spec = key_spec
+        self.detector_id = detector_id
+        self.detector_params = detector_params
+        self.tp = tp
+        self.fp = fp
+        self.fn = fn
+        self.tn = tn
+        self.precision = precision
+        self.recall = recall
+        self.f1 = f1
+        self.memory_bytes = memory_bytes
+        self.update_ops = update_ops
+        self.on_front = on_front
+        self.error = error
 
 
 def _config_id(config: SketchConfig, setting: DetectorSetting) -> str:
@@ -459,7 +488,7 @@ def parse_report_csv(lines: Iterable[str]) -> list[SweepRow]:
 def write_report_json(path, rows: Sequence[SweepRow]) -> None:
     """Machine-readable report: same fields as the CSV plus per-row
     error messages."""
-    payload = [asdict(r) for r in rows]
+    payload = [vars(r) for r in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

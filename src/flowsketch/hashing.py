@@ -6,15 +6,17 @@ obtained by zero-padding the key on the right to a whole number of
 hash-width windows and XOR-folding the windows together (fold), so the
 whole hash costs only shifts and XORs.  The fold is linear over GF(2):
 hash(a ^ b) == hash(a) ^ hash(b) for keys of equal width.
+
+KeySpec and FlowKey are immutable tuples whose constructors check their
+fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import lshift, or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ingest import FIELD_BITS
 
@@ -27,27 +29,31 @@ FIELD_WIDTHS = {
 }
 
 
-@dataclass(frozen=True)
-class KeySpec:
+class _KeySpecFields(NamedTuple):
+    fields: tuple[str, ...]
+
+
+class KeySpec(_KeySpecFields):
     """Ordered selection of header fields that forms the flow key.
 
     Field order is significant: fields are concatenated big-endian in
     the order given, so ("src_ip", "dst_ip") and ("dst_ip", "src_ip")
-    produce different keys.
+    produce different keys.  The constructor checks the fields; the
+    instance keeps a __dict__ (no __slots__), where total_bits and
+    layout are cached on first use.
     """
 
-    fields: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.fields:
+    def __new__(cls, fields: tuple[str, ...]) -> "KeySpec":
+        if not fields:
             raise ValueError("key spec must select at least one field")
         seen = set()
-        for name in self.fields:
+        for name in fields:
             if name not in FIELD_WIDTHS:
                 raise ValueError(f"unknown key field {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate key field {name!r}")
             seen.add(name)
+        return tuple.__new__(cls, (fields,))
 
     @cached_property
     def total_bits(self) -> int:
@@ -87,18 +93,22 @@ class KeySpec:
         return "+".join(self.fields)
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """A fixed-width bit string identifying a flow."""
-
+class _FlowKeyFields(NamedTuple):
     value: int
     width: int
 
-    def __post_init__(self):
-        if self.width < 0:
+
+class FlowKey(_FlowKeyFields):
+    """A fixed-width bit string identifying a flow."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, width: int) -> "FlowKey":
+        if width < 0:
             raise ValueError("key width must be nonnegative")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"key value {self.value} does not fit in {self.width} bits")
+        if not 0 <= value < (1 << width):
+            raise ValueError(f"key value {value} does not fit in {width} bits")
+        return tuple.__new__(cls, (value, width))
 
     def __xor__(self, other: "FlowKey") -> "FlowKey":
         if self.width != other.width:

@@ -33,8 +33,6 @@ import enum
 import math
 import random
 import re
-import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, cycle, islice, repeat
 from operator import attrgetter, countOf, itemgetter
@@ -145,8 +143,7 @@ class TraceColumns(NamedTuple):
         return map(tuple.__new__, repeat(PacketRecord), zip(*self))
 
 
-@dataclass(frozen=True)
-class TraceMeta:
+class TraceMeta(NamedTuple):
     """Summary of a trace: row count, time span, anomalous row count."""
 
     record_count: int
@@ -330,6 +327,25 @@ class _Memo(dict):
         return value
 
 
+class _Record:
+    """Base of the package's records that are classes, not tuples: the
+    fields are the instance's attributes, in the order __init__ sets
+    them.  Two records are equal when they are of the same class and
+    their fields are; the repr names every field.  A record is mutable
+    and so unhashable unless its class says otherwise."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
 # Label -> text, keyed by the member's identity: hashing an Enum member
 # is a Python-level call.
 _LABEL_TEXTS = {id(label): label.value for label in Label}
@@ -507,8 +523,7 @@ class AnomalyKind(enum.Enum):
     PORT_SCAN = "portscan"
 
 
-@dataclass(frozen=True)
-class AnomalyProfile:
+class AnomalyProfile(NamedTuple):
     """Injected attack burst.  The window is a fraction of the trace
     duration; packet count is rate_multiplier times the benign per-flow
     rate over that window."""
@@ -519,8 +534,7 @@ class AnomalyProfile:
     window_stop: float = 0.5
 
 
-@dataclass(frozen=True)
-class SyntheticProfile:
+class SyntheticProfile(NamedTuple):
     """Shape of a generated trace.
 
     timing selects how each benign flow spaces its packets: "uniform"
@@ -535,6 +549,10 @@ class SyntheticProfile:
     start_ts_ns: int = 0
     anomaly: AnomalyProfile | None = None
 
+
+# generate_synthetic refuses a profile whose trace would hold more
+# packets than this, before any draw.
+MAX_TRACE_PACKETS = 1 << 24
 
 _BENIGN_SRC_BASE = parse_ip("10.0.0.1")
 _DST_BASE = parse_ip("192.168.0.1")
@@ -605,7 +623,15 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
         raise ValueError(f"unknown timing mode {profile.timing!r}")
     if profile.timing == "periodic" and profile.flows > 0 and profile.duration_ns < profile.packets_per_flow:
         raise ValueError("periodic timing needs duration_ns >= packets_per_flow")
+    # An int comparison, so that no count reaches a float before it is
+    # known to be within the budget.
+    if profile.packets_per_flow > MAX_TRACE_PACKETS:
+        raise ValueError(
+            f"packets_per_flow {profile.packets_per_flow} exceeds the budget of"
+            f" {MAX_TRACE_PACKETS} packets"
+        )
     anomaly = profile.anomaly
+    anomaly_count = 0
     if anomaly is not None:
         if not 0.0 <= anomaly.window_start < anomaly.window_stop <= 1.0:
             raise ValueError("anomaly window must satisfy 0 <= start < stop <= 1")
@@ -617,15 +643,20 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
         hi = int(anomaly.window_stop * profile.duration_ns)
         span = anomaly.window_stop - anomaly.window_start
         expected = anomaly.rate_multiplier * profile.packets_per_flow * span
-        # No more values than sys.maxsize can be drawn into one list (and
-        # a finite multiplier can still make the product infinite).
-        if expected > sys.maxsize:
-            raise ValueError(f"anomaly packet count {expected:g} exceeds {sys.maxsize}")
+        # A finite multiplier can still make the product infinite, which
+        # round() would not take.
+        if expected > MAX_TRACE_PACKETS:
+            raise ValueError(
+                f"anomaly packet count {expected:g} exceeds the budget of {MAX_TRACE_PACKETS} packets"
+            )
         anomaly_count = round(expected)
         if anomaly_count > 0 and hi <= lo:
             raise ValueError(
                 f"anomaly window [{lo}, {hi}) ns is empty at duration_ns={profile.duration_ns}"
             )
+    total = profile.flows * profile.packets_per_flow + max(anomaly_count, 0)
+    if total > MAX_TRACE_PACKETS:
+        raise ValueError(f"trace of {total} packets exceeds the budget of {MAX_TRACE_PACKETS} packets")
 
     rng = random.Random(seed)
     # Rows are (offset, fields...) tuples; records are built only after

@@ -21,7 +21,6 @@ takes packet records, one at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import is_
 from typing import Iterator, Sequence
@@ -31,14 +30,16 @@ from .ingest import Label, PacketRecord
 from .sketch import SketchConfig, StageCell
 
 
-@dataclass
 class FlowStats(StageCell):
     """Exact metrics of one flow within one epoch.  Inter-arrival gaps
     are measured between consecutive packets of the same flow in the
-    same epoch, so iat_count == max(pkt_count - 1, 0)."""
+    same epoch, so iat_count == max(pkt_count - 1, 0).  The flow's key
+    and epoch are keyword-only and follow the nine metrics."""
 
-    key: FlowKey = field(kw_only=True)
-    epoch_index: int = field(kw_only=True)
+    def __init__(self, *metrics, key: FlowKey, epoch_index: int, **named):
+        super().__init__(*metrics, **named)
+        self.key = key
+        self.epoch_index = epoch_index
 
     def observe(self, timestamp_ns: int, length_bytes: int) -> None:
         self.pkt_count += 1

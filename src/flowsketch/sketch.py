@@ -24,23 +24,23 @@ records reach it through Sketch.update_many; a column chunk
 (ingest.TraceColumns) reaches it through EpochCollector.feed, as zip of
 its timestamp and length columns and its key column.
 
-A bucket's state is one StageCell of nine raw metrics.  Sketch.stage
-returns copies of cells.  The per-epoch snapshots of EpochCollector
-hold the cells themselves, since nothing writes to a cell once its
-epoch has closed.  Derived features such as averages are read from a
+A bucket's state is one StageCell of nine raw metrics, a plain mutable
+object whose __dict__ holds them; SketchConfig and EpochSnapshot are
+immutable tuples.  Sketch.stage returns copies of cells.  The
+per-epoch snapshots of EpochCollector hold the cells themselves, since
+nothing writes to a cell once its epoch has closed.  Derived features such as averages are read from a
 cell by detectors.feature_value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice, starmap
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .hashing import KeySpec, check_width, fold
-from .ingest import PARSE_CHUNK_ROWS, TraceColumns, _Memo, csv_line, opt_int, parse_uint, read_csv, write_csv
+from .ingest import PARSE_CHUNK_ROWS, TraceColumns, _Memo, _Record, csv_line, opt_int, parse_uint, read_csv, write_csv
 
 # Resource model constants: a cell holds 9 metric words of 8 bytes, and
 # one update mutates at most 9 metric fields.
@@ -55,24 +55,29 @@ DEFAULT_MAX_CELLS = 1 << 26
 FOLD_MEMO_MAX = 1 << 16
 
 
-@dataclass(frozen=True)
-class SketchConfig:
-    """Dimensions of a sketch: hash width in bits, number of memory
-    stages, epoch length, and the flow key layout."""
-
+class _SketchConfigFields(NamedTuple):
     hash_width: int
     mem_stages: int
     epoch_ns: int
     key_spec: KeySpec
 
-    def __post_init__(self):
-        check_width(self.hash_width)
-        if self.mem_stages < 1:
+
+class SketchConfig(_SketchConfigFields):
+    """Dimensions of a sketch: hash width in bits, number of memory
+    stages, epoch length, and the flow key layout.  The constructor
+    checks every field."""
+
+    __slots__ = ()
+
+    def __new__(cls, hash_width: int, mem_stages: int, epoch_ns: int, key_spec: KeySpec) -> "SketchConfig":
+        check_width(hash_width)
+        if mem_stages < 1:
             raise ValueError("mem_stages must be at least 1")
-        if self.epoch_ns <= 0:
+        if epoch_ns <= 0:
             raise ValueError("epoch_ns must be positive")
-        if not isinstance(self.key_spec, KeySpec):
+        if not isinstance(key_spec, KeySpec):
             raise ValueError("key_spec must be a KeySpec")
+        return tuple.__new__(cls, (hash_width, mem_stages, epoch_ns, key_spec))
 
     @property
     def bucket_count(self) -> int:
@@ -83,23 +88,35 @@ class SketchConfig:
         return self.mem_stages * self.bucket_count
 
 
-@dataclass
-class StageCell:
+class StageCell(_Record):
     """Aggregated metrics for one bucket in one stage.
 
     Minima and maxima are None while no packet (or no inter-arrival
-    gap) has been observed; counters and sums start at zero.
+    gap) has been observed; counters and sums start at zero.  The nine
+    metrics are the instance's __dict__, in this order.
     """
 
-    pkt_count: int = 0
-    byte_sum: int = 0
-    byte_min: int | None = None
-    byte_max: int | None = None
-    last_ts_ns: int | None = None
-    iat_sum_ns: int = 0
-    iat_count: int = 0
-    iat_min_ns: int | None = None
-    iat_max_ns: int | None = None
+    def __init__(
+        self,
+        pkt_count: int = 0,
+        byte_sum: int = 0,
+        byte_min: int | None = None,
+        byte_max: int | None = None,
+        last_ts_ns: int | None = None,
+        iat_sum_ns: int = 0,
+        iat_count: int = 0,
+        iat_min_ns: int | None = None,
+        iat_max_ns: int | None = None,
+    ):
+        self.pkt_count = pkt_count
+        self.byte_sum = byte_sum
+        self.byte_min = byte_min
+        self.byte_max = byte_max
+        self.last_ts_ns = last_ts_ns
+        self.iat_sum_ns = iat_sum_ns
+        self.iat_count = iat_count
+        self.iat_min_ns = iat_min_ns
+        self.iat_max_ns = iat_max_ns
 
 
 class Sketch:
@@ -269,8 +286,7 @@ class Sketch:
         return {bucket: StageCell(**vars(cells[bucket])) for bucket in sorted(cells)}
 
 
-@dataclass(frozen=True)
-class EpochSnapshot:
+class EpochSnapshot(NamedTuple):
     """Stage-0 contents of one epoch, taken just before rotation (or at
     end of stream for the final, possibly partial, epoch).
 
@@ -284,7 +300,7 @@ class EpochSnapshot:
     complete: bool
     bucket_count: int
     buckets: tuple[int, ...]
-    cells: tuple[StageCell, ...] = field(repr=False)
+    cells: tuple[StageCell, ...]
 
 
 def replay_epochs(

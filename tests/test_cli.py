@@ -82,7 +82,7 @@ def test_generate_rejects_an_empty_anomaly_window(tmp_path, capsys):
     [
         ("inf", "anomaly rate_multiplier must be finite, got inf"),
         ("nan", "anomaly rate_multiplier must be finite, got nan"),
-        ("1e300", f"anomaly packet count 1e+301 exceeds {sys.maxsize}"),
+        ("1e300", f"anomaly packet count 1e+301 exceeds the budget of {1 << 24} packets"),
     ],
 )
 def test_generate_rejects_a_multiplier_it_cannot_draw(tmp_path, capsys, multiplier, message):
@@ -96,18 +96,24 @@ def test_generate_rejects_a_multiplier_it_cannot_draw(tmp_path, capsys, multipli
     assert not out.exists()
 
 
-# Runs the command in argv[1:] through main() and prints its exit code
-# and whether it imported evaluation or oracle.
+# Runs the command in argv[1:] through main() and prints which of the
+# costly standard-library modules it imported, then its exit code and
+# whether it imported evaluation or oracle.
 IMPORT_PROBE = (
     "import sys\n"
     "from flowsketch.cli import main\n"
     "code = main(sys.argv[1:])\n"
+    "print(sorted(m for m in ('dataclasses', 'inspect', 'statistics') if m in sys.modules))\n"
     "print(code, sorted(m for m in ('flowsketch.evaluation', 'flowsketch.oracle') if m in sys.modules))\n"
 )
 
 
+def probe_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def test_generate_and_extract_do_not_import_the_scoring_modules(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env = probe_env()
     trace = tmp_path / "trace.csv"
     commands = [
         ["generate", "--out", str(trace), "--flows", "3", "--packets-per-flow", "20",
@@ -120,6 +126,50 @@ def test_generate_and_extract_do_not_import_the_scoring_modules(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []", (command[0], proc.stdout)
+
+
+def test_commands_start_without_the_costly_stdlib_modules(tmp_path):
+    # -S keeps site hooks, which may import anything, out of the count.
+    trace = str(tmp_path / "trace.csv")
+    commands = [
+        ["generate", "--out", trace, "--flows", "3", "--packets-per-flow", "20",
+         "--anomaly", "flood", "--seed", "21"],
+        ["extract", "--trace", trace, "--out-dir", str(tmp_path / "epochs"), "--mem-stages", "2"],
+        ["detect", "--trace", trace, "--out", str(tmp_path / "verdicts.csv"), "--detector", "ewma"],
+        ["sweep", "--trace", trace, "--out-dir", str(tmp_path / "sweep"), "--hash-widths", "4,6"],
+        ["pareto", "--report", str(tmp_path / "sweep" / "report.csv")],
+    ]
+    for command in commands:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", IMPORT_PROBE, *command], capture_output=True, env=probe_env(),
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        heavy, status = proc.stdout.splitlines()[-2:]
+        assert status.startswith("0 "), (command[0], proc.stdout)
+        assert heavy == "[]", (command[0], heavy)
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--flows", "0", "--anomaly", "flood", "--packets-per-flow", "1" + "0" * 400],
+         f"packets_per_flow 1{'0' * 400} exceeds the budget of {1 << 24} packets"),
+        (["--flows", "0", "--anomaly", "flood", "--rate-multiplier", "92233720368547758"],
+         f"anomaly packet count 9.22337e+17 exceeds the budget of {1 << 24} packets"),
+        (["--flows", "4097", "--packets-per-flow", "4096"],
+         f"trace of {4097 * 4096} packets exceeds the budget of {1 << 24} packets"),
+        (["--flows", "4096", "--packets-per-flow", "4096", "--anomaly", "flood", "--rate-multiplier", "0.01"],
+         f"trace of {4096 * 4096 + 4} packets exceeds the budget of {1 << 24} packets"),
+    ],
+    ids=["per-flow", "anomaly", "benign", "benign-and-anomaly"],
+)
+def test_generate_refuses_a_trace_over_the_budget(tmp_path, capsys, options, message):
+    # The budget is checked before any draw, so none of these is drawn.
+    out = tmp_path / "t.csv"
+    assert run("generate", "--out", str(out), *options) == 2
+    assert capsys.readouterr().err == f"flowsketch: {message}\n"
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -661,13 +661,12 @@ def test_generate_empty_anomaly_window():
 
 
 # A multiplier that is not finite, or one whose packet count is past
-# sys.maxsize, is refused by name before any draw.  A finite count below
-# sys.maxsize but far past memory is not tried: it would be drawn.
+# the trace budget of 2**24 packets, is refused by name before any draw.
 HUGE_MULTIPLIERS = [
     (math.inf, "anomaly rate_multiplier must be finite, got inf"),
     (math.nan, "anomaly rate_multiplier must be finite, got nan"),
-    (1e300, f"anomaly packet count 1e+301 exceeds {sys.maxsize}"),
-    (1e308, f"anomaly packet count inf exceeds {sys.maxsize}"),
+    (1e300, f"anomaly packet count 1e+301 exceeds the budget of {1 << 24} packets"),
+    (1e308, f"anomaly packet count inf exceeds the budget of {1 << 24} packets"),
 ]
 
 
@@ -679,6 +678,43 @@ def test_generate_refuses_a_multiplier_it_cannot_draw(multiplier, message):
             with pytest.raises(ValueError) as exc:
                 generate(profile, seed=0)
         assert str(exc.value) == message
+
+
+# Profiles whose trace is past the budget of 2**24 packets, each refused
+# by name before any draw: a per-flow count too large for a float, an
+# anomaly count below sys.maxsize, and benign and anomaly packets that
+# together just exceed the budget.
+OVER_BUDGET = [
+    (SyntheticProfile(flows=0, packets_per_flow=10**400, anomaly=AnomalyProfile(AnomalyKind.FLOOD)),
+     f"packets_per_flow {10**400} exceeds the budget of {1 << 24} packets"),
+    (SyntheticProfile(flows=0, anomaly=AnomalyProfile(AnomalyKind.FLOOD, rate_multiplier=92233720368547758)),
+     f"anomaly packet count 9.22337e+17 exceeds the budget of {1 << 24} packets"),
+    (SyntheticProfile(flows=2, packets_per_flow=(1 << 23) + 1),
+     f"trace of {(1 << 24) + 2} packets exceeds the budget of {1 << 24} packets"),
+    (SyntheticProfile(flows=1 << 12, packets_per_flow=1 << 12,
+                      anomaly=AnomalyProfile(AnomalyKind.PORT_SCAN, rate_multiplier=0.01)),
+     f"trace of {(1 << 24) + 4} packets exceeds the budget of {1 << 24} packets"),
+]
+
+
+@pytest.mark.parametrize(
+    "profile, message", OVER_BUDGET, ids=["per-flow", "anomaly", "benign", "benign-and-anomaly"]
+)
+def test_generate_refuses_a_trace_over_the_budget(profile, message):
+    for generate in (generate_synthetic, reference_generate_synthetic):
+        with mock.patch.object(random.Random, "getrandbits", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError) as exc:
+                generate(profile, seed=0)
+        assert str(exc.value) == message
+
+
+def test_generate_takes_a_trace_at_the_budget():
+    # The largest count accepted is the budget itself: the check runs,
+    # and passes, before the first draw.
+    profile = SyntheticProfile(flows=1, packets_per_flow=1 << 24)
+    with mock.patch.object(random.Random, "getrandbits", side_effect=AssertionError("drew")):
+        with pytest.raises(AssertionError, match="drew"):
+            generate_synthetic(profile, seed=0)
 
 
 RANDRANGE_BOUNDS = (1, 2, 3, 4, 5, 16, 17, 1000, 2**32, 10**10, 2**34 - 1, 2**34 + 1)
@@ -746,7 +782,11 @@ def reference_generate_synthetic(profile, seed):
         raise ValueError(f"unknown timing mode {profile.timing!r}")
     if profile.timing == "periodic" and profile.flows > 0 and profile.duration_ns < profile.packets_per_flow:
         raise ValueError("periodic timing needs duration_ns >= packets_per_flow")
+    budget = 1 << 24
+    if profile.packets_per_flow > budget:
+        raise ValueError(f"packets_per_flow {profile.packets_per_flow} exceeds the budget of {budget} packets")
     anomaly = profile.anomaly
+    count = 0
     if anomaly is not None:
         if not 0.0 <= anomaly.window_start < anomaly.window_stop <= 1.0:
             raise ValueError("anomaly window must satisfy 0 <= start < stop <= 1")
@@ -758,11 +798,14 @@ def reference_generate_synthetic(profile, seed):
         hi = int(anomaly.window_stop * profile.duration_ns)
         expected = (anomaly.rate_multiplier * profile.packets_per_flow
                     * (anomaly.window_stop - anomaly.window_start))
-        if expected > sys.maxsize:
-            raise ValueError(f"anomaly packet count {expected:g} exceeds {sys.maxsize}")
+        if expected > budget:
+            raise ValueError(f"anomaly packet count {expected:g} exceeds the budget of {budget} packets")
         count = round(expected)
         if count > 0 and hi <= lo:
             raise ValueError(f"anomaly window [{lo}, {hi}) ns is empty at duration_ns={profile.duration_ns}")
+    total = profile.flows * profile.packets_per_flow + max(count, 0)
+    if total > budget:
+        raise ValueError(f"trace of {total} packets exceeds the budget of {budget} packets")
 
     benign_src_base = parse_ip("10.0.0.1")
     dst_base = parse_ip("192.168.0.1")
