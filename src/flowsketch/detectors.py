@@ -307,8 +307,13 @@ def run_detector(
     if setting.kind not in DETECTOR_PARAMS:
         raise ValueError(f"unknown detector kind {setting.kind!r}")
     for name in DETECTOR_PARAMS[setting.kind]:
-        if getattr(setting, name) is None:
+        value = getattr(setting, name)
+        if value is None:
             raise ValueError(f"{setting.kind} detector needs {name}")
+        # A NaN threshold or k compares false with every score, so it
+        # would flag nothing rather than fail.
+        if value != value:
+            raise ValueError(f"{setting.kind} detector {name} must be a number, got nan")
     if setting.kind == "threshold":
         observe = partial(detect_threshold, feature=setting.feature, threshold=setting.threshold)
     elif setting.kind == "zscore":

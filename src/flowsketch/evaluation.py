@@ -345,10 +345,11 @@ def sweep(
     buckets for each hash width.  The cell budget check of
     Sketch(config) and the resource model run per config.
 
-    A budget error stays on its config's rows.  An error of a shared
-    pass, such as a timestamp regression, lands on every row of the
-    group within the budget, and a detector error on every row of the
-    group for that setting.
+    A budget error stays on its config's rows.  Every pass reads the
+    same timestamps, so a timestamp regression fails them all at one
+    row; the first failure stops every pass and lands on every other
+    row.  A detector error lands on every row of the group for that
+    setting.
     """
     it = iter(chunks)
     head = next(it, None)
@@ -379,40 +380,38 @@ def sweep(
                     replays[key] = EpochCollector(sketch)
                     if key[:2] not in truths:
                         truths[key[:2]] = AnomalousKeys(key[1])
-    # A pass that fails stops taking chunks; the trace is still read to
-    # its end, so that an error in the input itself aborts the sweep.
-    failures: dict[tuple, str] = {}
-    live: dict[tuple, EpochCollector | AnomalousKeys] = {**replays, **truths}
+    # Every pass reads the same timestamps, so a timestamp regression
+    # fails them all at the same row with the same message: the first
+    # failure stops every pass.  The trace is still read to its end, so
+    # that an error in the input itself aborts the sweep.
+    failure: str | None = None
+    key_specs = {key[0] for key in replays}
     it = chain([head], it)
     del head
     for chunk in it:
-        columns = {key_spec: key_spec.key_column(chunk) for key_spec in {key[0] for key in live}}
-        for key, stream_pass in list(live.items()):
-            try:
+        if failure is not None:
+            continue
+        columns = {key_spec: key_spec.key_column(chunk) for key_spec in key_specs}
+        try:
+            for key, stream_pass in chain(replays.items(), truths.items()):
                 stream_pass.feed(chunk, columns[key[0]])
-            except ValueError as exc:
-                failures[key] = str(exc)
-                del live[key]
-    pairs = {key: truth.finish() for key, truth in truths.items() if key not in failures}
+        except ValueError as exc:
+            failure = str(exc)
+    pairs = {key: truth.finish() for key, truth in truths.items()}
     rows: list[SweepRow] = []
     for key, configs in groups.items():
         replay = replays.pop(key, None)
-        outcomes: list[QualityScores | str] | str | None = (
-            None if replay is None else failures.get(key, failures.get(key[:2]))
-        )
-        if replay is not None and outcomes is None:
+        outcomes: list[QualityScores | str] = []
+        if replay is not None and failure is None:
             completed = [s for s in replay.finish() if s.complete]
             grid = GroundTruthGrid.from_keys(pairs[key[:2]], configs[0], len(completed))
-            outcomes = []
             for setting in detector_settings:
                 try:
                     outcomes.append(score(run_detector(setting, completed), grid))
                 except ValueError as exc:
                     outcomes.append(str(exc))
         for config in configs:
-            error = budget_errors.get(config)
-            if error is None and isinstance(outcomes, str):
-                error = outcomes
+            error = budget_errors.get(config, failure)
             cost = resource_model(config)
             cells = outcomes if error is None else [error] * len(detector_settings)
             for setting, outcome in zip(detector_settings, cells):

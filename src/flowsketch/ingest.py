@@ -639,8 +639,11 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[PacketRecor
             raise ValueError("anomaly rate_multiplier must be positive")
         if not math.isfinite(anomaly.rate_multiplier):
             raise ValueError(f"anomaly rate_multiplier must be finite, got {anomaly.rate_multiplier}")
-        lo = int(anomaly.window_start * profile.duration_ns)
-        hi = int(anomaly.window_stop * profile.duration_ns)
+        try:
+            lo = int(anomaly.window_start * profile.duration_ns)
+            hi = int(anomaly.window_stop * profile.duration_ns)
+        except OverflowError:
+            raise ValueError("duration_ns is too large for the anomaly window's float bounds") from None
         span = anomaly.window_stop - anomaly.window_start
         expected = anomaly.rate_multiplier * profile.packets_per_flow * span
         # A finite multiplier can still make the product infinite, which

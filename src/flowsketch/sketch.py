@@ -20,16 +20,18 @@ packet a bucket sees in an epoch contributes no gap sample.
 
 The sketch has one update loop, over (timestamp, length, raw key) rows,
 which folds each key to its bucket through a bounded memo.  Packet
-records reach it through Sketch.update_many; a column chunk
-(ingest.TraceColumns) reaches it through EpochCollector.feed, as zip of
-its timestamp and length columns and its key column.
+records reach it through Sketch.update_many and collect_epochs; a
+column chunk (ingest.TraceColumns) reaches it through
+EpochCollector.feed, as zip of its timestamp and length columns and its
+key column.  The loop is the one place that finds epoch boundaries,
+and it snapshots each epoch it closes into the list it is given.
 
 A bucket's state is one StageCell of nine raw metrics, a plain mutable
 object whose __dict__ holds them; SketchConfig and EpochSnapshot are
-immutable tuples.  Sketch.stage returns copies of cells.  The
-per-epoch snapshots of EpochCollector hold the cells themselves, since
-nothing writes to a cell once its epoch has closed.  Derived features such as averages are read from a
-cell by detectors.feature_value.
+immutable tuples.  Sketch.stage returns copies of cells.  An epoch
+snapshot holds stage 0's cells themselves, since nothing writes to a
+cell once its epoch has closed.  Derived features such as averages are
+read from a cell by detectors.feature_value.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, islice, starmap
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .hashing import KeySpec, check_width, fold
 from .ingest import PARSE_CHUNK_ROWS, TraceColumns, _Memo, _Record, csv_line, opt_int, parse_uint, read_csv, write_csv
@@ -171,20 +173,15 @@ class Sketch:
             for chunk in map(TraceColumns._make, starmap(zip, batches))
         )
 
-    def update_many(
-        self,
-        packets: Iterable,
-        visit: Callable[[Sketch, int, bool], None] | None = None,
-    ) -> int:
+    def update_many(self, packets: Iterable) -> int:
         """Fold a timestamp-sorted batch of packet records; returns the
         count.  Raises ValueError on a timestamp regression, including
-        against packets from earlier calls.  With a visitor, every epoch
-        that closes is passed to visit(sketch, epoch_index, True) just
-        before its rotation; see replay_epochs."""
-        return self._update(self._rows(packets), visit)
+        against packets from earlier calls."""
+        return self._update(self._rows(packets), None)
 
-    def _update(self, rows: Iterable[tuple[int, int, int]], visit: Callable | None) -> int:
-        """The update loop over (timestamp, length, raw key) rows.
+    def _update(self, rows: Iterable[tuple[int, int, int]], closed: list[EpochSnapshot] | None) -> int:
+        """The update loop over (timestamp, length, raw key) rows,
+        appending to closed, if given, each closing epoch's snapshot.
 
         This is the hot path: the per-packet work is a memoized hash
         fold, one cell fetch, and nine field updates."""
@@ -207,7 +204,7 @@ class Sketch:
                     boundary = ts + epoch_ns
                 elif ts >= boundary:
                     self._epoch_start = epoch_start
-                    self._advance_epochs(ts, visit)
+                    self._advance_epochs(ts, closed)
                     epoch_start = self._epoch_start
                     boundary = epoch_start + epoch_ns
                     stage0 = stages[0]
@@ -244,18 +241,21 @@ class Sketch:
             self._epoch_start = epoch_start
         return count
 
-    def _advance_epochs(self, ts: int, visit: Callable | None) -> None:
-        """Rotate until the current epoch contains ts, visiting each
-        closing epoch first when there is a visitor.  Without one, at
-        most mem_stages rotations are made: by then every stage is
-        empty, so further rotations would change nothing but the epoch
-        index and start, which move forward by arithmetic."""
+    def _advance_epochs(self, ts: int, closed: list[EpochSnapshot] | None) -> None:
+        """Move to the epoch that contains ts.  At most mem_stages
+        rotations are made: by then every stage is empty, so the epoch
+        index and start move on by arithmetic.  Given a list, it appends
+        the closing epoch's snapshot, then an empty one per empty epoch
+        of the gap, as stage 0 is empty until the packet at ts arrives."""
         epoch_ns = self._config.epoch_ns
-        gap = (ts - self._epoch_start) // epoch_ns
-        rotations = gap if visit is not None else min(gap, self._config.mem_stages)
+        index, start = self._epoch_index, self._epoch_start
+        gap = (ts - start) // epoch_ns
+        if closed is not None:
+            closed.append(self._snapshot(True))
+            buckets = self._config.bucket_count
+            closed.extend(EpochSnapshot(index + k, start + k * epoch_ns, True, buckets, (), ()) for k in range(1, gap))
+        rotations = min(gap, self._config.mem_stages)
         for _ in range(rotations):
-            if visit is not None:
-                visit(self, self._epoch_index, True)
             self.rotate_epoch(self._epoch_start + epoch_ns)
         self._epoch_index += gap - rotations
         self._epoch_start += (gap - rotations) * epoch_ns
@@ -285,6 +285,16 @@ class Sketch:
         cells = self._stages[stage]
         return {bucket: StageCell(**vars(cells[bucket])) for bucket in sorted(cells)}
 
+    def _snapshot(self, complete: bool) -> EpochSnapshot:
+        """The current epoch's snapshot: stage 0's cells themselves, not
+        copies, buckets ascending."""
+        cells = self._stages[0]
+        buckets = sorted(cells)
+        return EpochSnapshot(
+            self._epoch_index, self._epoch_start, complete, self._config.bucket_count,
+            tuple(buckets), tuple(map(cells.__getitem__, buckets)),
+        )
+
 
 class EpochSnapshot(NamedTuple):
     """Stage-0 contents of one epoch, taken just before rotation (or at
@@ -303,23 +313,6 @@ class EpochSnapshot(NamedTuple):
     cells: tuple[StageCell, ...]
 
 
-def replay_epochs(
-    sketch: Sketch,
-    packets: Iterable,
-    visit: Callable[[Sketch, int, bool], None],
-) -> int:
-    """Stream packets through the sketch, calling visit(sketch,
-    epoch_index, complete) for each finished epoch while its state is
-    still in stage 0, and once more for the trailing partial epoch.
-    Every elapsed epoch is visited, empty ones across gaps included.
-    Returns the packet count.
-    """
-    count = sketch.update_many(packets, visit)
-    if sketch.epoch_start_ns is not None:
-        visit(sketch, sketch.epoch_index, False)
-    return count
-
-
 class EpochCollector:
     """Per-epoch stage-0 snapshots of a stream fed in column chunks:
     each completed epoch is snapshotted as it closes, and finish() adds
@@ -334,16 +327,6 @@ class EpochCollector:
         self._sketch = sketch
         self._snapshots: list[EpochSnapshot] | None = []
 
-    def _take(self, sketch: Sketch, index: int, complete: bool) -> None:
-        cells = sketch._stages[0]
-        buckets = sorted(cells)
-        self._snapshots.append(
-            EpochSnapshot(
-                index, sketch.epoch_start_ns, complete, sketch.config.bucket_count,
-                tuple(buckets), tuple(map(cells.__getitem__, buckets)),
-            )
-        )
-
     def _open(self) -> list[EpochSnapshot]:
         if self._snapshots is None:
             raise ValueError("the epoch collector is finished")
@@ -354,27 +337,27 @@ class EpochCollector:
         ingest.TraceColumns), whose key column, if already built, is
         keys, through the sketch.  Raises ValueError on a timestamp
         regression, including against earlier chunks."""
-        self._open()
+        snapshots = self._open()
         if keys is None:
             keys = self._sketch.config.key_spec.key_column(chunk)
-        self._sketch._update(zip(chunk.timestamp_ns, chunk.length_bytes, keys), self._take)
+        self._sketch._update(zip(chunk.timestamp_ns, chunk.length_bytes, keys), snapshots)
 
     def finish(self) -> list[EpochSnapshot]:
         """The snapshots, in epoch order, with the trailing partial
         epoch last; empty when no packet was fed."""
         snapshots = self._open()
-        # A replay of no packets visits only the trailing partial epoch.
-        replay_epochs(self._sketch, (), self._take)
+        if self._sketch.epoch_start_ns is not None:
+            snapshots.append(self._sketch._snapshot(False))
         self._snapshots = None
         return snapshots
 
 
 def collect_epochs(sketch: Sketch, packets: Iterable) -> list[EpochSnapshot]:
     """Run a stream of packet records and collect per-epoch stage-0
-    snapshots, one per completed epoch plus the final partial epoch.
-    Empty traces yield an empty list."""
+    snapshots, one per elapsed epoch, empty ones across gaps included,
+    plus the final partial epoch.  Empty traces yield an empty list."""
     collector = EpochCollector(sketch)
-    sketch.update_many(packets, collector._take)
+    sketch._update(sketch._rows(packets), collector._open())
     return collector.finish()
 
 

@@ -6,7 +6,7 @@ import random
 
 from flowsketch.detectors import EpochVerdicts, Verdict, Verdicts
 from flowsketch.ingest import PARSE_CHUNK_ROWS, Label, PacketRecord, TraceColumns, parse_ip
-from flowsketch.sketch import EpochSnapshot, StageCell
+from flowsketch.sketch import EpochSnapshot, Sketch, StageCell
 
 
 def make_packet(
@@ -67,6 +67,44 @@ def random_records(
                 label=label,
             )
         )
+    return out
+
+
+def per_packet_replay(sketch: Sketch, packets, visit) -> int:
+    """The tests' reference replay of a live sketch: feed it packet by
+    packet, rotating once per elapsed epoch through the public
+    rotate_epoch, and call visit(sketch, epoch_index, complete) at each
+    epoch's close, before its rotation, and once more for the trailing
+    partial epoch.  It shares no epoch arithmetic with the library's
+    update loop, whose rotation policy it checks.  Returns the packet
+    count."""
+    epoch_ns = sketch.config.epoch_ns
+    count = 0
+    for pkt in packets:
+        ts = pkt.timestamp_ns
+        while sketch.epoch_start_ns is not None and ts >= sketch.epoch_start_ns + epoch_ns:
+            visit(sketch, sketch.epoch_index, True)
+            sketch.rotate_epoch(sketch.epoch_start_ns + epoch_ns)
+        sketch.update_many((pkt,))
+        count += 1
+    if sketch.epoch_start_ns is not None:
+        visit(sketch, sketch.epoch_index, False)
+    return count
+
+
+def reference_snapshots(sketch: Sketch, packets) -> list[EpochSnapshot]:
+    """The snapshot of every elapsed epoch, the partial one last, each
+    built from a copy of stage 0 as per_packet_replay closes it."""
+    out = []
+
+    def visit(sk, index, complete):
+        cells = sk.stage(0)
+        out.append(EpochSnapshot(
+            index, sk.epoch_start_ns, complete, sk.config.bucket_count,
+            tuple(cells), tuple(cells.values()),
+        ))
+
+    per_packet_replay(sketch, packets, visit)
     return out
 
 

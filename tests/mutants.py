@@ -1,0 +1,158 @@
+"""Mutation checks: each mutant is a small deliberate fault in src, and
+the tests it lists must catch it.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+For each mutant the runner copies src and tests into a temporary
+directory, replaces one exact text in one file of the copy, and runs
+the mutant's tests there in one pytest subprocess, one mutant at a time.
+A mutant is killed when its tests fail.  The runner exits 1 if a mutant
+survives, if its text does not occur exactly once (so a change that
+rewrites mutated code must update this list), or if the no-op mutant,
+its self-test, is killed.  Hypothesis runs with a fixed seed, so a run
+is repeatable.
+
+This file is not named test_*.py, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/flowsketch
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+    origin: str  # the CHANGES.md entry that introduced it
+
+
+EPOCH_CLOCK = ("tests/test_epoch_clock.py::test_collect_epochs_matches_per_packet_replay",)
+ONE_POLICY = "CHANGES.md: the sketch snapshots the epochs it closes"
+ONE_FAILURE = "CHANGES.md: the sweep has one failure for its one stream"
+
+MUTANTS = (
+    Mutant(
+        "empty epochs include the one at ts", "sketch.py",
+        "for k in range(1, gap)", "for k in range(1, gap + 1)",
+        EPOCH_CLOCK, ONE_POLICY,
+    ),
+    Mutant(
+        "empty epochs start one epoch early", "sketch.py",
+        "start + k * epoch_ns, True", "start + (k - 1) * epoch_ns, True",
+        EPOCH_CLOCK, ONE_POLICY,
+    ),
+    Mutant(
+        "empty epochs' index one low", "sketch.py",
+        "EpochSnapshot(index + k,", "EpochSnapshot(index + k - 1,",
+        EPOCH_CLOCK, ONE_POLICY,
+    ),
+    Mutant(
+        "one rotation too few across a gap", "sketch.py",
+        "min(gap, self._config.mem_stages)", "min(gap, self._config.mem_stages - 1)",
+        EPOCH_CLOCK, ONE_POLICY,
+    ),
+    Mutant(
+        "sweep failure not put on rows", "evaluation.py",
+        "budget_errors.get(config, failure)", "budget_errors.get(config)",
+        ("tests/test_evaluation.py::test_sweep_timestamp_regression_fails_every_row_it_reaches",),
+        ONE_FAILURE,
+    ),
+    Mutant(
+        "sweep stops reading after a failure", "evaluation.py",
+        "            failure = str(exc)\n",
+        "            failure = str(exc)\n            break\n",
+        ("tests/test_evaluation.py::test_sweep_reads_past_a_failed_pass_to_an_error_in_the_input",),
+        ONE_FAILURE,
+    ),
+    Mutant(
+        "window bounds overflow unchecked", "ingest.py",
+        "        except OverflowError:\n", "        except ZeroDivisionError:\n",
+        (
+            "tests/test_cli.py::test_generate_refuses_a_trace_over_the_budget[window-bounds]",
+            "tests/test_cli.py::test_generate_edge_values_exit_cleanly[--duration-ns]",
+        ),
+        "CHANGES.md: MENDED line on generate's OverflowError from a huge --duration-ns",
+    ),
+    Mutant(
+        "NaN detector limit accepted", "detectors.py",
+        "        if value != value:\n", "        if False:\n",
+        (
+            "tests/test_detectors.py::test_run_detector_validation",
+            "tests/test_cli.py::test_detect_refuses_a_nan_limit",
+        ),
+        "CHANGES.md: a NaN threshold or k is refused",
+    ),
+)
+
+# The runner's self-test: it changes nothing, so its tests must pass.
+NO_OP = Mutant(
+    "no-op", "sketch.py",
+    "for k in range(1, gap)", "for k in range(1, gap)",
+    EPOCH_CLOCK + ("tests/test_evaluation.py::test_sweep_timestamp_regression_fails_every_row_it_reaches",),
+    "tests/mutants.py",
+)
+
+
+def run_mutant(mutant: Mutant) -> str:
+    """'killed', 'survived', or a message saying why the mutant could
+    not be judged."""
+    with tempfile.TemporaryDirectory(prefix="flowsketch-mutant-") as tmp:
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, name), os.path.join(tmp, name), ignore=ignore)
+        path = os.path.join(tmp, "src", "flowsketch", mutant.path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        count = text.count(mutant.old)
+        if count != 1:
+            return f"its text occurs {count} times in {mutant.path}, not once"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(tmp, "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *mutant.tests],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+    # pytest exits 1 when tests fail; any other nonzero code means the
+    # run itself went wrong, such as a node id that names no test.
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode == 1:
+        return "killed"
+    return f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}"
+
+
+def main(names: list[str]) -> int:
+    known = {m.name for m in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutants: {unknown}", file=sys.stderr)
+        return 2
+    problems = 0
+    for mutant in (NO_OP, *(m for m in MUTANTS if not names or m.name in names)):
+        outcome = run_mutant(mutant)
+        wanted = "survived" if mutant is NO_OP else "killed"
+        ok = outcome == wanted
+        problems += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {mutant.name}: {outcome}", flush=True)
+    print(f"{problems} problem(s)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

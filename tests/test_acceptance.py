@@ -43,7 +43,6 @@ from flowsketch.sketch import (
     SketchConfig,
     collect_epochs,
     parse_snapshot,
-    replay_epochs,
     write_snapshot,
 )
 
@@ -90,8 +89,9 @@ def test_criterion_01_collision_free_oracle_equivalence(capfd):
             for r in records:
                 tracker.update(r)
 
-            def visit(sk, epoch_index, complete):
-                cells = sk.stage(0)
+            for snap in collect_epochs(Sketch(config), records):
+                epoch_index = snap.epoch_index
+                cells = dict(zip(snap.buckets, snap.cells))
                 keys = tracker.keys_in_epoch(epoch_index)
                 assert set(cells) == {tracker.bucket_of(key) for key in keys}
                 for key in keys:
@@ -102,8 +102,6 @@ def test_criterion_01_collision_free_oracle_equivalence(capfd):
                     assert tracker.collision_free(bucket, epoch_index)
                     got = cells[shift_xor_hash(key, config.hash_width)]
                     assert got == tracker.expected_bucket(bucket, epoch_index)
-
-            replay_epochs(Sketch(config), records, visit)
 
 
 def test_criterion_02_bucket_aggregation_under_collisions(capfd):
@@ -117,8 +115,9 @@ def test_criterion_02_bucket_aggregation_under_collisions(capfd):
                 for r in records:
                     tracker.update(r)
 
-                def visit(sk, epoch_index, complete):
-                    cells = dense_cells(sk.stage(0), config.bucket_count)
+                for snap in collect_epochs(Sketch(config), records):
+                    epoch_index = snap.epoch_index
+                    cells = dense_cells(dict(zip(snap.buckets, snap.cells)), config.bucket_count)
                     for bucket in range(config.bucket_count):
                         want = tracker.expected_bucket(bucket, epoch_index)
                         got = cells[bucket]
@@ -131,8 +130,6 @@ def test_criterion_02_bucket_aggregation_under_collisions(capfd):
                             assert got.iat_sum_ns == want.iat_sum_ns
                             assert got.iat_min_ns == want.iat_min_ns
                             assert got.iat_max_ns == want.iat_max_ns
-
-                replay_epochs(Sketch(config), records, visit)
 
 
 def test_criterion_03_rotation_shifts_stages(capfd):
@@ -160,12 +157,9 @@ def test_criterion_04_per_epoch_packet_conservation(capfd):
                 t0 = records[0].timestamp_ns
                 per_epoch = Counter((r.timestamp_ns - t0) // EPOCH_NS for r in records)
                 seen = []
-
-                def visit(sk, epoch_index, complete):
-                    assert sum(c.pkt_count for c in sk.stage(0).values()) == per_epoch[epoch_index]
-                    seen.append(per_epoch[epoch_index])
-
-                replay_epochs(Sketch(config), records, visit)
+                for snap in collect_epochs(Sketch(config), records):
+                    assert sum(c.pkt_count for c in snap.cells) == per_epoch[snap.epoch_index]
+                    seen.append(per_epoch[snap.epoch_index])
                 assert sum(seen) == len(records)
 
 

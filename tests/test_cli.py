@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -13,9 +14,9 @@ from flowsketch.detectors import Verdict, parse_verdicts
 from flowsketch.evaluation import parse_report_csv
 from flowsketch.hashing import KeySpec, extract_key, shift_xor_hash
 from flowsketch.ingest import read_trace, write_trace
-from flowsketch.sketch import SNAPSHOT_HEADER, Sketch, SketchConfig, parse_snapshot, replay_epochs, write_snapshot
+from flowsketch.sketch import SNAPSHOT_HEADER, Sketch, SketchConfig, parse_snapshot, write_snapshot
 
-from conftest import dense_verdicts, make_packet
+from conftest import dense_verdicts, make_packet, per_packet_replay
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -161,8 +162,12 @@ def test_commands_start_without_the_costly_stdlib_modules(tmp_path):
          f"trace of {4097 * 4096} packets exceeds the budget of {1 << 24} packets"),
         (["--flows", "4096", "--packets-per-flow", "4096", "--anomaly", "flood", "--rate-multiplier", "0.01"],
          f"trace of {4096 * 4096 + 4} packets exceeds the budget of {1 << 24} packets"),
+        # The window bounds are fractions of duration_ns in float
+        # arithmetic, so a duration beyond float range is refused too.
+        (["--flows", "0", "--anomaly", "flood", "--duration-ns", "1" + "0" * 400],
+         "duration_ns is too large for the anomaly window's float bounds"),
     ],
-    ids=["per-flow", "anomaly", "benign", "benign-and-anomaly"],
+    ids=["per-flow", "anomaly", "benign", "benign-and-anomaly", "window-bounds"],
 )
 def test_generate_refuses_a_trace_over_the_budget(tmp_path, capsys, options, message):
     # The budget is checked before any draw, so none of these is drawn.
@@ -170,6 +175,42 @@ def test_generate_refuses_a_trace_over_the_budget(tmp_path, capsys, options, mes
     assert run("generate", "--out", str(out), *options) == 2
     assert capsys.readouterr().err == f"flowsketch: {message}\n"
     assert not out.exists()
+
+
+# Edge values for every numeric option: 0, 1, -1, 2**63, a 400-digit
+# integer, inf, nan and 1e300.  argparse rejects the float texts for an
+# int option, and an int text is a valid float.
+EDGE_VALUES = ("0", "1", "-1", str(2**63), "9" * 400, "inf", "nan", "1e300")
+GENERATE_NUMERIC_OPTIONS = (
+    "--flows", "--packets-per-flow", "--duration-ns", "--start-ts-ns",
+    "--rate-multiplier", "--window-start", "--window-stop", "--seed",
+)
+EDGE_CHILD_BYTES = 1 << 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (EDGE_CHILD_BYTES, EDGE_CHILD_BYTES))
+
+
+@pytest.mark.parametrize("option", GENERATE_NUMERIC_OPTIONS)
+def test_generate_edge_values_exit_cleanly(tmp_path, option):
+    # Each value runs in its own child, one at a time, with a bounded
+    # address space and a timeout: it ends in exit 0, 1 (argparse
+    # rejects the text) or 2, never in a traceback, and a failed run
+    # leaves no file.
+    out = tmp_path / "t.csv"
+    for value in EDGE_VALUES:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowsketch.cli", "generate", "--out", str(out),
+             "--anomaly", "flood", f"{option}={value}"],
+            capture_output=True, env=probe_env(), text=True, timeout=60,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode in (0, 1, 2), (value, proc.returncode, proc.stderr)
+        assert "Traceback" not in proc.stderr, (value, proc.stderr)
+        if proc.returncode:
+            assert not out.exists(), value
+        out.unlink(missing_ok=True)
 
 
 def test_usage_errors_exit_1(capsys):
@@ -245,8 +286,9 @@ def test_extract_empty_epoch_writes_header_only(tmp_path):
 
 
 def reference_extract(records, config, out_dir):
-    """The snapshot files of a sketch driven by hand: at each epoch's
-    close, every stage of the live sketch, the partial epoch last."""
+    """The snapshot files of a sketch driven by the reference replay: at
+    each epoch's close, every stage of the live sketch, the partial
+    epoch last."""
     os.makedirs(out_dir)
 
     def visit(sketch, index, complete):
@@ -254,7 +296,7 @@ def reference_extract(records, config, out_dir):
         rows = [(s, b, c) for s in range(config.mem_stages) for b, c in sketch.stage(s).items()]
         write_snapshot(os.path.join(out_dir, f"epoch_{index:04d}{suffix}.csv"), rows)
 
-    replay_epochs(Sketch(config), records, visit)
+    per_packet_replay(Sketch(config), records, visit)
 
 
 def bursts_and_gaps(rng, stages, epoch_ns):
@@ -467,6 +509,53 @@ def test_detect_rejects_a_negative_train_epochs(tmp_path, capsys):
                "--detector", "zscore", "--train-epochs", "-1")
     assert code == 2
     assert capsys.readouterr().err == "flowsketch: train_epochs=-1 must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--detector", "threshold", "--threshold", "nan"], "threshold detector threshold must be a number, got nan"),
+        (["--detector", "zscore", "--k", "nan"], "zscore detector k must be a number, got nan"),
+        (["--detector", "ewma", "--k", "nan"], "ewma detector k must be a number, got nan"),
+    ],
+    ids=["threshold", "zscore-k", "ewma-k"],
+)
+def test_detect_refuses_a_nan_limit(tmp_path, capsys, options, message):
+    trace = gen_trace(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "v.csv"
+    assert run("detect", "--trace", str(trace), "--out", str(out), *options) == 2
+    assert capsys.readouterr().err == f"flowsketch: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_puts_a_nan_limit_on_its_rows(tmp_path, capsys):
+    trace = gen_trace(tmp_path, "--anomaly", "flood")
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "sweep": {
+            "hash_widths": [4, 5],
+            "detectors": [
+                {"detector": "threshold", "threshold": 20.0},
+                {"detector": "threshold", "threshold": "nan"},
+                {"detector": "ewma", "k": "nan"},
+            ],
+        }
+    }))
+    out_dir = tmp_path / "sweep"
+    assert run("sweep", "--trace", str(trace), "--out-dir", str(out_dir), "--config", str(config)) == 3
+    capsys.readouterr()
+    payload = json.loads((out_dir / "report.json").read_text())
+    errors = {(entry["hash_width"], entry["detector_params"]): entry["error"] for entry in payload}
+    assert errors == {
+        (w, params): error
+        for w in (4, 5)
+        for params, error in (
+            ("feature=pkt_count;threshold=20.0", None),
+            ("feature=pkt_count;threshold=nan", "threshold detector threshold must be a number, got nan"),
+            ("feature=pkt_count;k=nan;alpha=0.3", "ewma detector k must be a number, got nan"),
+        )
+    }
 
 
 def test_sweep_writes_reports(tmp_path, capsys):

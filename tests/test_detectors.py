@@ -334,6 +334,16 @@ def test_run_detector_validation():
         run_detector(DetectorSetting("madness"), snaps)
     with pytest.raises(ValueError):
         run_detector(DetectorSetting("threshold", feature="entropy", threshold=1.0), snaps)
+    # A NaN limit compares false with every score, so it would flag
+    # nothing; it is refused even with no epoch to score.
+    for setting, name in (
+        (DetectorSetting("threshold", threshold=math.nan), "threshold"),
+        (DetectorSetting("zscore", k=math.nan, train_epochs=1), "k"),
+        (DetectorSetting("ewma", k=math.nan, alpha=0.3), "k"),
+    ):
+        for epochs in (snaps, []):
+            with pytest.raises(ValueError, match=f"^{setting.kind} detector {name} must be a number, got nan$"):
+                run_detector(setting, epochs)
 
 
 def test_verdict_invariant_score_exceeds_threshold():

@@ -1,32 +1,16 @@
-"""Differential guard for the epoch clock: replay_epochs and update_many
-must agree with a straightforward per-packet replay, including across
-gaps shorter and at least as long as the stage count."""
+"""Differential guard for the epoch clock: collect_epochs and
+update_many must agree with the tests' per-packet reference replay,
+which rotates once per elapsed epoch, including across gaps shorter and
+at least as long as the stage count."""
 
 from hypothesis import given, settings, strategies as st
 
 from flowsketch.hashing import KeySpec
-from flowsketch.sketch import Sketch, SketchConfig, replay_epochs
+from flowsketch.sketch import Sketch, SketchConfig, collect_epochs
 
-from conftest import make_packet
+from conftest import make_packet, per_packet_replay, reference_snapshots
 
 KEY_SPECS = (KeySpec(("src_ip",)), KeySpec(("src_ip", "dst_port")), KeySpec(("dst_port", "protocol")))
-
-
-def per_packet_replay(sketch, packets, visit):
-    """Reference epoch replay: rotate packet by packet, visiting each
-    finished epoch before its rotation, then the trailing partial one."""
-    epoch_ns = sketch.config.epoch_ns
-    count = 0
-    for pkt in packets:
-        ts = pkt.timestamp_ns
-        while sketch.epoch_start_ns is not None and ts >= sketch.epoch_start_ns + epoch_ns:
-            visit(sketch, sketch.epoch_index, True)
-            sketch.rotate_epoch(sketch.epoch_start_ns + epoch_ns)
-        sketch.update_many((pkt,))
-        count += 1
-    if sketch.epoch_start_ns is not None:
-        visit(sketch, sketch.epoch_index, False)
-    return count
 
 
 @st.composite
@@ -58,24 +42,14 @@ def all_stages(sketch):
     return [sketch.stage(s) for s in range(sketch.config.mem_stages)]
 
 
-def visit_log(replay, config, packets):
-    log = []
-
-    def visit(sk, index, complete):
-        log.append((index, complete, sk.epoch_start_ns, all_stages(sk)))
-
-    sketch = Sketch(config)
-    count = replay(sketch, packets, visit)
-    return count, log, all_stages(sketch), sketch.epoch_index
-
-
 @settings(max_examples=150, deadline=None)
 @given(gapped_streams())
-def test_replay_epochs_matches_per_packet_replay(stream):
+def test_collect_epochs_matches_per_packet_replay(stream):
     config, packets = stream
-    assert visit_log(replay_epochs, config, packets) == visit_log(
-        per_packet_replay, config, packets
-    )
+    sketch, reference = Sketch(config), Sketch(config)
+    assert collect_epochs(sketch, packets) == reference_snapshots(reference, packets)
+    assert all_stages(sketch) == all_stages(reference)
+    assert sketch.epoch_index == reference.epoch_index
 
 
 @settings(max_examples=150, deadline=None)

@@ -41,7 +41,7 @@ from flowsketch.ingest import (
 from flowsketch.oracle import AnomalousKeys, ExactTracker
 from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, EpochCollector, Sketch, SketchConfig, collect_epochs
 
-from conftest import column_chunks, random_records
+from conftest import column_chunks, make_packet, random_records
 
 SRC_KEY = KeySpec(("src_ip",))
 
@@ -445,6 +445,21 @@ def test_sweep_timestamp_regression_fails_every_row_it_reaches():
             assert row.error == "config needs 83886080 cells, budget is 67108864"
         else:
             assert row.error == str(regression.value)
+
+
+def test_sweep_reads_past_a_failed_pass_to_an_error_in_the_input():
+    # The out-of-order chunk stops every pass, but the rest of the
+    # chunks is still read, so an error raised by the input aborts the
+    # sweep rather than a row error being reported.
+    records = [make_packet(ts=ts) for ts in (0, 5, 3, 7)]
+
+    def stream():
+        yield from column_chunks(records)
+        raise ValueError("line 9: bad row")
+
+    configs = [SketchConfig(w, 1, 1_000_000_000, SRC_KEY) for w in (4, 5)]
+    with pytest.raises(ValueError, match="^line 9: bad row$"):
+        sweep(stream(), configs, [zs(3.0)])
 
 
 class OneShot:

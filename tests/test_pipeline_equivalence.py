@@ -30,23 +30,24 @@ from flowsketch.evaluation import GroundTruthGrid, score
 from flowsketch.hashing import KeySpec
 from flowsketch.ingest import Label
 from flowsketch.oracle import ExactTracker
-from flowsketch.sketch import Sketch, SketchConfig, collect_epochs, replay_epochs
+from flowsketch.sketch import Sketch, SketchConfig, collect_epochs
 
-from conftest import dense_cells, dense_verdicts, make_packet
+from conftest import dense_cells, dense_verdicts, make_packet, per_packet_replay
 
 KEY_SPECS = (KeySpec(("src_ip",)), KeySpec(("src_ip", "dst_port")), KeySpec(("dst_port", "protocol")))
 EWMA_EPS = 1e-9
 
 
 def dense_snapshots(config, packets):
-    """(epoch_index, complete, cells) per visited epoch, cells holding
-    all 2**W stage-0 buckets, an untouched one as StageCell()."""
+    """(epoch_index, complete, cells) per epoch that the reference
+    replay closes, cells holding all 2**W stage-0 buckets, an untouched
+    one as StageCell()."""
     out = []
 
     def visit(sk, index, complete):
         out.append((index, complete, dense_cells(sk.stage(0), sk.config.bucket_count)))
 
-    replay_epochs(Sketch(config), packets, visit)
+    per_packet_replay(Sketch(config), packets, visit)
     return out
 
 

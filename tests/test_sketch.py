@@ -17,18 +17,16 @@ from flowsketch.sketch import (
     DEFAULT_MAX_CELLS,
     SNAPSHOT_HEADER,
     EpochCollector,
-    EpochSnapshot,
     UPDATE_OPS,
     Sketch,
     SketchConfig,
     StageCell,
     collect_epochs,
     parse_snapshot,
-    replay_epochs,
     write_snapshot,
 )
 
-from conftest import column_chunks, make_packet, random_records
+from conftest import column_chunks, make_packet, per_packet_replay, random_records, reference_snapshots
 
 SRC_KEY = KeySpec(("src_ip",))
 
@@ -192,8 +190,9 @@ def test_sketch_matches_oracle_with_a_tiny_fold_memo(monkeypatch, width, key):
     for r in records:
         tracker.update(r)
 
-    def visit(sk, epoch_index, complete):
-        cells = sk.stage(0)
+    for snap in collect_epochs(Sketch(config), records):
+        epoch_index = snap.epoch_index
+        cells = dict(zip(snap.buckets, snap.cells))
         touched = set(cells)
         assert all(c.pkt_count for c in cells.values())
         assert touched == {tracker.bucket_of(k) for k in tracker.keys_in_epoch(epoch_index)}
@@ -206,8 +205,6 @@ def test_sketch_matches_oracle_with_a_tiny_fold_memo(monkeypatch, width, key):
                 assert (got.pkt_count, got.byte_sum, got.byte_min, got.byte_max, got.last_ts_ns) == (
                     want.pkt_count, want.byte_sum, want.byte_min, want.byte_max, want.last_ts_ns,
                 )
-
-    replay_epochs(Sketch(config), records, visit)
     assert len(folds) > len(records) // 2
 
 
@@ -259,9 +256,9 @@ def test_auto_rotation_skips_empty_epochs():
 
 
 def test_long_gap_equals_repeated_rotation():
-    # Without a visitor a gap of at least the stage count rotates only
-    # mem_stages times and moves the epoch by arithmetic; it must match
-    # rotating once per elapsed epoch.
+    # A gap of at least the stage count rotates only mem_stages times
+    # and moves the epoch by arithmetic; it must match rotating once
+    # per elapsed epoch.
     for gap_epochs in (3, 5, 50):
         fast = Sketch(cfg(stages=3, epoch_ns=1000))
         slow = Sketch(cfg(stages=3, epoch_ns=1000))
@@ -286,7 +283,7 @@ def test_rotation_allocates_no_dense_stage():
     held = []
     tracemalloc.start()
     try:
-        replay_epochs(
+        per_packet_replay(
             sk,
             [make_packet(ts=0), make_packet(ts=500_000)],
             lambda sketch, index, complete: held.append(len(sketch.stage(0))),
@@ -435,7 +432,7 @@ def test_replay_matches_bulk_epoch_state():
     bulk = Sketch(config)
     bulk.update_many(records)
     replayed = Sketch(config)
-    replay_epochs(replayed, records, lambda *a: None)
+    collect_epochs(replayed, records)
     assert all_stages(replayed) == all_stages(bulk)
     assert replayed.epoch_index == bulk.epoch_index
 
@@ -498,18 +495,9 @@ def test_snapshots_do_not_change_as_later_chunks_are_fed():
     assert len(snapshots) > 10
     for earlier in taken:
         assert snapshots[: len(earlier)] == earlier
-    # Each equals the copy of stage 0 that a visitor takes as its epoch
-    # closes.
-    copies = []
-
-    def visit(sk, index, complete):
-        cells = sk.stage(0)
-        copies.append(
-            EpochSnapshot(index, sk.epoch_start_ns, complete, 8, tuple(cells), tuple(cells.values()))
-        )
-
-    replay_epochs(Sketch(config), records, visit)
-    assert snapshots == copies
+    # Each equals the copy of stage 0 that the reference replay takes as
+    # its epoch closes.
+    assert snapshots == reference_snapshots(Sketch(config), records)
 
 
 def test_epoch_collector_is_closed_by_finish():
