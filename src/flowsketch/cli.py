@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .detectors import DETECTOR_PARAMS, FEATURES, DetectorSetting, run_detector, write_verdicts
+from .detectors import DETECTOR_PARAMS, FEATURES, DetectorSetting, check_setting, run_detector, write_verdicts
 from .hashing import KeySpec
 from .ingest import (
     AnomalyKind,
@@ -159,16 +159,19 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[argparse.Nam
 
 
 @contextmanager
-def _trace_errors_first(chunks: Iterable) -> Iterator[None]:
-    """On a ValueError, read the rest of chunks and then re-raise, so
-    that an error in the trace itself, such as a bad row further on, is
-    the one reported."""
-    try:
-        yield
-    except ValueError:
-        for _ in chunks:
-            pass
-        raise
+def _trace_chunks(path: str) -> Iterator[Iterator[TraceColumns]]:
+    """The trace's column chunks, each parsed as it is read.  On a
+    ValueError in the body, the rest of the trace is read before it is
+    re-raised, so that an error in the trace itself, such as a bad row
+    further on, is the one reported."""
+    with open_trace(path) as fh:
+        chunks = parse_trace_chunks(fh)
+        try:
+            yield chunks
+        except ValueError:
+            for _ in chunks:
+                pass
+            raise
 
 
 def _print_front(points: Iterable[ParetoPoint | SweepRow]) -> None:
@@ -290,24 +293,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _epoch_snapshots(trace: str, config: SketchConfig) -> list[EpochSnapshot]:
-    """The stage-0 snapshot of every elapsed epoch of the trace, in
-    order, the trailing partial epoch last.  The trace is read a chunk
-    at a time, and an error in it is reported ahead of a config's."""
-    with open_trace(trace) as fh:
-        chunks = parse_trace_chunks(fh)
-        with _trace_errors_first(chunks):
-            collector = EpochCollector(Sketch(config))
-            for chunk in chunks:
-                collector.feed(chunk)
-            return collector.finish()
+def _epoch_snapshots(chunks: Iterable[TraceColumns], sketch: Sketch) -> list[EpochSnapshot]:
+    """The stage-0 snapshot of every elapsed epoch of the chunks, in
+    order, the trailing partial epoch last."""
+    collector = EpochCollector(sketch)
+    for chunk in chunks:
+        collector.feed(chunk)
+    return collector.finish()
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _sketch_config(args)
     # Every row is read before the first file is written, so that an
     # error in the trace leaves no file behind.
-    snapshots = _epoch_snapshots(args.trace, config)
+    with _trace_chunks(args.trace) as chunks:
+        snapshots = _epoch_snapshots(chunks, Sketch(config))
     os.makedirs(args.out_dir, exist_ok=True)
     for e, snapshot in enumerate(snapshots):
         suffix = "" if snapshot.complete else "_partial"
@@ -330,7 +330,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     config = _sketch_config(args)
     setting = _detector_setting(args)
-    snapshots = [s for s in _epoch_snapshots(args.trace, config) if s.complete]
+    with _trace_chunks(args.trace) as chunks:
+        sketch = Sketch(config)
+        # Refused before the replay, and after the budget check.
+        check_setting(setting)
+        snapshots = [s for s in _epoch_snapshots(chunks, sketch) if s.complete]
     verdicts = run_detector(setting, snapshots)
     write_verdicts(args.out, verdicts)
     # score is the one counter of the cells a shared verdict stands for:
@@ -365,10 +369,8 @@ def _cmd_sweep(*runs: argparse.Namespace) -> int:
             record_count += len(chunk.timestamp_ns)
             yield chunk
 
-    with open_trace(args.trace) as fh:
-        chunks = counted(parse_trace_chunks(fh))
-        with _trace_errors_first(chunks):
-            rows = sweep(chunks, configs, settings)
+    with _trace_chunks(args.trace) as chunks:
+        rows = sweep(counted(chunks), configs, settings)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "report.csv")
     json_path = os.path.join(args.out_dir, "report.json")
@@ -414,7 +416,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     if not scored:
         raise ValueError("report has no scored rows")
     points = [ParetoPoint(r.config_id, r.f1, r.memory_bytes) for r in scored]
-    front, dominated = pareto_front(points, use_pps=False)
+    front, dominated = pareto_front(points)
     print(f"{len(front)} of {len(points)} configurations on the front:")
     _print_front(front)
     return EXIT_OK

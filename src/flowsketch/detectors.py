@@ -222,10 +222,7 @@ class EwmaDetector:
     """
 
     def __init__(self, feature: str, alpha: float, k: float):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if feature not in FEATURES:
-            raise ValueError(f"unknown feature selector {feature!r}")
+        check_setting(DetectorSetting("ewma", feature, k=k, alpha=alpha))
         self.feature = feature
         self.alpha = alpha
         self.k = k
@@ -294,14 +291,10 @@ class DetectorSetting(NamedTuple):
         return ";".join(parts)
 
 
-def run_detector(
-    setting: DetectorSetting, snapshots: Sequence[EpochSnapshot]
-) -> Verdicts:
-    """Apply a detector setting to an epoch snapshot sequence.
-
-    The z-score detector fits on the first train_epochs snapshots and
-    then scores every snapshot, training prefix included.
-    """
+def check_setting(setting: DetectorSetting) -> None:
+    """Raise ValueError unless the setting can run on some snapshots: a
+    known feature and kind, each of the kind's parameters set and not
+    NaN, a nonnegative train_epochs and an alpha in (0, 1]."""
     if setting.feature not in FEATURES:
         raise ValueError(f"unknown feature selector {setting.feature!r}")
     if setting.kind not in DETECTOR_PARAMS:
@@ -314,12 +307,25 @@ def run_detector(
         # would flag nothing rather than fail.
         if value != value:
             raise ValueError(f"{setting.kind} detector {name} must be a number, got nan")
+    if setting.kind == "zscore" and setting.train_epochs < 0:
+        raise ValueError(f"train_epochs={setting.train_epochs} must be nonnegative")
+    if setting.kind == "ewma" and not 0.0 < setting.alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {setting.alpha}")
+
+
+def run_detector(
+    setting: DetectorSetting, snapshots: Sequence[EpochSnapshot]
+) -> Verdicts:
+    """Apply a detector setting to an epoch snapshot sequence.
+
+    The z-score detector fits on the first train_epochs snapshots and
+    then scores every snapshot, training prefix included.
+    """
+    check_setting(setting)
     if setting.kind == "threshold":
         observe = partial(detect_threshold, feature=setting.feature, threshold=setting.threshold)
     elif setting.kind == "zscore":
         train = setting.train_epochs
-        if train < 0:
-            raise ValueError(f"train_epochs={train} must be nonnegative")
         if train > len(snapshots):
             raise ValueError(
                 f"train_epochs={train} exceeds available epochs ({len(snapshots)})"

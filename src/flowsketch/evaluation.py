@@ -231,21 +231,19 @@ def _dominates(a: ParetoPoint, b: ParetoPoint, use_pps: bool) -> bool:
 
 
 def pareto_front(
-    points: Sequence[ParetoPoint], use_pps: bool | None = None
+    points: Sequence[ParetoPoint], use_pps: bool = False
 ) -> tuple[list[ParetoPoint], list[ParetoPoint]]:
     """Partition points into (front, dominated), flagging each point.
 
-    Throughput participates as an objective only when every point has a
-    measurement (or explicitly via use_pps).  Points with identical
+    Throughput is a third objective only when use_pps is set, and then
+    every point needs a measurement.  Points with identical
     objective vectors do not dominate each other, so exact ties are all
     kept on the front.  The front is returned sorted by f1 descending,
     then memory ascending.
     """
     if not points:
         raise ValueError("pareto partition needs at least one point")
-    if use_pps is None:
-        use_pps = all(p.measured_pps is not None for p in points)
-    elif use_pps and any(p.measured_pps is None for p in points):
+    if use_pps and any(p.measured_pps is None for p in points):
         raise ValueError("use_pps requires a throughput measurement on every point")
     front: list[ParetoPoint] = []
     dominated: list[ParetoPoint] = []
@@ -338,12 +336,12 @@ def sweep(
     Snapshots hold stage 0, which does not depend on the stage count,
     so a row's verdicts depend on its config only through (key spec,
     epoch length, hash width).  Configs are grouped by those three, and
-    each group is evaluated once, on a replay of its first config
-    within the cell budget: one snapshot list, one grid, and one
-    detector run and score per setting.  Ground truth is one light
-    oracle.AnomalousKeys pass per (key spec, epoch length), folded to
-    buckets for each hash width.  The cell budget check of
-    Sketch(config) and the resource model run per config.
+    each group is evaluated once, on a one-stage replay: one snapshot
+    list, one grid, and one detector run and score per setting.  Ground
+    truth is one light oracle.AnomalousKeys pass per (key spec, epoch
+    length), folded to buckets for each hash width.  The cell budget
+    check of Sketch(config) and the resource model run per config, as
+    its rows are built.
 
     A budget error stays on its config's rows.  Every pass reads the
     same timestamps, so a timestamp regression fails them all at one
@@ -366,26 +364,17 @@ def sweep(
     for config in sketch_configs:
         key = (config.key_spec, config.epoch_ns, config.hash_width)
         groups.setdefault(key, []).append(config)
-    budget_errors: dict[SketchConfig, str] = {}
-    replays: dict[tuple[KeySpec, int, int], EpochCollector] = {}
-    truths: dict[tuple[KeySpec, int], AnomalousKeys] = {}
-    for key, configs in groups.items():
-        for config in configs:
-            try:
-                sketch = Sketch(config)
-            except ValueError as exc:
-                budget_errors[config] = str(exc)
-            else:
-                if key not in replays:
-                    replays[key] = EpochCollector(sketch)
-                    if key[:2] not in truths:
-                        truths[key[:2]] = AnomalousKeys(key[1])
+    # A one-stage sketch is within the cell budget at every hash width.
+    replays = {
+        key: EpochCollector(Sketch(SketchConfig(key[2], 1, key[1], key[0]))) for key in groups
+    }
+    truths = {key: AnomalousKeys(key[1]) for key in dict.fromkeys(key[:2] for key in groups)}
     # Every pass reads the same timestamps, so a timestamp regression
     # fails them all at the same row with the same message: the first
     # failure stops every pass.  The trace is still read to its end, so
     # that an error in the input itself aborts the sweep.
     failure: str | None = None
-    key_specs = {key[0] for key in replays}
+    key_specs = dict.fromkeys(key[0] for key in groups)
     it = chain([head], it)
     del head
     for chunk in it:
@@ -400,10 +389,11 @@ def sweep(
     pairs = {key: truth.finish() for key, truth in truths.items()}
     rows: list[SweepRow] = []
     for key, configs in groups.items():
-        replay = replays.pop(key, None)
         outcomes: list[QualityScores | str] = []
-        if replay is not None and failure is None:
-            completed = [s for s in replay.finish() if s.complete]
+        if failure is not None:
+            outcomes = [failure] * len(detector_settings)
+        else:
+            completed = [s for s in replays.pop(key).finish() if s.complete]
             grid = GroundTruthGrid.from_keys(pairs[key[:2]], configs[0], len(completed))
             for setting in detector_settings:
                 try:
@@ -411,9 +401,12 @@ def sweep(
                 except ValueError as exc:
                     outcomes.append(str(exc))
         for config in configs:
-            error = budget_errors.get(config, failure)
+            cells = outcomes
+            try:
+                Sketch(config)  # the cell budget check
+            except ValueError as exc:
+                cells = [str(exc)] * len(detector_settings)
             cost = resource_model(config)
-            cells = outcomes if error is None else [error] * len(detector_settings)
             for setting, outcome in zip(detector_settings, cells):
                 row = SweepRow(
                     config_id=_config_id(config, setting),
@@ -437,10 +430,9 @@ def sweep(
     clean = [r for r in rows if r.error is None]
     if clean:
         points = [ParetoPoint(r.config_id, r.f1, r.memory_bytes) for r in clean]
-        pareto_front(points, use_pps=False)
-        flags = {p.config_id: not p.dominated for p in points}
-        for r in clean:
-            r.on_front = flags[r.config_id]
+        pareto_front(points)
+        for r, p in zip(clean, points):
+            r.on_front = not p.dominated
     rows.sort(key=lambda r: r.config_id)
     return rows
 

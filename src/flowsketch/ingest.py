@@ -5,8 +5,9 @@ timestamp.  This module parses and serializes that format (round-trips
 are byte-identical) and provides a seeded synthetic trace generator
 that can inject labeled flood and port-scan anomalies.  The framing
 helpers (read_csv, write_csv, csv_line) serve every CSV format in the
-package: traces, snapshots, verdicts and sweep reports; parse_uint and
-parse_float read all of their numbers in the one canonical form.
+package: traces, snapshots, verdicts and sweep reports, one row a
+line; parse_uint and parse_float read all of their numbers in the one
+canonical form.
 
 parse_trace_chunks, the one trace parser, reads a trace
 PARSE_CHUNK_ROWS lines at a time and yields each chunk as a
@@ -171,19 +172,17 @@ def _csv_body(lines: Iterable[str], header: str) -> Iterator[str]:
     first = next(it, None)
     if first is None:
         raise TraceFormatError(1, "missing header")
-    if first.rstrip("\n") != header:
+    if first.removesuffix("\n") != header:
         raise TraceFormatError(1, f"bad header: expected {header!r}")
     return it
 
 
-def _build_row(line_no: int, raw: str, width: int, build: Callable[[list[str]], _Row]) -> _Row | None:
-    """build(fields) of one row, or None for a blank line.  A wrong field
-    count, or any ValueError raised by build, becomes a TraceFormatError
-    naming the line."""
-    line = raw.rstrip("\n")
-    if not line:
-        return None
-    fields = line.split(",")
+def _build_row(line_no: int, raw: str, width: int, build: Callable[[list[str]], _Row]) -> _Row:
+    """build(fields) of one row, the line less at most one trailing
+    newline.  A wrong field count, a blank line's one field included, or
+    any ValueError raised by build, becomes a TraceFormatError naming
+    the line."""
+    fields = raw.removesuffix("\n").split(",")
     if len(fields) != width:
         raise TraceFormatError(line_no, f"expected {width} fields, got {len(fields)}")
     try:
@@ -198,8 +197,9 @@ def read_csv(
 ) -> Iterator[_Row]:
     """Parse header-first CSV lines, yielding build(fields) per row.
 
-    The header must match exactly, blank lines are skipped, and every
-    row must have as many fields as the header.  end(), if given, runs
+    Each line is one row, less at most one trailing newline: the header
+    must match exactly, and every other line must have as many fields as
+    the header, so a blank line is refused.  end(), if given, runs
     after the last line.  Any ValueError, one raised by build or end
     included, becomes a TraceFormatError naming the 1-based line (for
     end, the last).
@@ -207,9 +207,7 @@ def read_csv(
     width = header.count(",") + 1
     line_no = 1
     for line_no, raw in enumerate(_csv_body(lines, header), 2):
-        row = _build_row(line_no, raw, width, build)
-        if row is not None:
-            yield row
+        yield _build_row(line_no, raw, width, build)
     if end is not None:
         try:
             end()
@@ -386,8 +384,8 @@ def _uint_below(limit: int, text: str) -> int:
 
 def parse_trace_chunks(lines: Iterable[str]) -> Iterator[TraceColumns]:
     """Parse trace CSV lines into column chunks, validating as it goes:
-    one TraceColumns per PARSE_CHUNK_ROWS lines, none for a chunk of
-    blank lines only.
+    one TraceColumns per PARSE_CHUNK_ROWS lines, each line one row as
+    read_csv frames it.
 
     Raises TraceFormatError (with the offending line number) on a bad
     header, malformed fields, out-of-range values, or a timestamp
@@ -480,12 +478,8 @@ def parse_trace_chunks(lines: Iterable[str]) -> Iterator[TraceColumns]:
             prev_ts = parsed.timestamp_ns[-1]
             yield parsed
         else:
-            rows = [
-                row for offset, raw in enumerate(chunk)
-                if (row := _build_row(line_no + offset, raw, width, build)) is not None
-            ]
-            if rows:
-                yield TraceColumns(*map(list, zip(*rows)))
+            rows = [_build_row(line_no + offset, raw, width, build) for offset, raw in enumerate(chunk)]
+            yield TraceColumns(*map(list, zip(*rows)))
         line_no += len(chunk)
 
 

@@ -12,7 +12,8 @@ the mutant's tests there in one pytest subprocess, one mutant at a time.
 A mutant is killed when its tests fail.  The runner exits 1 if a mutant
 survives, if its text does not occur exactly once (so a change that
 rewrites mutated code must update this list), or if the no-op mutant,
-its self-test, is killed.  Hypothesis runs with a fixed seed, so a run
+its self-test, or an equivalent mutant, one that changes no behaviour
+its tests can see, is killed.  Hypothesis runs with a fixed seed, so a run
 is repeatable.
 
 This file is not named test_*.py, so pytest does not collect it.
@@ -42,6 +43,7 @@ class Mutant(NamedTuple):
 EPOCH_CLOCK = ("tests/test_epoch_clock.py::test_collect_epochs_matches_per_packet_replay",)
 ONE_POLICY = "CHANGES.md: the sketch snapshots the epochs it closes"
 ONE_FAILURE = "CHANGES.md: the sweep has one failure for its one stream"
+NO_UNUSED_PATHS = "CHANGES.md: one line grammar, one-stage sweep replays, pps only when asked"
 
 MUTANTS = (
     Mutant(
@@ -66,7 +68,8 @@ MUTANTS = (
     ),
     Mutant(
         "sweep failure not put on rows", "evaluation.py",
-        "budget_errors.get(config, failure)", "budget_errors.get(config)",
+        "        if failure is not None:\n            outcomes = [failure]",
+        "        if False:\n            outcomes = [failure]",
         ("tests/test_evaluation.py::test_sweep_timestamp_regression_fails_every_row_it_reaches",),
         ONE_FAILURE,
     ),
@@ -94,6 +97,75 @@ MUTANTS = (
             "tests/test_cli.py::test_detect_refuses_a_nan_limit",
         ),
         "CHANGES.md: a NaN threshold or k is refused",
+    ),
+    Mutant(
+        "blank line skipped by read_csv", "ingest.py",
+        "        yield _build_row(line_no, raw, width, build)\n",
+        "        if raw != \"\\n\":\n            yield _build_row(line_no, raw, width, build)\n",
+        (
+            "tests/test_ingest.py::test_every_reader_takes_one_row_a_line[snapshot]",
+            "tests/test_ingest.py::test_every_reader_takes_one_row_a_line[verdicts]",
+        ),
+        NO_UNUSED_PATHS,
+    ),
+    Mutant(
+        "blank line skipped by the trace parser", "ingest.py",
+        "for offset, raw in enumerate(chunk)]",
+        "for offset, raw in enumerate(chunk) if raw.strip(\"\\n\")]",
+        (
+            "tests/test_ingest.py::test_every_reader_takes_one_row_a_line[trace]",
+            "tests/test_cli.py::test_bad_last_row_aborts_without_output[command0-blank]",
+        ),
+        NO_UNUSED_PATHS,
+    ),
+    Mutant(
+        "every trailing newline stripped", "ingest.py",
+        "fields = raw.removesuffix(\"\\n\")", "fields = raw.rstrip(\"\\n\")",
+        (
+            "tests/test_ingest.py::test_every_reader_takes_one_row_a_line[report]",
+            "tests/test_ingest.py::test_lines_that_are_not_one_row_each_match_the_reference",
+        ),
+        NO_UNUSED_PATHS,
+    ),
+    Mutant(
+        "pareto guesses the throughput axis", "evaluation.py",
+        "    if use_pps and any(",
+        "    use_pps = use_pps or all(p.measured_pps is not None for p in points)\n    if use_pps and any(",
+        ("tests/test_evaluation.py::test_pareto_ranks_pps_only_when_asked",),
+        NO_UNUSED_PATHS,
+    ),
+    Mutant(
+        "sweep rows skip the budget check", "evaluation.py",
+        "                Sketch(config)  # the cell budget check\n", "                pass\n",
+        (
+            "tests/test_evaluation.py::test_sweep_budget_failure_stays_on_its_rows",
+            "tests/test_evaluation.py::test_sweep_grid_all_over_the_budget_fails_every_row",
+        ),
+        NO_UNUSED_PATHS,
+    ),
+    Mutant(
+        "detect checks its setting after the replay", "cli.py",
+        "        check_setting(setting)\n", "",
+        ("tests/test_cli.py::test_detect_rejects_a_negative_train_epochs", "tests/test_cli.py::test_detect_refuses_a_nan_limit"),
+        "CHANGES.md: MENDED line on detect checking its setting after the replay",
+    ),
+)
+
+# Mutants that change no behaviour their tests can see: each must pass.
+EQUIVALENT = (
+    # Stage 0 does not depend on the stage count, so a group's first
+    # config replays it as one stage does, wherever that config is
+    # within the cell budget, as it is in every grid of these tests.
+    Mutant(
+        "replay on the group's first config instead of one stage", "evaluation.py",
+        "EpochCollector(Sketch(SketchConfig(key[2], 1, key[1], key[0])))",
+        "EpochCollector(Sketch(groups[key][0]))",
+        (
+            "tests/test_sweep_reference.py::test_sweep_matches_per_config_reference",
+            "tests/test_evaluation.py::test_sweep_computes_shared_passes_once",
+            "tests/test_evaluation.py::test_sweep_grid_cardinality_and_order",
+        ),
+        NO_UNUSED_PATHS,
     ),
 )
 
@@ -138,15 +210,16 @@ def run_mutant(mutant: Mutant) -> str:
 
 
 def main(names: list[str]) -> int:
-    known = {m.name for m in MUTANTS}
+    known = {m.name for m in MUTANTS + EQUIVALENT}
     unknown = [name for name in names if name not in known]
     if unknown:
         print(f"unknown mutants: {unknown}", file=sys.stderr)
         return 2
+    surviving = (NO_OP, *EQUIVALENT)
     problems = 0
-    for mutant in (NO_OP, *(m for m in MUTANTS if not names or m.name in names)):
+    for mutant in (NO_OP, *(m for m in MUTANTS + EQUIVALENT if not names or m.name in names)):
         outcome = run_mutant(mutant)
-        wanted = "survived" if mutant is NO_OP else "killed"
+        wanted = "survived" if mutant in surviving else "killed"
         ok = outcome == wanted
         problems += not ok
         print(f"{'ok  ' if ok else 'FAIL'} {mutant.name}: {outcome}", flush=True)

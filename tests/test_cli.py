@@ -4,11 +4,13 @@ import json
 import os
 import random
 import resource
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from flowsketch import cli
 from flowsketch.cli import main
 from flowsketch.detectors import Verdict, parse_verdicts
 from flowsketch.evaluation import parse_report_csv
@@ -210,6 +212,63 @@ def test_generate_edge_values_exit_cleanly(tmp_path, option):
         assert "Traceback" not in proc.stderr, (value, proc.stderr)
         if proc.returncode:
             assert not out.exists(), value
+        out.unlink(missing_ok=True)
+
+
+# The numeric options of the commands that read a trace, each with its
+# edge values: 0, 1, -1 and 2**63, and for a float option also inf, nan
+# and 1e300.  A detector option runs with the detector that reads it.
+INT_EDGES = ("0", "1", "-1", str(2**63))
+FLOAT_EDGES = INT_EDGES + ("inf", "nan", "1e300")
+DETECTOR_EDGE_OPTIONS = {
+    "--threshold": (FLOAT_EDGES, "threshold"),
+    "--k": (FLOAT_EDGES, "zscore"),
+    "--alpha": (FLOAT_EDGES, "ewma"),
+    "--train-epochs": (INT_EDGES, "zscore"),
+}
+TRACE_COMMAND_EDGE_CASES = [
+    ("extract", "--hash-width"), ("extract", "--mem-stages"), ("extract", "--epoch-ns"),
+    ("detect", "--hash-width"), ("detect", "--mem-stages"), ("detect", "--epoch-ns"),
+    *(("detect", option) for option in DETECTOR_EDGE_OPTIONS),
+    ("sweep", "--hash-widths"), ("sweep", "--mem-stages"), ("sweep", "--epoch-ns"),
+    *(("sweep", option) for option in DETECTOR_EDGE_OPTIONS),
+]
+# 1-ns epochs over the tiny trace's 2.4-s span are billions of empty
+# epochs, one snapshot each: memory and time that grow with the span
+# over epoch_ns, not with the traffic, are a known open limit.
+EXCLUDED_EDGE_VALUES = {"--epoch-ns": {"1"}}
+
+
+@pytest.mark.parametrize(
+    "command, option", TRACE_COMMAND_EDGE_CASES, ids=[f"{c}{o}" for c, o in TRACE_COMMAND_EDGE_CASES]
+)
+def test_trace_command_edge_values_exit_cleanly(tmp_path, command, option):
+    # Each value runs in its own child, one at a time, with a bounded
+    # address space and a timeout: it ends in exit 0, 1 (argparse
+    # rejects the text), 2 or 3 (a sweep with failed cells), never in a
+    # traceback, and exits 1 and 2 write nothing.
+    trace = tmp_path / "tiny.csv"
+    assert run("generate", "--out", str(trace), "--flows", "2", "--packets-per-flow", "5",
+               "--duration-ns", "3000000000", "--anomaly", "flood", "--seed", "1") == 0
+    out = tmp_path / "out"
+    values, detector = DETECTOR_EDGE_OPTIONS.get(option, (INT_EDGES, None))
+    extra = ["--detector", detector] if detector else []
+    out_flag = "--out" if command == "detect" else "--out-dir"
+    for value in values:
+        if value in EXCLUDED_EDGE_VALUES.get(option, ()):
+            continue
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowsketch.cli", command, "--trace", str(trace), out_flag, str(out),
+             *extra, f"{option}={value}"],
+            capture_output=True, env=probe_env(), text=True, timeout=60,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode in (0, 1, 2, 3), (value, proc.returncode, proc.stderr)
+        assert "Traceback" not in proc.stderr, (value, proc.stderr)
+        if proc.returncode in (1, 2):
+            assert proc.stdout == "" and not out.exists(), value
+        if out.is_dir():
+            shutil.rmtree(out)
         out.unlink(missing_ok=True)
 
 
@@ -464,7 +523,7 @@ def test_malformed_trace_reports_line(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["malformed", "regressing"])
+@pytest.mark.parametrize("fault", ["malformed", "regressing", "blank"])
 @pytest.mark.parametrize(
     "command",
     [
@@ -476,6 +535,8 @@ def test_malformed_trace_reports_line(tmp_path, capsys):
         ("detect", "--out", "out", "--hash-width", "24", "--mem-stages", "5"),
         ("extract", "--out-dir", "out", "--hash-width", "4"),
         ("extract", "--out-dir", "out", "--hash-width", "24", "--mem-stages", "5"),
+        # A refused detector setting is found before the replay.
+        ("detect", "--out", "out", "--detector", "threshold", "--threshold", "nan"),
     ],
 )
 def test_bad_last_row_aborts_without_output(tmp_path, capsys, command, fault):
@@ -489,6 +550,10 @@ def test_bad_last_row_aborts_without_output(tmp_path, capsys, command, fault):
     if fault == "malformed":
         lines[-1] = lines[-1].rsplit(",", 1)[0] + ",sideways"
         message = f"line {last}: bad label 'sideways'"
+    elif fault == "blank":
+        # A blank line is a row of one field, not skipped.
+        lines.append("")
+        message = f"line {last + 1}: expected 9 fields, got 1"
     else:
         previous = lines[-2].split(",", 1)[0]
         lines[-1] = "0," + lines[-1].split(",", 1)[1]
@@ -502,7 +567,18 @@ def test_bad_last_row_aborts_without_output(tmp_path, capsys, command, fault):
     assert not (tmp_path / out).exists()
 
 
-def test_detect_rejects_a_negative_train_epochs(tmp_path, capsys):
+@pytest.fixture
+def no_replay(monkeypatch):
+    """Make detect fail if it replays the trace: a setting refused for
+    its own values is refused before the replay."""
+
+    def replay(sketch):
+        raise AssertionError("the trace was replayed")
+
+    monkeypatch.setattr(cli, "EpochCollector", replay)
+
+
+def test_detect_rejects_a_negative_train_epochs(tmp_path, capsys, no_replay):
     trace = gen_trace(tmp_path)
     capsys.readouterr()
     code = run("detect", "--trace", str(trace), "--out", str(tmp_path / "v.csv"),
@@ -520,7 +596,7 @@ def test_detect_rejects_a_negative_train_epochs(tmp_path, capsys):
     ],
     ids=["threshold", "zscore-k", "ewma-k"],
 )
-def test_detect_refuses_a_nan_limit(tmp_path, capsys, options, message):
+def test_detect_refuses_a_nan_limit(tmp_path, capsys, no_replay, options, message):
     trace = gen_trace(tmp_path)
     capsys.readouterr()
     out = tmp_path / "v.csv"
@@ -662,6 +738,21 @@ def test_pareto_on_corrupt_report_exits_2_naming_line(tmp_path, capsys):
     report.write_text("\n".join(lines) + "\n")
     assert run("pareto", "--report", str(report)) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_pareto_on_a_report_with_a_blank_line_exits_2_naming_it(tmp_path, capsys):
+    trace = gen_trace(tmp_path, "--anomaly", "flood")
+    out_dir = tmp_path / "sweep"
+    assert run("sweep", "--trace", str(trace), "--out-dir", str(out_dir), "--hash-widths", "4,5") == 0
+    report = out_dir / "report.csv"
+    lines = report.read_text().splitlines()
+    lines.insert(2, "")
+    report.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("pareto", "--report", str(report)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "flowsketch: line 3: expected 17 fields, got 1\n"
+    assert captured.out == ""
 
 
 def test_bench_command(tmp_path, capsys):

@@ -256,6 +256,17 @@ def test_pareto_mixed_pps_falls_back_to_two_objectives():
     assert len(front) == 2 and not dominated
 
 
+def test_pareto_ranks_pps_only_when_asked():
+    # Every point has a measurement, but throughput is an objective only
+    # with use_pps: "fast" is dominated on f1 and memory alone.
+    pts = [ParetoPoint("best", 0.9, 100, 10.0), ParetoPoint("fast", 0.5, 200, 1e6)]
+    front, dominated = pareto_front(pts)
+    assert [p.config_id for p in front] == ["best"]
+    assert [p.config_id for p in dominated] == ["fast"]
+    front, dominated = pareto_front(pts, use_pps=True)
+    assert [p.config_id for p in front] == ["best", "fast"] and not dominated
+
+
 def test_pareto_dominating_point_prunes():
     pts = [ParetoPoint("a", 0.6, 300), ParetoPoint("b", 0.5, 400)]
     front, _ = pareto_front(pts)
@@ -421,6 +432,18 @@ def test_sweep_budget_failure_stays_on_its_rows():
             assert row.error is None
             assert row.tp + row.fp + row.fn + row.tn == (1 << 24) * completed
             assert row.tp > 0
+
+
+def test_sweep_grid_all_over_the_budget_fails_every_row():
+    # No config of the group is within the cell budget; its one-stage
+    # replay still runs, and every row carries its config's budget error.
+    configs = [SketchConfig(24, s, 1_000_000_000, SRC_KEY) for s in (5, 6)]
+    rows = sweep(column_chunks(flood_records()), configs, [zs(3.0), DetectorSetting("threshold", threshold=20.0)])
+    assert len(rows) == 4
+    for row in rows:
+        assert row.error == f"config needs {row.mem_stages << 24} cells, budget is 67108864"
+        assert row.tp is None and row.f1 is None and not row.on_front
+        assert row.memory_bytes == (row.mem_stages << 24) * CELL_BYTES
 
 
 def test_sweep_timestamp_regression_fails_every_row_it_reaches():

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowsketch import ingest
+from flowsketch.detectors import EpochVerdicts, Verdict, Verdicts, parse_verdicts, write_verdicts
+from flowsketch.evaluation import SweepRow, parse_report_csv, write_report_csv
 from flowsketch.ingest import (
     MAX_LENGTH_BYTES,
     TRACE_HEADER,
@@ -35,6 +37,7 @@ from flowsketch.ingest import (
     write_csv,
     write_trace,
 )
+from flowsketch.sketch import StageCell, parse_snapshot, write_snapshot
 
 from conftest import make_packet
 
@@ -159,9 +162,10 @@ def test_non_canonical_integer_reports_line(field, text):
 
 def reference_parse_trace(lines):
     """The per-field trace parser, kept as the reference for parse_trace:
-    the read_csv framing and the build closure, each field checked by
-    parse_uint, parse_ip or the label test, then the checked
-    PacketRecord constructor."""
+    the read_csv framing (each line one row, less at most one trailing
+    newline, so a blank line has one field) and the build closure, each
+    field checked by parse_uint, parse_ip or the label test, then the
+    checked PacketRecord constructor."""
     prev_ts = -1
 
     def build(fields):
@@ -194,13 +198,10 @@ def reference_parse_trace(lines):
     first = next(it, None)
     if first is None:
         raise TraceFormatError(1, "missing header")
-    if first.rstrip("\n") != TRACE_HEADER:
+    if first.removesuffix("\n") != TRACE_HEADER:
         raise TraceFormatError(1, f"bad header: expected {TRACE_HEADER!r}")
     for line_no, raw in enumerate(it, 2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(",")
+        fields = raw.removesuffix("\n").split(",")
         if len(fields) != width:
             raise TraceFormatError(line_no, f"expected {width} fields, got {len(fields)}")
         try:
@@ -381,6 +382,51 @@ def test_lines_that_are_not_one_row_each_match_the_reference(lines):
             return ("error", exc.line_no, str(exc))
 
     assert result(parse_trace) == result(reference_parse_trace)
+
+
+def _format_lines(tmp_path, name):
+    """The lines of a small file of one CSV format, as its writer
+    writes it, and that format's reader."""
+    path = tmp_path / f"{name}.csv"
+    if name == "trace":
+        write_trace(path, [make_packet(ts=1), make_packet(ts=2, src="10.0.0.7")])
+        reader = lambda lines: list(ingest.parse_trace_chunks(lines))  # noqa: E731
+    elif name == "snapshot":
+        cell = StageCell(2, 120, 60, 60, 9, 4, 1, 4, 4)
+        write_snapshot(path, [(0, 1, cell), (0, 3, StageCell(1, 60, 60, 60, 9))])
+        reader = parse_snapshot
+    elif name == "verdicts":
+        explicit = (Verdict("threshold", 0, 1, 5.0, True),)
+        write_verdicts(path, Verdicts((EpochVerdicts("threshold", 0, 4, explicit, 0.0, False),)))
+        reader = parse_verdicts
+    else:
+        write_report_csv(path, [SweepRow("a", 4, 1, 1000, "src_ip", "zscore", "feature=pkt_count"),
+                                SweepRow("b", 5, 1, 1000, "src_ip", "zscore", "feature=pkt_count")])
+        reader = parse_report_csv
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(fh), reader
+
+
+@pytest.mark.parametrize("name", ["trace", "snapshot", "verdicts", "report"])
+def test_every_reader_takes_one_row_a_line(tmp_path, name):
+    # The one line grammar of the shared framing: a line is one row less
+    # at most one trailing newline.  A blank line is a row of one field,
+    # and a line ending in two newlines keeps one in its last field, so
+    # each names its line; a missing final newline is still accepted.
+    lines, reader = _format_lines(tmp_path, name)
+    width = lines[0].count(",") + 1
+    want = reader(lines)
+    assert len(want) >= 1 and reader([*lines[:-1], lines[-1].removesuffix("\n")]) == want
+    for at in range(1, len(lines) + 1):
+        with pytest.raises(TraceFormatError) as blank:
+            reader([*lines[:at], "\n", *lines[at:]])
+        assert blank.value.line_no == at + 1
+        assert str(blank.value) == f"line {at + 1}: expected {width} fields, got 1"
+    for at in range(1, len(lines)):
+        with pytest.raises(TraceFormatError) as doubled:
+            reader([*lines[:at], lines[at] + "\n", *lines[at + 1:]])
+        assert doubled.value.line_no == at + 1
+        assert "\\n'" in str(doubled.value)
 
 
 @pytest.mark.parametrize("field", [0, 7])

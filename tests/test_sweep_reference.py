@@ -118,7 +118,7 @@ def test_sweep_matches_per_config_reference(run, threshold, k, train_epochs):
 def test_sweep_of_a_stream_in_small_chunks_matches_the_whole_list(run, chunk_rows, over_budget, train_epochs):
     # Chunks of one to three records put chunk edges mid-epoch, across
     # gaps and around an out-of-order pair.  At W=24, S=5 is over the
-    # cell budget while S=4 of the same group is replayed.
+    # cell budget and S=4 is within it, in one group with one replay.
     records, configs = run
     if over_budget:
         configs = configs + [SketchConfig(24, s, configs[0].epoch_ns, configs[0].key_spec) for s in (5, 4)]
