@@ -10,11 +10,12 @@ z-score against a baseline fitted on a training prefix, and an EWMA
 tracker that scores deviation from a running mean scaled by a running
 mean absolute deviation.
 
-Verdicts are stored sparsely, by one loop for every detector,
-_sparse_verdicts.  In each epoch it scores, one by one, the buckets the
-snapshot holds (the touched ones) and the buckets with state of their
-own: z-score buckets whose training mean or std is nonzero, and EWMA
-buckets whose running mean or deviation is nonzero.  The mean alone
+Verdicts are stored sparsely, by one function for every detector,
+_sparse_verdicts.  In each epoch it scores, as one column, the buckets
+the snapshot holds (the touched ones) and the buckets with state of
+their own: z-score buckets whose training mean or std is nonzero, and
+EWMA buckets whose running mean or deviation is nonzero.  The feature
+column and the verdict rows are built by C-level maps.  The mean alone
 would not do: with alpha 1 a bucket's mean is 0 one idle epoch before
 its deviation is.  Every other bucket shares one verdict, scored once
 per epoch from StageCell() with zero state.  That is exact: such a
@@ -35,12 +36,22 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import compress, repeat
+from operator import attrgetter, gt, not_, truediv
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .ingest import _Record, csv_line, opt_int, parse_flag, parse_float, parse_uint, read_csv, write_csv
 from .sketch import EpochSnapshot, StageCell
 
-FEATURES = ("pkt_count", "byte_sum", "byte_avg", "iat_avg_ns")
+# Each feature as the cell fields it reads: a count or sum alone, or an
+# average's numerator and denominator.
+_FEATURE_FIELDS = {
+    "pkt_count": ("pkt_count",),
+    "byte_sum": ("byte_sum",),
+    "byte_avg": ("byte_sum", "pkt_count"),
+    "iat_avg_ns": ("iat_sum_ns", "iat_count"),
+}
+FEATURES = tuple(_FEATURE_FIELDS)
 
 # The detector kinds, each with the parameters it requires.  Only these
 # are set on a DetectorSetting, so its parameter string stays minimal.
@@ -60,17 +71,38 @@ _INF = math.inf
 _EMPTY = StageCell()
 
 
-def feature_value(cell: StageCell, feature: str) -> float:
-    """Scalar feature of a cell; absent averages read as 0."""
-    if feature == "pkt_count":
-        return float(cell.pkt_count)
-    if feature == "byte_sum":
-        return float(cell.byte_sum)
-    if feature == "byte_avg":
-        return cell.byte_sum / cell.pkt_count if cell.pkt_count else 0.0
-    if feature == "iat_avg_ns":
-        return cell.iat_sum_ns / cell.iat_count if cell.iat_count else 0.0
-    raise ValueError(f"unknown feature selector {feature!r}")
+def _feature_fields(feature: str) -> tuple[str, ...]:
+    fields = _FEATURE_FIELDS.get(feature)
+    if fields is None:
+        raise ValueError(f"unknown feature selector {feature!r}")
+    return fields
+
+
+def feature_value(cell, feature: str) -> float:
+    """Scalar feature of a cell; absent averages read as 0.  A cell is
+    read only through pkt_count, byte_sum, iat_sum_ns and iat_count, so
+    it may be a sketch's StageCell or a sweep's oracle.BucketSums."""
+    fields = _feature_fields(feature)
+    value = getattr(cell, fields[0])
+    if len(fields) == 1:
+        return float(value)
+    count = getattr(cell, fields[1])
+    return value / count if count else 0.0
+
+
+def feature_column(cells: Sequence, feature: str) -> list[float]:
+    """feature_value of each cell, by C-level maps.  An average whose
+    count is 0 has a sum of 0 in every cell the sketch or the flow pass
+    builds, so it is read as 0 / 1; if a cell breaks that rule, or has a
+    negative count, the column is read through feature_value."""
+    fields = _feature_fields(feature)
+    if len(fields) == 1:
+        return list(map(float, map(attrgetter(fields[0]), cells)))
+    sums = list(map(attrgetter(fields[0]), cells))
+    counts = list(map(attrgetter(fields[1]), cells))
+    if any(compress(sums, map(not_, counts))) or min(counts, default=0) < 0:
+        return [feature_value(cell, feature) for cell in cells]
+    return list(map(truediv, sums, map(max, counts, repeat(1))))
 
 
 class Verdict(NamedTuple):
@@ -129,25 +161,37 @@ class Verdicts(_Record):
 
 def _sparse_verdicts(
     kind: str, snapshot: EpochSnapshot, feature: str, stateful: Collection[int],
-    score: Callable[[int | None, float], float], limit: float,
+    scores: Callable[[Sequence, Sequence[float]], Iterable[float]], limit: float,
 ) -> EpochVerdicts:
-    """Decide one epoch: score(bucket, x) for every bucket the snapshot
-    holds or in stateful, ascending, then the shared verdict as
-    score(None, x) of an empty cell; a score above limit is anomalous.
-    stateful is read before the first score call, which may update it."""
-    cells = dict(zip(snapshot.buckets, snapshot.cells))
+    """Decide one epoch.  The buckets the snapshot holds or in stateful,
+    ascending, are scored as one column, scores(buckets, xs) with xs
+    their feature values; the shared verdict is scores((None,), (x,))
+    with x an empty cell's value.  A score above limit is anomalous.
+    stateful is read before the first scores call, which may update it."""
+    buckets = snapshot.buckets
+    xs = feature_column(snapshot.cells, feature)
+    empty = feature_value(_EMPTY, feature)
+    if stateful:
+        by_bucket = dict(zip(buckets, xs))
+        buckets = sorted(by_bucket.keys() | stateful)
+        xs = list(map(by_bucket.get, buckets, repeat(empty)))
     epoch = snapshot.epoch_index
-    explicit = []
-    for b in sorted(cells.keys() | stateful):
-        s = score(b, feature_value(cells.get(b, _EMPTY), feature))
-        explicit.append(Verdict(kind, epoch, b, s, s > limit))
-    s = score(None, feature_value(_EMPTY, feature))
-    return EpochVerdicts(kind, epoch, snapshot.bucket_count, tuple(explicit), s, s > limit)
+    s = list(scores(buckets, xs))
+    explicit = tuple(map(
+        tuple.__new__, repeat(Verdict),
+        zip(repeat(kind), repeat(epoch), buckets, s, map(gt, s, repeat(limit))),
+    ))
+    (shared,) = scores((None,), (empty,))
+    return EpochVerdicts(kind, epoch, snapshot.bucket_count, explicit, shared, shared > limit)
+
+
+def _raw(buckets: Sequence, xs: Sequence[float]) -> Sequence[float]:
+    return xs
 
 
 def detect_threshold(snapshot: EpochSnapshot, feature: str, threshold: float) -> EpochVerdicts:
     """Score every bucket by its raw feature value."""
-    return _sparse_verdicts("threshold", snapshot, feature, (), lambda b, x: x, threshold)
+    return _sparse_verdicts("threshold", snapshot, feature, (), _raw, threshold)
 
 
 class BaselineModel(NamedTuple):
@@ -171,12 +215,13 @@ def fit_baseline(snapshots: Sequence[EpochSnapshot], feature: str) -> BaselineMo
     for snap in snapshots:
         if snap.bucket_count != bucket_count:
             raise ValueError("training snapshots disagree on bucket count")
-    epochs = [dict(zip(snap.buckets, snap.cells)) for snap in snapshots]
+    epochs = [dict(zip(snap.buckets, feature_column(snap.cells, feature))) for snap in snapshots]
+    empty = feature_value(_EMPTY, feature)
     means = {}
     stds = {}
     # A bucket no training epoch touched has mean 0 and std 0.
     for b in sorted(set().union(*epochs)):
-        values = [feature_value(cells.get(b, _EMPTY), feature) for cells in epochs]
+        values = [xs.get(b, empty) for xs in epochs]
         mean = sum(values) / n
         var = sum((x - mean) ** 2 for x in values) / n
         std = math.sqrt(var)
@@ -206,10 +251,11 @@ def detect_zscore(snapshot: EpochSnapshot, model: BaselineModel, k: float) -> Ep
             f"snapshot has {snapshot.bucket_count} buckets, model expects {model.bucket_count}"
         )
     means, stds = model.means, model.stds
-    return _sparse_verdicts(
-        "zscore", snapshot, model.feature, means.keys(),
-        lambda b, x: _zscore(x, means.get(b, 0.0), stds.get(b, 0.0)), k,
-    )
+
+    def scores(buckets: Sequence, xs: Sequence[float]) -> Iterable[float]:
+        return map(_zscore, xs, map(means.get, buckets, repeat(0.0)), map(stds.get, buckets, repeat(0.0)))
+
+    return _sparse_verdicts("zscore", snapshot, model.feature, means.keys(), scores, k)
 
 
 class EwmaDetector:
@@ -249,8 +295,7 @@ class EwmaDetector:
         if self._bucket_count is None:
             # The first epoch only seeds the state: it scores no bucket.
             self._bucket_count = snapshot.bucket_count
-            for b, cell in zip(snapshot.buckets, snapshot.cells):
-                x = feature_value(cell, self.feature)
+            for b, x in zip(snapshot.buckets, feature_column(snapshot.cells, self.feature)):
                 if x:
                     self._state[b] = (x, 0.0)
             return EpochVerdicts("ewma", snapshot.epoch_index, snapshot.bucket_count, (), 0.0, False)
@@ -259,7 +304,9 @@ class EwmaDetector:
                 f"snapshot has {snapshot.bucket_count} buckets, "
                 f"detector state has {self._bucket_count}"
             )
-        return _sparse_verdicts("ewma", snapshot, self.feature, self._state.keys(), self._score, self.k)
+        return _sparse_verdicts(
+            "ewma", snapshot, self.feature, self._state.keys(), partial(map, self._score), self.k
+        )
 
 
 class DetectorSetting(NamedTuple):
@@ -294,7 +341,7 @@ class DetectorSetting(NamedTuple):
 def check_setting(setting: DetectorSetting) -> None:
     """Raise ValueError unless the setting can run on some snapshots: a
     known feature and kind, each of the kind's parameters set and not
-    NaN, a nonnegative train_epochs and an alpha in (0, 1]."""
+    NaN, a train_epochs of at least 2 and an alpha in (0, 1]."""
     if setting.feature not in FEATURES:
         raise ValueError(f"unknown feature selector {setting.feature!r}")
     if setting.kind not in DETECTOR_PARAMS:
@@ -309,6 +356,8 @@ def check_setting(setting: DetectorSetting) -> None:
             raise ValueError(f"{setting.kind} detector {name} must be a number, got nan")
     if setting.kind == "zscore" and setting.train_epochs < 0:
         raise ValueError(f"train_epochs={setting.train_epochs} must be nonnegative")
+    if setting.kind == "zscore" and setting.train_epochs < 2:
+        raise ValueError(f"baseline needs at least 2 training epochs, got {setting.train_epochs}")
     if setting.kind == "ewma" and not 0.0 < setting.alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {setting.alpha}")
 

@@ -2,12 +2,16 @@
 throughput, and Pareto comparison across configurations.
 
 A sweep runs a grid of (sketch config x detector setting) cells over
-one labeled trace, read once as column chunks.  Each cell is scored
-against a ground-truth grid at (bucket, epoch) granularity and costed
-with a simple memory model.  Cells on the Pareto front (maximize f1,
-minimize memory) are flagged in the report, so the report depends only
-on the trace and the grid.  bench_throughput measures one config's
-update throughput on its own.
+one labeled trace, read once as column chunks.  It does not replay the
+sketch: one oracle.FlowSums pass per key spec and epoch length keeps
+per-flow sums and folds them into every hash width's buckets, which
+gives exactly the cell fields detectors read.  Each cell is scored
+against a ground-truth grid at (bucket, epoch) granularity, by set
+arithmetic over the explicit verdicts, and costed with a simple memory
+model.  Cells on the Pareto front (maximize f1, minimize memory) are
+flagged in the report, so the report depends only on the trace and the
+grid.  bench_throughput measures one config's update throughput on its
+own, through the sketch's update loop.
 
 Grids, scores and costs are immutable tuples; QualityScores keeps its
 ratios as exact Fractions.  SweepRow and ParetoPoint are plain objects,
@@ -20,15 +24,15 @@ import gc
 import json
 import time
 from fractions import Fraction
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, compress
+from operator import attrgetter, countOf
 from typing import Iterable, NamedTuple, Sequence
 
-from .detectors import DetectorSetting, Verdicts, run_detector
+from .detectors import DetectorSetting, EpochVerdicts, Verdicts, run_detector
 from .ingest import PacketRecord, TraceColumns, _Record, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
 from .hashing import KeySpec, fold
-from .oracle import AnomalousKeys, ExactTracker
-from .sketch import CELL_BYTES, UPDATE_OPS, EpochCollector, Sketch, SketchConfig
+from .oracle import ExactTracker, FlowSums
+from .sketch import CELL_BYTES, UPDATE_OPS, Sketch, SketchConfig
 
 BENCH_MIN_PACKETS = 10_000
 
@@ -53,9 +57,9 @@ class GroundTruthGrid(NamedTuple):
     def from_keys(
         cls, pairs: Iterable[tuple[int, int]], config: SketchConfig, epoch_count: int
     ) -> "GroundTruthGrid":
-        """Project oracle.anomalous_keys pairs onto a config's grid:
-        each raw key folded to its bucket, epochs from epoch_count on
-        dropped."""
+        """Project the anomalous (raw key, epoch) pairs of an
+        oracle.FlowSums pass onto a config's grid: each raw key folded
+        to its bucket, epochs from epoch_count on dropped."""
         bits = config.key_spec.total_bits
         width = config.hash_width
         cells = frozenset(
@@ -77,15 +81,34 @@ class QualityScores(NamedTuple):
     f1: Fraction
 
 
+_EPOCH, _BUCKET, _FLAG = attrgetter("epoch_index"), attrgetter("bucket"), attrgetter("anomalous")
+
+
+def _name_bad_verdict(epoch: EpochVerdicts, bucket_count: int) -> None:
+    """Raise ValueError naming the first explicit verdict of the epoch
+    that is outside it or the grid, or repeats a bucket."""
+    e = epoch.epoch_index
+    seen = set()
+    for v in epoch.explicit:
+        cell = (v.bucket, v.epoch_index)
+        if v.epoch_index != e or not 0 <= v.bucket < bucket_count:
+            raise ValueError(f"verdict for {cell} is outside epoch {e} of the grid")
+        if v.bucket in seen:
+            raise ValueError(f"duplicate verdict for cell {cell}")
+        seen.add(v.bucket)
+
+
 def score(verdicts: Verdicts, grid: GroundTruthGrid) -> QualityScores:
     """Match verdicts against the grid cell by cell.
 
     The verdicts must cover exactly the grid's (bucket, epoch) domain,
     once each: every grid epoch once, over the grid's buckets, with no
     explicit verdict outside its epoch or the grid and none repeated.
-    Explicit verdicts are matched one by one.  The other buckets of an
-    epoch share one verdict, and this is the one place that counts them:
-    by arithmetic from how many of the epoch's anomalous cells they hold.
+    They may come in any order.  An epoch's explicit verdicts are
+    counted as sets of buckets, flagged and all, against its anomalous
+    cells.  The other buckets of an epoch share one verdict, and this is
+    the one place that counts them: by arithmetic from how many of the
+    epoch's anomalous cells they hold.
     """
     expected = grid.bucket_count * grid.epoch_count
     covered = sum(epoch.bucket_count for epoch in verdicts.epochs)
@@ -105,26 +128,26 @@ def score(verdicts: Verdicts, grid: GroundTruthGrid) -> QualityScores:
         if e in seen_epochs:
             raise ValueError(f"duplicate verdicts for epoch {e}")
         seen_epochs.add(e)
+        explicit = epoch.explicit
+        buckets = list(map(_BUCKET, explicit))
+        seen = set(buckets)
+        valid = (
+            len(seen) == len(buckets)
+            and countOf(map(_EPOCH, explicit), e) == len(buckets)
+            and (not seen or (min(seen) >= 0 and max(seen) < grid.bucket_count))
+        )
+        if not valid:
+            _name_bad_verdict(epoch, grid.bucket_count)
         anomalous = truth.get(e, set())
-        seen = set()
-        for v in epoch.explicit:
-            cell = (v.bucket, v.epoch_index)
-            if v.epoch_index != e or not 0 <= v.bucket < grid.bucket_count:
-                raise ValueError(f"verdict for {cell} is outside epoch {e} of the grid")
-            if v.bucket in seen:
-                raise ValueError(f"duplicate verdict for cell {cell}")
-            seen.add(v.bucket)
-            hit = v.bucket in anomalous
-            if v.anomalous and hit:
-                tp += 1
-            elif v.anomalous:
-                fp += 1
-            elif hit:
-                fn += 1
-            else:
-                tn += 1
+        flagged = set(compress(buckets, map(_FLAG, explicit)))
+        hits = len(seen & anomalous)
+        flagged_hits = len(flagged & anomalous)
+        tp += flagged_hits
+        fp += len(flagged) - flagged_hits
+        fn += hits - flagged_hits
+        tn += len(seen) - len(flagged) - (hits - flagged_hits)
         rest = grid.bucket_count - len(seen)
-        rest_hits = len(anomalous - seen)
+        rest_hits = len(anomalous) - hits
         if epoch.shared_anomalous:
             tp += rest_hits
             fp += rest - rest_hits
@@ -326,22 +349,24 @@ def sweep(
     only, so the rows depend on nothing but the trace and the grid.
 
     The chunks are read once and none is kept: each goes through every
-    pass below before the next is read, so peak memory is the passes'
-    per-epoch state, not the trace.  Each chunk's key column is built
-    once per key spec and shared by the passes of that spec.  An error
-    raised by chunks itself, such as a parse error, aborts the sweep.  A
-    bad grid raises as soon as it is found, after the first chunk is
-    read and before the rest is.
+    pass below before the next is read, so peak memory is the open
+    epoch's flow sums and the snapshots, not the trace.  Each chunk's
+    key column is built once per key spec and shared by the passes of
+    that spec.  An error raised by chunks itself, such as a parse error,
+    aborts the sweep.  A bad grid raises as soon as it is found, after
+    the first chunk is read and before the rest is.
 
     Snapshots hold stage 0, which does not depend on the stage count,
     so a row's verdicts depend on its config only through (key spec,
     epoch length, hash width).  Configs are grouped by those three, and
-    each group is evaluated once, on a one-stage replay: one snapshot
-    list, one grid, and one detector run and score per setting.  Ground
-    truth is one light oracle.AnomalousKeys pass per (key spec, epoch
-    length), folded to buckets for each hash width.  The cell budget
-    check of Sketch(config) and the resource model run per config, as
-    its rows are built.
+    each group is evaluated once: one snapshot list, one grid, and one
+    detector run and score per setting.  Both come from one
+    oracle.FlowSums pass per (key spec, epoch length), whose anomalous
+    keys and per-flow sums each hash width folds to its own buckets; no
+    sketch replays the trace.  Its snapshots' cells are BucketSums, the
+    four fields a detector reads, equal to the sketch's cells in those
+    fields.  The cell budget check of Sketch(config) and the resource
+    model run per config, as its rows are built.
 
     A budget error stays on its config's rows.  Every pass reads the
     same timestamps, so a timestamp regression fails them all at one
@@ -364,17 +389,19 @@ def sweep(
     for config in sketch_configs:
         key = (config.key_spec, config.epoch_ns, config.hash_width)
         groups.setdefault(key, []).append(config)
-    # A one-stage sketch is within the cell budget at every hash width.
-    replays = {
-        key: EpochCollector(Sketch(SketchConfig(key[2], 1, key[1], key[0]))) for key in groups
+    widths: dict[tuple[KeySpec, int], list[int]] = {}
+    for key_spec, epoch_ns, width in groups:
+        widths.setdefault((key_spec, epoch_ns), []).append(width)
+    passes = {
+        (key_spec, epoch_ns): FlowSums(epoch_ns, key_spec.total_bits, ws)
+        for (key_spec, epoch_ns), ws in widths.items()
     }
-    truths = {key: AnomalousKeys(key[1]) for key in dict.fromkeys(key[:2] for key in groups)}
     # Every pass reads the same timestamps, so a timestamp regression
     # fails them all at the same row with the same message: the first
     # failure stops every pass.  The trace is still read to its end, so
     # that an error in the input itself aborts the sweep.
     failure: str | None = None
-    key_specs = dict.fromkeys(key[0] for key in groups)
+    key_specs = dict.fromkeys(key_spec for key_spec, _ in passes)
     it = chain([head], it)
     del head
     for chunk in it:
@@ -382,19 +409,20 @@ def sweep(
             continue
         columns = {key_spec: key_spec.key_column(chunk) for key_spec in key_specs}
         try:
-            for key, stream_pass in chain(replays.items(), truths.items()):
-                stream_pass.feed(chunk, columns[key[0]])
+            for (key_spec, _), flow_pass in passes.items():
+                flow_pass.feed(chunk, columns[key_spec])
         except ValueError as exc:
             failure = str(exc)
-    pairs = {key: truth.finish() for key, truth in truths.items()}
+    finished = {key: flow_pass.finish() for key, flow_pass in passes.items()}
     rows: list[SweepRow] = []
     for key, configs in groups.items():
         outcomes: list[QualityScores | str] = []
         if failure is not None:
             outcomes = [failure] * len(detector_settings)
         else:
-            completed = [s for s in replays.pop(key).finish() if s.complete]
-            grid = GroundTruthGrid.from_keys(pairs[key[:2]], configs[0], len(completed))
+            pairs, snapshots = finished[key[:2]]
+            completed = [s for s in snapshots.pop(key[2]) if s.complete]
+            grid = GroundTruthGrid.from_keys(pairs, configs[0], len(completed))
             for setting in detector_settings:
                 try:
                     outcomes.append(score(run_detector(setting, completed), grid))

@@ -302,7 +302,10 @@ class EpochSnapshot(NamedTuple):
 
     Only touched buckets are held: buckets ascending, each with its cell
     at the same position in cells.  The other buckets of bucket_count
-    are empty.
+    are empty.  A sketch's snapshot holds StageCells; a sweep's, built
+    by oracle.FlowSums from flow sums, holds oracle.BucketSums.
+    Detectors read a cell only through pkt_count, byte_sum, iat_sum_ns
+    and iat_count, the four fields the two share.
     """
 
     epoch_index: int
@@ -310,7 +313,7 @@ class EpochSnapshot(NamedTuple):
     complete: bool
     bucket_count: int
     buckets: tuple[int, ...]
-    cells: tuple[StageCell, ...]
+    cells: tuple
 
 
 class EpochCollector:

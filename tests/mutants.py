@@ -44,6 +44,7 @@ EPOCH_CLOCK = ("tests/test_epoch_clock.py::test_collect_epochs_matches_per_packe
 ONE_POLICY = "CHANGES.md: the sketch snapshots the epochs it closes"
 ONE_FAILURE = "CHANGES.md: the sweep has one failure for its one stream"
 NO_UNUSED_PATHS = "CHANGES.md: one line grammar, one-stage sweep replays, pps only when asked"
+ONE_FLOW_PASS = "CHANGES.md: every hash width from one flow pass; verdicts built and scored by column"
 
 MUTANTS = (
     Mutant(
@@ -149,23 +150,57 @@ MUTANTS = (
         ("tests/test_cli.py::test_detect_rejects_a_negative_train_epochs", "tests/test_cli.py::test_detect_refuses_a_nan_limit"),
         "CHANGES.md: MENDED line on detect checking its setting after the replay",
     ),
+    Mutant(
+        "a shared bucket's gaps summed per flow", "oracle.py",
+        "                if sums[3] > into[3]:\n                    into[3] = sums[3]\n",
+        "                into[3] += sums[3] - sums[2]\n",
+        (
+            "tests/test_sweep_reference.py::test_sweep_matches_per_config_reference_in_shared_buckets",
+            "tests/test_oracle.py::test_flow_sums_sum_gaps_across_the_flows_of_a_bucket",
+        ),
+        ONE_FLOW_PASS,
+    ),
+    Mutant(
+        "every epoch's flow sums held to the end", "oracle.py",
+        "        self._flows = {}\n\n    def _close",
+        "        self._held = [*getattr(self, '_held', []), self._flows]\n        self._flows = {}\n\n    def _close",
+        ("tests/test_evaluation.py::test_sweep_holds_the_flow_sums_of_one_open_epoch",),
+        ONE_FLOW_PASS,
+    ),
+    Mutant(
+        "verdicts flagged at the limit", "detectors.py",
+        "map(gt, s, repeat(limit))", "map(lambda a, b: a >= b, s, repeat(limit))",
+        (
+            "tests/test_pipeline_equivalence.py::test_sparse_pipeline_with_int_limits_matches_dense_reference",
+            "tests/test_detectors.py::test_verdict_invariant_score_exceeds_threshold",
+        ),
+        ONE_FLOW_PASS,
+    ),
+    Mutant(
+        "score counts a repeated explicit verdict", "evaluation.py",
+        "            len(seen) == len(buckets)\n            and ", "            ",
+        (
+            "tests/test_evaluation.py::test_score_counts_as_the_per_verdict_loop",
+            "tests/test_evaluation.py::test_score_domain_validation",
+        ),
+        ONE_FLOW_PASS,
+    ),
 )
 
 # Mutants that change no behaviour their tests can see: each must pass.
 EQUIVALENT = (
-    # Stage 0 does not depend on the stage count, so a group's first
-    # config replays it as one stage does, wherever that config is
-    # within the cell budget, as it is in every grid of these tests.
+    # A flow pass holds its flows in the order of their first packets,
+    # so a bucket's first timestamp is already its first flow's when a
+    # later flow merges in.
     Mutant(
-        "replay on the group's first config instead of one stage", "evaluation.py",
-        "EpochCollector(Sketch(SketchConfig(key[2], 1, key[1], key[0])))",
-        "EpochCollector(Sketch(groups[key][0]))",
+        "a merged bucket's first timestamp compared too", "oracle.py",
+        "                into[1] += sums[1]\n",
+        "                into[1] += sums[1]\n                if sums[2] < into[2]:\n                    into[2] = sums[2]\n",
         (
-            "tests/test_sweep_reference.py::test_sweep_matches_per_config_reference",
-            "tests/test_evaluation.py::test_sweep_computes_shared_passes_once",
-            "tests/test_evaluation.py::test_sweep_grid_cardinality_and_order",
+            "tests/test_oracle.py::test_flow_sums_fold_to_the_sketch_snapshots_at_every_width",
+            "tests/test_sweep_reference.py::test_sweep_matches_per_config_reference_in_shared_buckets",
         ),
-        NO_UNUSED_PATHS,
+        ONE_FLOW_PASS,
     ),
 )
 

@@ -587,6 +587,17 @@ def test_detect_rejects_a_negative_train_epochs(tmp_path, capsys, no_replay):
     assert capsys.readouterr().err == "flowsketch: train_epochs=-1 must be nonnegative\n"
 
 
+@pytest.mark.parametrize("train", ["0", "1"])
+def test_detect_refuses_a_short_training_prefix_before_the_replay(tmp_path, capsys, no_replay, train):
+    trace = gen_trace(tmp_path)
+    capsys.readouterr()
+    code = run("detect", "--trace", str(trace), "--out", str(tmp_path / "v.csv"),
+               "--detector", "zscore", "--train-epochs", train)
+    assert code == 2
+    assert capsys.readouterr().err == f"flowsketch: baseline needs at least 2 training epochs, got {train}\n"
+    assert not (tmp_path / "v.csv").exists()
+
+
 @pytest.mark.parametrize(
     "options, message",
     [

@@ -14,6 +14,7 @@ from flowsketch.detectors import (
     Verdict,
     detect_threshold,
     detect_zscore,
+    feature_column,
     feature_value,
     fit_baseline,
     parse_verdicts,
@@ -21,6 +22,7 @@ from flowsketch.detectors import (
     write_verdicts,
 )
 from flowsketch.ingest import TraceFormatError
+from flowsketch.oracle import BucketSums
 from flowsketch.sketch import EpochSnapshot, StageCell
 
 from conftest import count_snapshot, dense_cells, dense_verdicts
@@ -38,6 +40,24 @@ def test_feature_values():
     assert feature_value(cell, "iat_avg_ns") == 1000.0
     with pytest.raises(ValueError):
         feature_value(cell, "entropy")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.builds(
+        StageCell,
+        pkt_count=st.integers(-1, 3), byte_sum=st.integers(-1, 3000),
+        iat_sum_ns=st.integers(-1, 50), iat_count=st.integers(-1, 3),
+    )),
+    st.sampled_from(FEATURES),
+)
+def test_feature_column_is_the_feature_value_of_each_cell(cells, feature):
+    # Zero counts with nonzero sums and negative counts are no cell the
+    # sketch builds; the column still reads them as feature_value does.
+    want = [feature_value(cell, feature).hex() for cell in cells]
+    assert [x.hex() for x in feature_column(cells, feature)] == want
+    sums = [BucketSums(c.pkt_count, c.byte_sum, c.iat_sum_ns, c.iat_count) for c in cells]
+    assert [x.hex() for x in feature_column(sums, feature)] == want
 
 
 def test_threshold_detector():
@@ -328,6 +348,11 @@ def test_run_detector_validation():
         run_detector(DetectorSetting("zscore", k=1.0, train_epochs=4), snaps)
     with pytest.raises(ValueError, match=r"train_epochs=-1 must be nonnegative"):
         run_detector(DetectorSetting("zscore", k=1.0, train_epochs=-1), snaps * 2)
+    # A prefix too short for a baseline is refused by the setting alone.
+    for train in (0, 1):
+        for epochs in (snaps, []):
+            with pytest.raises(ValueError, match=f"^baseline needs at least 2 training epochs, got {train}$"):
+                run_detector(DetectorSetting("zscore", k=1.0, train_epochs=train), epochs)
     with pytest.raises(ValueError):
         run_detector(DetectorSetting("ewma", k=1.0), snaps)  # no alpha
     with pytest.raises(ValueError):

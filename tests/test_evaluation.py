@@ -6,9 +6,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowsketch.detectors import DetectorSetting, EpochVerdicts, Verdict, Verdicts, run_detector
-from flowsketch import evaluation
+from flowsketch import evaluation, oracle
 from flowsketch.evaluation import (
     REPORT_HEADER,
     GroundTruthGrid,
@@ -38,8 +39,8 @@ from flowsketch.ingest import (
     read_trace,
     write_trace,
 )
-from flowsketch.oracle import AnomalousKeys, ExactTracker
-from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, EpochCollector, Sketch, SketchConfig, collect_epochs
+from flowsketch.oracle import ExactTracker, FlowSums
+from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, Sketch, SketchConfig, collect_epochs
 
 from conftest import column_chunks, make_packet, random_records
 
@@ -137,6 +138,89 @@ def test_score_domain_validation():
         score(Verdicts(tuple(e._replace(bucket_count=8) for e in epochs[:1])), grid)
 
 
+def per_verdict_score(verdicts, grid):
+    """The scorer as a loop over every explicit verdict in its given
+    order, each checked, then matched: the reference for score's set
+    counting, its messages included."""
+    expected = grid.bucket_count * grid.epoch_count
+    covered = sum(epoch.bucket_count for epoch in verdicts.epochs)
+    if covered != expected:
+        raise ValueError(f"verdicts cover {covered} cells, grid has {expected}")
+    seen_epochs = set()
+    tp = fp = fn = tn = 0
+    for epoch in verdicts.epochs:
+        e = epoch.epoch_index
+        if epoch.bucket_count != grid.bucket_count or not 0 <= e < grid.epoch_count:
+            raise ValueError(f"verdicts for epoch {e} over {epoch.bucket_count} buckets are outside the grid")
+        if e in seen_epochs:
+            raise ValueError(f"duplicate verdicts for epoch {e}")
+        seen_epochs.add(e)
+        seen = set()
+        for v in epoch.explicit:
+            cell = (v.bucket, v.epoch_index)
+            if v.epoch_index != e or not 0 <= v.bucket < grid.bucket_count:
+                raise ValueError(f"verdict for {cell} is outside epoch {e} of the grid")
+            if v.bucket in seen:
+                raise ValueError(f"duplicate verdict for cell {cell}")
+            seen.add(v.bucket)
+        for b in range(grid.bucket_count):
+            explicit = [v.anomalous for v in epoch.explicit if v.bucket == b]
+            flagged = explicit[0] if explicit else epoch.shared_anomalous
+            hit = (b, e) in grid.anomalous
+            tp += flagged and hit
+            fp += flagged and not hit
+            fn += hit and not flagged
+            tn += not (hit or flagged)
+    return tp, fp, fn, tn
+
+
+@st.composite
+def faulty_verdicts(draw):
+    """Verdicts over a small grid, explicit ones in any order, epochs in
+    any order, and now and then one bad explicit verdict: a repeated
+    bucket, a bucket outside the grid, or one filed under another
+    epoch."""
+    bucket_count = 1 << draw(st.integers(1, 4))
+    epoch_count = draw(st.integers(1, 4))
+    cells = st.tuples(st.integers(0, bucket_count - 1), st.integers(0, epoch_count - 1))
+    grid = GroundTruthGrid(bucket_count, epoch_count, frozenset(draw(st.sets(cells))))
+    epochs = []
+    for e in range(epoch_count):
+        buckets = draw(st.permutations(sorted(draw(st.sets(st.integers(0, bucket_count - 1))))))
+        explicit = [Verdict("test", e, b, 0.0, draw(st.booleans())) for b in buckets]
+        fault = draw(st.sampled_from((None, None, None, "repeat", "epoch", "below", "above")))
+        if explicit and fault is not None:
+            i = draw(st.integers(0, len(explicit) - 1))
+            v = explicit[i]
+            if fault == "repeat":
+                explicit.insert(draw(st.integers(0, len(explicit))), v._replace(anomalous=draw(st.booleans())))
+            elif fault == "epoch":
+                explicit[i] = v._replace(epoch_index=draw(st.sampled_from((e - 1, e + 1, epoch_count))))
+            else:
+                explicit[i] = v._replace(bucket=-1 if fault == "below" else bucket_count + draw(st.integers(0, 2)))
+        epochs.append(EpochVerdicts("test", e, bucket_count, tuple(explicit), 0.0, draw(st.booleans())))
+    return Verdicts(tuple(draw(st.permutations(epochs)))), grid
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_verdicts())
+def test_score_counts_as_the_per_verdict_loop(case):
+    verdicts, grid = case
+    want = outcome(lambda: per_verdict_score(verdicts, grid))
+    got = outcome(lambda: score(verdicts, grid))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[:4] == want
+
+
 def test_grid_from_tracker_matches_manual_projection():
     profile = SyntheticProfile(
         flows=12, packets_per_flow=60, duration_ns=6_000_000_000,
@@ -171,10 +255,10 @@ def test_grid_from_keys_matches_tracker_at_every_width():
         records = before + [r._replace(timestamp_ns=r.timestamp_ns + 9_000_000) for r in after]
         key = keys[trial % 3]
         for epoch_ns in (100_000, 700_000):
-            truth = AnomalousKeys(epoch_ns)
+            truth = FlowSums(epoch_ns, key.total_bits, ())
             for chunk in column_chunks(records, 128):
                 truth.feed(chunk, key.key_column(chunk))
-            pairs = truth.finish()
+            pairs, _ = truth.finish()
             for width in range(1, 13):
                 config = SketchConfig(width, 1, epoch_ns, key)
                 tracker = ExactTracker(config)
@@ -504,7 +588,7 @@ def test_sweep_computes_shared_passes_once(monkeypatch):
     records = flood_records()
     assert len(records) > 2 * PARSE_CHUNK_ROWS
     want = sweep(column_chunks(records), configs, settings)
-    calls = {"replay": 0, "ground truth": 0, "tracker": 0, "run_detector": 0, "score": 0}
+    calls = {"replay": 0, "flow pass": 0, "tracker": 0, "run_detector": 0, "score": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -512,8 +596,8 @@ def test_sweep_computes_shared_passes_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(evaluation, "EpochCollector", counting("replay", EpochCollector))
-    monkeypatch.setattr(evaluation, "AnomalousKeys", counting("ground truth", AnomalousKeys))
+    monkeypatch.setattr(Sketch, "_update", counting("replay", Sketch._update))
+    monkeypatch.setattr(evaluation, "FlowSums", counting("flow pass", FlowSums))
     monkeypatch.setattr(ExactTracker, "update", counting("tracker", ExactTracker.update))
     monkeypatch.setattr(evaluation, "run_detector", counting("run_detector", run_detector))
     monkeypatch.setattr(evaluation, "score", counting("score", score))
@@ -522,10 +606,11 @@ def test_sweep_computes_shared_passes_once(monkeypatch):
     assert len(rows) == 12 and all(r.error is None for r in rows)
     assert rows == want
     assert next(trace.items, None) is None
-    # One streaming replay per W and one ground-truth pass, all fed from
-    # the one read of the trace; then once per (W, setting), since the
-    # stage count does not change the verdicts.
-    assert calls == {"replay": 2, "ground truth": 1, "tracker": 0, "run_detector": 6, "score": 6}
+    # One flow pass per (key spec, epoch length), fed from the one read
+    # of the trace, folds its sums for both widths: no sketch replays
+    # the trace.  Then once per (W, setting), since the stage count does
+    # not change the verdicts.
+    assert calls == {"replay": 0, "flow pass": 1, "tracker": 0, "run_detector": 6, "score": 6}
 
 
 def test_sweep_of_a_trace_file_holds_no_records(tmp_path):
@@ -554,6 +639,34 @@ def test_sweep_of_a_trace_file_holds_no_records(tmp_path):
     # The peaks read 41 KB apart on Python 3.11; holding the long
     # trace's 25,200 more records would add 4.6 MB.
     assert peaks[1] - peaks[0] < 2**18, peaks
+
+
+def test_sweep_holds_the_flow_sums_of_one_open_epoch(monkeypatch):
+    # Every epoch has 500 sources of its own, so holding the flow sums
+    # of every epoch would grow with the epoch count; a fold memo of 16
+    # keys keeps the memo out of the measure.  At W=1 the snapshots and
+    # verdicts add a few hundred bytes an epoch.
+    monkeypatch.setattr(oracle, "FOLD_MEMO_MAX", 16)
+    epoch_ns, sources = 10_000, 500
+
+    def chunks(epochs):
+        for e in range(epochs):
+            yield from column_chunks(
+                [make_packet(ts=e * epoch_ns + i, src=e * sources + i + 1) for i in range(sources)]
+            )
+
+    peaks = {}
+    for epochs in (10, 100):
+        tracemalloc.start()
+        try:
+            rows = sweep(chunks(epochs), [SketchConfig(1, 1, epoch_ns, SRC_KEY)], [DetectorSetting("threshold", threshold=5.0)])
+            peaks[epochs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rows[0].fp, rows[0].tn, rows[0].error) == (2 * (epochs - 1), 0, None)
+    # The peaks read 0.41 and 0.46 MB on Python 3.11; the sums of all
+    # 100 epochs' flows would add about 12 MB.
+    assert peaks[100] < 1.5 * peaks[10], peaks
 
 
 def test_sweep_determinism():

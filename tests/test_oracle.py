@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flowsketch.hashing import FlowKey, KeySpec, shift_xor_hash
 from flowsketch.ingest import Label, TraceColumns
-from flowsketch.oracle import AnomalousKeys, ExactTracker, FlowStats, merge_flow_stats
-from flowsketch.sketch import SketchConfig, StageCell
+from flowsketch.oracle import BucketSums, ExactTracker, FlowStats, FlowSums, merge_flow_stats
+from flowsketch.sketch import Sketch, SketchConfig, StageCell, collect_epochs
 
 from conftest import make_packet, random_records
 
@@ -152,15 +152,20 @@ def test_oracle_rejects_regression():
         tr.update(make_packet(ts=49))
 
 
-def anomalous_keys(packets, key, epoch_ns, cuts=()):
-    """AnomalousKeys fed the packets in column chunks that end at the
-    cuts; a cut may make an empty chunk."""
-    keys = AnomalousKeys(epoch_ns)
+def flow_sums(packets, key, epoch_ns, cuts=(), widths=()):
+    """FlowSums.finish() of the packets fed in column chunks that end
+    at the cuts; a cut may make an empty chunk."""
+    sums = FlowSums(epoch_ns, key.total_bits, widths)
     bounds = [0, *cuts, len(packets)]
     for lo, hi in zip(bounds, bounds[1:]):
         chunk = TraceColumns._make(map(list, zip(*packets[lo:hi])) if hi > lo else [[]] * 9)
-        keys.feed(chunk, key.key_column(chunk))
-    return keys.finish()
+        sums.feed(chunk, key.key_column(chunk))
+    return sums.finish()
+
+
+def anomalous_keys(packets, key, epoch_ns, cuts=()):
+    """The anomalous (raw key, epoch) pairs of flow_sums."""
+    return flow_sums(packets, key, epoch_ns, cuts)[0]
 
 
 def test_anomalous_keys_holds_raw_keys_of_anomalous_packets():
@@ -246,3 +251,68 @@ def test_anomalous_keys_name_a_regression_as_the_tracker_does(seed, at, cuts):
     with pytest.raises(ValueError) as got:
         anomalous_keys(records, SRC_KEY, 1000, sorted(cuts))
     assert str(got.value) == str(want.value)
+
+
+def sketch_sums(snapshots):
+    """Each snapshot with its cells cut to the four fields a detector
+    reads, as BucketSums."""
+    return [
+        s._replace(cells=tuple(BucketSums(c.pkt_count, c.byte_sum, c.iat_sum_ns, c.iat_count) for c in s.cells))
+        for s in snapshots
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.lists(st.integers(0, 60), max_size=4),
+    st.sampled_from(KEY_SPECS),
+    st.sampled_from((50, 1000, 10**6)),
+    st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True),
+    st.integers(1, 40),
+)
+def test_flow_sums_fold_to_the_sketch_snapshots_at_every_width(seed, cuts, key, epoch_ns, widths, pool):
+    # A small pool of flows at a small width puts several flows in most
+    # buckets; a gap of several epochs makes empty snapshots between.
+    rng = random.Random(seed)
+    records = random_records(rng, 60, span_ns=20_000, pool=pool, anomalous_rate=0.3)
+    records += [r._replace(timestamp_ns=r.timestamp_ns + 7 * epoch_ns + 20_000) for r in records[-5:]]
+    _, snapshots = flow_sums(records, key, epoch_ns, sorted(cuts), widths)
+    assert sorted(snapshots) == sorted(widths)
+    for width in widths:
+        want = collect_epochs(Sketch(SketchConfig(width, 1, epoch_ns, key)), records)
+        assert snapshots[width] == sketch_sums(want)
+
+
+def test_flow_sums_sum_gaps_across_the_flows_of_a_bucket():
+    # At W=1 a key's bucket is its bit parity, so sources 1 and 2 share
+    # bucket 1.  Their gaps interleave: the bucket's gap sum is its last
+    # packet's time minus its first's, 40, not the flows' own gaps,
+    # 20 + 30.
+    packets = [
+        make_packet(ts=0, src=1, length=100),
+        make_packet(ts=10, src=2, length=200),
+        make_packet(ts=20, src=1, length=100),
+        make_packet(ts=30, src=3, length=60),
+        make_packet(ts=40, src=2, length=200),
+    ]
+    (_, snapshots) = flow_sums(packets, SRC_KEY, 1000, widths=(1,))
+    (snap,) = snapshots[1]
+    assert (snap.epoch_index, snap.epoch_start_ns, snap.complete, snap.bucket_count) == (0, 0, False, 2)
+    assert snap.buckets == (0, 1)
+    assert snap.cells == (BucketSums(1, 60, 0, 0), BucketSums(4, 600, 40, 3))
+
+
+def test_flow_sums_hold_one_open_epoch_and_close_once():
+    sums = FlowSums(100, 32, (4,))
+    packets = [make_packet(ts=t, src=s) for t, s in ((0, 1), (50, 2), (120, 1), (450, 3))]
+    chunk = TraceColumns._make(map(list, zip(*packets)))
+    sums.feed(chunk, chunk.src_ip)
+    assert list(sums._flows) == [3]
+    pairs, snapshots = sums.finish()
+    assert [(s.epoch_index, s.complete, len(s.buckets)) for s in snapshots[4]] == [
+        (0, True, 2), (1, True, 1), (2, True, 0), (3, True, 0), (4, False, 1)
+    ]
+    for call in (lambda: sums.feed(chunk, chunk.src_ip), sums.finish):
+        with pytest.raises(ValueError, match="the flow pass is finished"):
+            call()

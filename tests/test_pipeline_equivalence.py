@@ -32,7 +32,7 @@ from flowsketch.ingest import Label
 from flowsketch.oracle import ExactTracker
 from flowsketch.sketch import Sketch, SketchConfig, collect_epochs
 
-from conftest import dense_cells, dense_verdicts, make_packet, per_packet_replay
+from conftest import count_snapshot, dense_cells, dense_verdicts, make_packet, per_packet_replay
 
 KEY_SPECS = (KeySpec(("src_ip",)), KeySpec(("src_ip", "dst_port")), KeySpec(("dst_port", "protocol")))
 EWMA_EPS = 1e-9
@@ -166,6 +166,27 @@ def exact_bits(verdicts):
 def test_sparse_pipeline_matches_dense_reference(
     tmp_path_factory, run, feature, threshold, k, alpha, train_epochs
 ):
+    assert_matches_dense_reference(tmp_path_factory, run, feature, threshold, k, alpha, train_epochs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gapped_runs(),
+    st.sampled_from(FEATURES),
+    st.sampled_from((-1, 0, 1, 3, 700)),
+    st.sampled_from((-1, 0, 3)),
+    st.sampled_from((0.3, 1.0)),
+    st.integers(2, 40),
+)
+def test_sparse_pipeline_with_int_limits_matches_dense_reference(
+    tmp_path_factory, run, feature, threshold, k, alpha, train_epochs
+):
+    # A verdict is anomalous when its score is above an int threshold or
+    # k just as above a float one.
+    assert_matches_dense_reference(tmp_path_factory, run, feature, threshold, k, alpha, train_epochs)
+
+
+def assert_matches_dense_reference(tmp_path_factory, run, feature, threshold, k, alpha, train_epochs):
     config, packets = run
     path = tmp_path_factory.mktemp("verdicts") / "verdicts.csv"
     reference = [(i, cells) for i, complete, cells in dense_snapshots(config, packets) if complete]
@@ -207,3 +228,23 @@ def test_sparse_pipeline_matches_dense_reference(
         assert exact_bits(dense_verdicts(parsed, config.bucket_count)) == exact_bits(want)
         quality = score(got, grid)
         assert (quality.tp, quality.fp, quality.fn, quality.tn) == dense_score(want, grid)
+
+
+def test_stateful_buckets_absent_from_a_snapshot_match_dense_reference():
+    # Buckets 0 and 2 have training traffic and EWMA state; epoch 2
+    # touches no bucket and epoch 3 only bucket 1, so both are scored
+    # from an empty cell, beside the shared verdict.
+    counts = ([5, 0, 3, 0], [7, 0, 3, 0], [0, 0, 0, 0], [0, 2, 0, 0], [5, 0, 0, 0])
+    snaps = [count_snapshot(e, row) for e, row in enumerate(counts)]
+    reference = [(s.epoch_index, dense_cells(dict(zip(s.buckets, s.cells)), 4)) for s in snaps]
+    assert snaps[2].buckets == () and snaps[3].buckets == (1,)
+    # count_snapshot's cells hold no gaps, so iat_avg_ns reads 0 and
+    # leaves no state.
+    for feature in ("pkt_count", "byte_sum", "byte_avg"):
+        for setting, want in (
+            (DetectorSetting("zscore", feature, k=1, train_epochs=2), dense_zscore(reference, feature, 1, 2)),
+            (DetectorSetting("ewma", feature, k=1, alpha=0.5), dense_ewma(reference, feature, 0.5, 1)),
+        ):
+            got = run_detector(setting, snaps)
+            assert [v.bucket for v in got.epochs[2].explicit] == [0, 2]
+            assert exact_bits(dense_verdicts(got, 4)) == exact_bits(want)

@@ -9,6 +9,12 @@ Inputs are random grids (W in [1, 10], S in [1, 3], several epoch
 lengths and key specs), random labels, gaps of several epochs and, now
 and then, two packets out of order.  A z-score setting whose
 train_epochs exceeds the completed epochs makes some rows fail.
+
+The sweep builds its cells from per-flow sums, while the reference
+replays the sketch, so the settings read every feature: averages too,
+whose inter-arrival sums a shared bucket gets only by counting the gaps
+between its flows' packets.  One case sweeps W in {1, 2, 3}, where most
+buckets hold several of the eight sources.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -60,8 +66,8 @@ def reference_rows(records, configs, settings_):
 
 
 @st.composite
-def sweep_runs(draw):
-    widths = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True))
+def sweep_runs(draw, width=st.integers(1, 10)):
+    widths = draw(st.lists(width, min_size=1, max_size=3, unique=True))
     stages = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
     epochs = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=2, unique=True))
     keys = draw(st.lists(st.sampled_from(KEY_SPECS), min_size=1, max_size=2, unique=True))
@@ -100,12 +106,33 @@ def sweep_runs(draw):
     st.integers(2, 12),
 )
 def test_sweep_matches_per_config_reference(run, threshold, k, train_epochs):
+    assert_sweep_matches_reference(run, threshold, k, train_epochs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sweep_runs(width=st.integers(1, 3)),
+    st.sampled_from((0.5, 3.0, 15.0, 700.0)),
+    st.sampled_from((0.0, 0.5, 3.0)),
+    st.integers(2, 4),
+)
+def test_sweep_matches_per_config_reference_in_shared_buckets(run, threshold, k, train_epochs):
+    assert_sweep_matches_reference(run, threshold, k, train_epochs)
+
+
+def assert_sweep_matches_reference(run, threshold, k, train_epochs):
     records, configs = run
     settings_ = [
         DetectorSetting("threshold", threshold=threshold),
         DetectorSetting("zscore", k=k, train_epochs=train_epochs),
         DetectorSetting("ewma", feature="byte_sum", k=k, alpha=0.3),
+        DetectorSetting("ewma", k=k, alpha=0.5),
     ]
+    for feature in ("byte_avg", "iat_avg_ns"):
+        settings_ += [
+            DetectorSetting("threshold", feature, threshold=threshold),
+            DetectorSetting("zscore", feature, k=k, train_epochs=train_epochs),
+        ]
     want = reference_rows(records, configs, settings_)
     rows = sweep(column_chunks(records), configs, settings_)
     assert [r.config_id for r in rows] == sorted(want)
