@@ -34,9 +34,9 @@ from .ingest import (
 )
 from .sketch import EpochCollector, EpochSnapshot, Sketch, SketchConfig, write_snapshot
 
-# evaluation, and through it oracle and fractions, is
-# imported inside the four commands that score or bench, so that
-# generate and extract start without compiling or importing them.
+# evaluation, and through it fractions, is imported inside the four
+# commands that score or bench, so that generate and extract start
+# without compiling or importing them.  No command imports oracle.
 if TYPE_CHECKING:
     from .evaluation import ParetoPoint, SweepRow
 

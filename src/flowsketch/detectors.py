@@ -81,7 +81,7 @@ def _feature_fields(feature: str) -> tuple[str, ...]:
 def feature_value(cell, feature: str) -> float:
     """Scalar feature of a cell; absent averages read as 0.  A cell is
     read only through pkt_count, byte_sum, iat_sum_ns and iat_count, so
-    it may be a sketch's StageCell or a sweep's oracle.BucketSums."""
+    it may be a sketch's StageCell or a sweep's sketch.BucketSums."""
     fields = _feature_fields(feature)
     value = getattr(cell, fields[0])
     if len(fields) == 1:

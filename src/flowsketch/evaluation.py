@@ -3,12 +3,13 @@ throughput, and Pareto comparison across configurations.
 
 A sweep runs a grid of (sketch config x detector setting) cells over
 one labeled trace, read once as column chunks.  It does not replay the
-sketch: one oracle.FlowSums pass per key spec and epoch length keeps
-per-flow sums and folds them into every hash width's buckets, which
-gives exactly the cell fields detectors read.  Each cell is scored
-against a ground-truth grid at (bucket, epoch) granularity, by set
-arithmetic over the explicit verdicts, and costed with a simple memory
-model.  Cells on the Pareto front (maximize f1, minimize memory) are
+sketch: one sketch.FlowSums pass per key spec and epoch length, on the
+sketch's own epoch clock, keeps per-flow sums and folds them into every
+hash width's buckets, which gives exactly the cell fields detectors
+read, and its anomalous keys give the ground truth; the oracle is not
+imported.  Each cell is scored against a ground-truth grid at (bucket,
+epoch) granularity, by set arithmetic over the explicit verdicts, and
+costed with a simple memory model.  Cells on the Pareto front (maximize f1, minimize memory) are
 flagged in the report, so the report depends only on the trace and the
 grid.  bench_throughput measures one config's update throughput on its
 own, through the sketch's update loop.
@@ -26,13 +27,15 @@ import time
 from fractions import Fraction
 from itertools import chain, compress
 from operator import attrgetter, countOf
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .detectors import DetectorSetting, EpochVerdicts, Verdicts, run_detector
 from .ingest import PacketRecord, TraceColumns, _Record, csv_line, opt_float, opt_int, parse_flag, parse_uint, read_csv, write_csv
 from .hashing import KeySpec, fold
-from .oracle import ExactTracker, FlowSums
-from .sketch import CELL_BYTES, UPDATE_OPS, Sketch, SketchConfig
+from .sketch import CELL_BYTES, UPDATE_OPS, FlowSums, Sketch, SketchConfig
+
+if TYPE_CHECKING:
+    from .oracle import ExactTracker
 
 BENCH_MIN_PACKETS = 10_000
 
@@ -57,8 +60,8 @@ class GroundTruthGrid(NamedTuple):
     def from_keys(
         cls, pairs: Iterable[tuple[int, int]], config: SketchConfig, epoch_count: int
     ) -> "GroundTruthGrid":
-        """Project the anomalous (raw key, epoch) pairs of an
-        oracle.FlowSums pass onto a config's grid: each raw key folded
+        """Project the anomalous (raw key, epoch) pairs of a
+        sketch.FlowSums pass onto a config's grid: each raw key folded
         to its bucket, epochs from epoch_count on dropped."""
         bits = config.key_spec.total_bits
         width = config.hash_width
@@ -361,7 +364,7 @@ def sweep(
     epoch length, hash width).  Configs are grouped by those three, and
     each group is evaluated once: one snapshot list, one grid, and one
     detector run and score per setting.  Both come from one
-    oracle.FlowSums pass per (key spec, epoch length), whose anomalous
+    sketch.FlowSums pass per (key spec, epoch length), whose anomalous
     keys and per-flow sums each hash width folds to its own buckets; no
     sketch replays the trace.  Its snapshots' cells are BucketSums, the
     four fields a detector reads, equal to the sketch's cells in those

@@ -123,21 +123,22 @@ class PacketRecord(_PacketFields):
 
 
 class TraceColumns(NamedTuple):
-    """One chunk of a trace as nine equal-length lists, named as
+    """One chunk of a trace as nine equal-length sequences, named as
     PacketRecord's fields: row i of the chunk is the packet whose fields
-    are the lists' items i.  In a chunk from parse_trace_chunks every
-    value is checked as PacketRecord checks it, and the timestamps do
-    not fall below each other or the previous chunk's."""
+    are the sequences' items i.  parse_trace_chunks builds lists, and
+    the sketch's record path tuples.  In a chunk from parse_trace_chunks
+    every value is checked as PacketRecord checks it, and the timestamps
+    do not fall below each other or the previous chunk's."""
 
-    timestamp_ns: list[int]
-    src_ip: list[int]
-    dst_ip: list[int]
-    src_port: list[int]
-    dst_port: list[int]
-    protocol: list[int]
-    length_bytes: list[int]
-    tcp_seq: list[int]
-    label: list[Label]
+    timestamp_ns: Sequence[int]
+    src_ip: Sequence[int]
+    dst_ip: Sequence[int]
+    src_port: Sequence[int]
+    dst_port: Sequence[int]
+    protocol: Sequence[int]
+    length_bytes: Sequence[int]
+    tcp_seq: Sequence[int]
+    label: Sequence[Label]
 
     def records(self) -> Iterator[PacketRecord]:
         """The chunk's rows as records, in order."""

@@ -18,13 +18,14 @@ at first_ts + k * epoch_ns.  Gaps in traffic still shift once per
 elapsed epoch.  Inter-arrival tracking restarts each epoch: the first
 packet a bucket sees in an epoch contributes no gap sample.
 
-The sketch has one update loop, over (timestamp, length, raw key) rows,
-which folds each key to its bucket through a bounded memo.  Packet
-records reach it through Sketch.update_many and collect_epochs; a
-column chunk (ingest.TraceColumns) reaches it through
-EpochCollector.feed, as zip of its timestamp and length columns and its
-key column.  The loop is the one place that finds epoch boundaries,
-and it snapshots each epoch it closes into the list it is given.
+EpochClock is the one place that finds epoch boundaries: it cuts each
+column chunk (ingest.TraceColumns) into runs of rows of one epoch.  The
+sketch's one update loop runs over a run's timestamp, length and key
+columns, folds each key to its bucket through a bounded memo, and
+snapshots each epoch it closes into the list it is given.  Column
+chunks reach it through EpochCollector.feed, and packet records,
+transposed to column chunks, through Sketch.update_many and
+collect_epochs.  FlowSums, the sweep's pass, reads the same clock.
 
 A bucket's state is one StageCell of nine raw metrics, a plain mutable
 object whose __dict__ holds them; SketchConfig and EpochSnapshot are
@@ -36,13 +37,14 @@ read from a cell by detectors.feature_value.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
-from itertools import chain, islice, starmap
-from operator import attrgetter
+from itertools import chain, compress, count, islice, repeat, starmap
+from operator import attrgetter, is_, itemgetter, lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .hashing import KeySpec, check_width, fold
-from .ingest import PARSE_CHUNK_ROWS, TraceColumns, _Memo, _Record, csv_line, opt_int, parse_uint, read_csv, write_csv
+from .ingest import Label, TraceColumns, _Memo, _Record, csv_line, opt_int, parse_uint, read_csv, write_csv
 
 # Resource model constants: a cell holds 9 metric words of 8 bytes, and
 # one update mutates at most 9 metric fields.
@@ -55,6 +57,13 @@ DEFAULT_MAX_CELLS = 1 << 26
 # Bucket folds are memoized per raw key value; the memo is cleared if
 # key cardinality outgrows this, keeping memory bounded either way.
 FOLD_MEMO_MAX = 1 << 16
+
+# Packet records are transposed to column chunks this many at a time.
+# The transpose holds one iterator per record, so a batch under the
+# garbage collector's first threshold (700) triggers no collection; at
+# 1024 records those collections cost update_many about a fifth of its
+# throughput.
+RECORD_BATCH_ROWS = 512
 
 
 class _SketchConfigFields(NamedTuple):
@@ -121,6 +130,58 @@ class StageCell(_Record):
         self.iat_max_ns = iat_max_ns
 
 
+class EpochClock:
+    """Where the epochs of a timestamp-sorted stream begin and end.
+
+    The first timestamp anchors epoch 0, and each epoch starts epoch_ns
+    after the one before.  index and start name the current epoch (start
+    is None before any timestamp); last_ts is the latest timestamp."""
+
+    __slots__ = ("epoch_ns", "index", "start", "last_ts")
+
+    def __init__(self, epoch_ns: int):
+        self.epoch_ns = epoch_ns
+        self.index = 0
+        self.start: int | None = None
+        self.last_ts: int | None = None
+
+    def split(self, times: Sequence[int]) -> Iterator[tuple[int, int, int, int, int]]:
+        """(gap, index, start, lo, hi) for each run of a chunk's
+        timestamp column, rows lo to hi - 1, that falls in one epoch,
+        in row order: gap is how many epochs the run moved the clock on,
+        and the clock stands at the run's epoch while it is read.  The
+        rows before a timestamp regression, against the row before or an
+        earlier chunk, are split; then ValueError names it as
+        ExactTracker does."""
+        if not times:
+            return
+        if self.start is None:
+            self.start = self.last_ts = times[0]
+        end = len(times)
+        if not (self.last_ts <= times[0] and sorted(times) == list(times)):
+            # The first row below the one before it.
+            end = next(compress(count(), map(lt, times, chain((self.last_ts,), times))), end)
+        epoch_ns = self.epoch_ns
+        lo = 0
+        while lo < end:
+            gap = max((times[lo] - self.start) // epoch_ns, 0)
+            self.index += gap
+            self.start += gap * epoch_ns
+            hi = bisect_left(times, self.start + epoch_ns, lo, end)
+            self.last_ts = times[hi - 1]
+            yield gap, self.index, self.start, lo, hi
+            lo = hi
+        if end < len(times):
+            raise ValueError(f"timestamp regression: {times[end]} after {self.last_ts}")
+
+    def passed(self, gap: int) -> Iterator[tuple[int, int]]:
+        """(index, start) of the gap epochs before the current one,
+        oldest first: the epoch that a run with this gap closed, then
+        the empty epochs it crossed."""
+        epoch_ns = self.epoch_ns
+        return zip(range(self.index - gap, self.index), range(self.start - gap * epoch_ns, self.start, epoch_ns))
+
+
 class Sketch:
     """Feature extractor over a timestamp-sorted stream, holding the
     touched cells of its mem_stages stages."""
@@ -133,9 +194,7 @@ class Sketch:
         self._config = config
         # Each stage maps bucket to cell; untouched buckets have no entry.
         self._stages: list[dict[int, StageCell]] = [{} for _ in range(config.mem_stages)]
-        self._epoch_start: int | None = None
-        self._epoch_index = 0
-        self._last_ts: int | None = None
+        self._clock = EpochClock(config.epoch_ns)
         # Raw key value -> bucket: a value is folded once while the memo
         # holds it.
         self._buckets = _Memo(
@@ -150,64 +209,58 @@ class Sketch:
     @property
     def epoch_start_ns(self) -> int | None:
         """Start of the current (stage 0) epoch; None before any update."""
-        return self._epoch_start
+        return self._clock.start
 
     @property
     def epoch_index(self) -> int:
         """Index of the current epoch; equals the number of completed epochs."""
-        return self._epoch_index
+        return self._clock.index
 
-    def _rows(self, packets: Iterable) -> Iterator[tuple[int, int, int]]:
-        """(timestamp, length, raw key) per packet record.  A
-        single-field key reads all three in one attrgetter call; wider
-        keys are built as a column chunk's are, from the records
-        transposed PARSE_CHUNK_ROWS at a time."""
-        fields = self._config.key_spec.fields
-        if len(fields) == 1:
-            return map(attrgetter("timestamp_ns", "length_bytes", fields[0]), packets)
+    @staticmethod
+    def _batches(packets: Iterable) -> Iterator[TraceColumns]:
+        """Packet records as column chunks of up to RECORD_BATCH_ROWS
+        rows, each column a tuple."""
         it = iter(packets)
-        batches = iter(lambda: list(islice(it, PARSE_CHUNK_ROWS)), [])
-        key_column = self._config.key_spec.key_column
-        return chain.from_iterable(
-            zip(chunk.timestamp_ns, chunk.length_bytes, key_column(chunk))
-            for chunk in map(TraceColumns._make, starmap(zip, batches))
-        )
+        return map(TraceColumns._make, starmap(zip, iter(lambda: tuple(islice(it, RECORD_BATCH_ROWS)), ())))
 
     def update_many(self, packets: Iterable) -> int:
         """Fold a timestamp-sorted batch of packet records; returns the
         count.  Raises ValueError on a timestamp regression, including
-        against packets from earlier calls."""
-        return self._update(self._rows(packets), None)
+        against packets from earlier calls; the packets before it are
+        kept."""
+        return sum(self._update(chunk, None, None) for chunk in self._batches(packets))
 
-    def _update(self, rows: Iterable[tuple[int, int, int]], closed: list[EpochSnapshot] | None) -> int:
-        """The update loop over (timestamp, length, raw key) rows,
-        appending to closed, if given, each closing epoch's snapshot.
+    def _update(self, chunk, keys: Sequence[int] | None, closed: list[EpochSnapshot] | None) -> int:
+        """The update loop over a column chunk, whose key column, if
+        already built, is keys, appending to closed, if given, each
+        closing epoch's snapshot.  Returns the row count.
 
-        This is the hot path: the per-packet work is a memoized hash
-        fold, one cell fetch, and nine field updates."""
-        epoch_ns = self._config.epoch_ns
+        The clock cuts the chunk into runs of one epoch.  This is the
+        hot path: the per-packet work is a memoized hash fold, one cell
+        fetch, and nine field updates."""
+        if keys is None:
+            keys = self._config.key_spec.key_column(chunk)
+        times, lengths = chunk.timestamp_ns, chunk.length_bytes
+        clock = self._clock
         buckets = self._buckets
         bucket_get = buckets.get
         stages = self._stages
         stage0 = stages[0]
-        last_ts = self._last_ts if self._last_ts is not None else -1
-        epoch_start = self._epoch_start
-        boundary = None if epoch_start is None else epoch_start + epoch_ns
-        count = 0
-        try:
-            for ts, nbytes, v in rows:
-                if ts < last_ts:
-                    raise ValueError(f"timestamp regression: {ts} after {last_ts}")
-                last_ts = ts
-                if boundary is None:
-                    epoch_start = ts
-                    boundary = ts + epoch_ns
-                elif ts >= boundary:
-                    self._epoch_start = epoch_start
-                    self._advance_epochs(ts, closed)
-                    epoch_start = self._epoch_start
-                    boundary = epoch_start + epoch_ns
-                    stage0 = stages[0]
+        rows = zip(times, lengths, keys)
+        for crossed, _, _, begin, end in clock.split(times):
+            if crossed:
+                # The closing epoch's snapshot, then one per empty epoch
+                # crossed; after mem_stages rotations every stage is empty.
+                if closed is not None:
+                    (index, start), *empty = clock.passed(crossed)
+                    closed.append(self._snapshot(index, start, True))
+                    bucket_count = self._config.bucket_count
+                    closed.extend(EpochSnapshot(i, s, True, bucket_count, (), ()) for i, s in empty)
+                for _ in range(min(crossed, self._config.mem_stages)):
+                    stages.pop()
+                    stages.insert(0, {})
+                stage0 = stages[0]
+            for ts, nbytes, v in islice(rows, end - begin):
                 b = bucket_get(v)
                 if b is None:
                     b = buckets[v]
@@ -235,30 +288,7 @@ class Sketch:
                     if hi is None or gap > hi:
                         cell.iat_max_ns = gap
                 cell.last_ts_ns = ts
-                count += 1
-        finally:
-            self._last_ts = last_ts if last_ts >= 0 else None
-            self._epoch_start = epoch_start
-        return count
-
-    def _advance_epochs(self, ts: int, closed: list[EpochSnapshot] | None) -> None:
-        """Move to the epoch that contains ts.  At most mem_stages
-        rotations are made: by then every stage is empty, so the epoch
-        index and start move on by arithmetic.  Given a list, it appends
-        the closing epoch's snapshot, then an empty one per empty epoch
-        of the gap, as stage 0 is empty until the packet at ts arrives."""
-        epoch_ns = self._config.epoch_ns
-        index, start = self._epoch_index, self._epoch_start
-        gap = (ts - start) // epoch_ns
-        if closed is not None:
-            closed.append(self._snapshot(True))
-            buckets = self._config.bucket_count
-            closed.extend(EpochSnapshot(index + k, start + k * epoch_ns, True, buckets, (), ()) for k in range(1, gap))
-        rotations = min(gap, self._config.mem_stages)
-        for _ in range(rotations):
-            self.rotate_epoch(self._epoch_start + epoch_ns)
-        self._epoch_index += gap - rotations
-        self._epoch_start += (gap - rotations) * epoch_ns
+        return len(times)
 
     def rotate_epoch(self, new_epoch_start_ns: int) -> None:
         """Shift the stages by one epoch and start a fresh stage 0.
@@ -266,15 +296,16 @@ class Sketch:
         Stage s takes stage s-1's cells bit for bit; the oldest stage is
         discarded.  The new epoch must start after the current one.
         """
-        if self._epoch_start is None:
+        clock = self._clock
+        if clock.start is None:
             raise ValueError("cannot rotate a sketch with no current epoch")
-        if new_epoch_start_ns <= self._epoch_start:
+        if new_epoch_start_ns <= clock.start:
             raise ValueError("new epoch start must be after the current epoch start")
         stages = self._stages
         stages.pop()
         stages.insert(0, {})
-        self._epoch_start = new_epoch_start_ns
-        self._epoch_index += 1
+        clock.start = new_epoch_start_ns
+        clock.index += 1
 
     def stage(self, stage: int) -> dict[int, StageCell]:
         """Copies of the touched cells of a stage, keyed by bucket in
@@ -285,13 +316,13 @@ class Sketch:
         cells = self._stages[stage]
         return {bucket: StageCell(**vars(cells[bucket])) for bucket in sorted(cells)}
 
-    def _snapshot(self, complete: bool) -> EpochSnapshot:
-        """The current epoch's snapshot: stage 0's cells themselves, not
-        copies, buckets ascending."""
+    def _snapshot(self, index: int, start: int, complete: bool) -> EpochSnapshot:
+        """Stage 0's snapshot as epoch index, starting at start: its
+        cells themselves, not copies, buckets ascending."""
         cells = self._stages[0]
         buckets = sorted(cells)
         return EpochSnapshot(
-            self._epoch_index, self._epoch_start, complete, self._config.bucket_count,
+            index, start, complete, self._config.bucket_count,
             tuple(buckets), tuple(map(cells.__getitem__, buckets)),
         )
 
@@ -303,7 +334,7 @@ class EpochSnapshot(NamedTuple):
     Only touched buckets are held: buckets ascending, each with its cell
     at the same position in cells.  The other buckets of bucket_count
     are empty.  A sketch's snapshot holds StageCells; a sweep's, built
-    by oracle.FlowSums from flow sums, holds oracle.BucketSums.
+    by FlowSums from flow sums, holds BucketSums.
     Detectors read a cell only through pkt_count, byte_sum, iat_sum_ns
     and iat_count, the four fields the two share.
     """
@@ -339,18 +370,17 @@ class EpochCollector:
         """Stream the next timestamp-sorted column chunk (an
         ingest.TraceColumns), whose key column, if already built, is
         keys, through the sketch.  Raises ValueError on a timestamp
-        regression, including against earlier chunks."""
-        snapshots = self._open()
-        if keys is None:
-            keys = self._sketch.config.key_spec.key_column(chunk)
-        self._sketch._update(zip(chunk.timestamp_ns, chunk.length_bytes, keys), snapshots)
+        regression, including against earlier chunks; the rows before
+        it are kept."""
+        self._sketch._update(chunk, keys, self._open())
 
     def finish(self) -> list[EpochSnapshot]:
         """The snapshots, in epoch order, with the trailing partial
         epoch last; empty when no packet was fed."""
         snapshots = self._open()
-        if self._sketch.epoch_start_ns is not None:
-            snapshots.append(self._sketch._snapshot(False))
+        sketch = self._sketch
+        if sketch.epoch_start_ns is not None:
+            snapshots.append(sketch._snapshot(sketch.epoch_index, sketch.epoch_start_ns, False))
         self._snapshots = None
         return snapshots
 
@@ -360,8 +390,128 @@ def collect_epochs(sketch: Sketch, packets: Iterable) -> list[EpochSnapshot]:
     snapshots, one per elapsed epoch, empty ones across gaps included,
     plus the final partial epoch.  Empty traces yield an empty list."""
     collector = EpochCollector(sketch)
-    sketch._update(sketch._rows(packets), collector._open())
+    for chunk in sketch._batches(packets):
+        collector.feed(chunk)
     return collector.finish()
+
+
+class BucketSums(NamedTuple):
+    """One bucket's sums over one epoch, folded from its flows' sums:
+    the four StageCell fields a detector reads, and no other."""
+
+    pkt_count: int
+    byte_sum: int
+    iat_sum_ns: int
+    iat_count: int
+
+
+# The fields of a flow's or a bucket's sums list.
+_COUNT, _BYTES, _FIRST, _LAST = map(itemgetter, range(4))
+
+
+class FlowSums:
+    """The sweep's pass for one key spec and epoch length, fed in
+    column chunks on an EpochClock: (raw key value, epoch) pairs that
+    received at least one anomalous-labelled packet, and per hash width
+    the epoch snapshots that the sketch's update loop would take of
+    stage 0, each cell a BucketSums.
+
+    It keeps four sums per raw key of the open epoch: the packet count,
+    the byte sum, and the first and last timestamp.  When the epoch
+    closes, each hash width folds them into its buckets and they are
+    dropped.  That gives exactly the four fields a detector reads of a
+    sketch cell (detectors.feature_value): counts and bytes add, and a
+    bucket's gaps within an epoch telescope, so their sum is its last
+    timestamp minus its first and their count its packets minus one,
+    however many flows share it.  Flow sums cannot give the other five
+    metrics of a shared bucket, such as its smallest gap."""
+
+    def __init__(self, epoch_ns: int, key_bits: int, widths: Iterable[int]):
+        self._clock = EpochClock(epoch_ns)
+        self._folds = {
+            w: _Memo(partial(fold, key_bits=key_bits, width_bits=w), FOLD_MEMO_MAX) for w in widths
+        }
+        self._snapshots: dict[int, list[EpochSnapshot]] | None = {w: [] for w in self._folds}
+        self._pairs: set[tuple[int, int]] = set()
+        # Raw key -> [packets, bytes, first timestamp, last timestamp] of
+        # the open epoch.
+        self._flows: dict[int, list[int]] = {}
+
+    def _open(self) -> dict[int, list[EpochSnapshot]]:
+        if self._snapshots is None:
+            raise ValueError("the flow pass is finished")
+        return self._snapshots
+
+    def feed(self, chunk, keys: Sequence[int]) -> None:
+        """Take the next timestamp-sorted column chunk (an
+        ingest.TraceColumns) and its key column.  Raises ValueError on a
+        timestamp regression, including against earlier chunks, with
+        the tracker's message; the rows before it are kept."""
+        self._open()
+        times, lengths, labels = chunk.timestamp_ns, chunk.length_bytes, chunk.label
+        clock = self._clock
+        for crossed, index, _, begin, end in clock.split(times):
+            if crossed:
+                (closing, start), *empty = clock.passed(crossed)
+                self._fold(closing, start, True)
+                for width, snapshots in self._snapshots.items():
+                    snapshots.extend(EpochSnapshot(i, s, True, 1 << width, (), ()) for i, s in empty)
+            segment = labels[begin:end]
+            if Label.ANOMALOUS in segment:
+                anomalous = map(is_, segment, repeat(Label.ANOMALOUS))
+                self._pairs.update(compress(zip(keys[begin:end], repeat(index)), anomalous))
+            flows = self._flows
+            get = flows.get
+            for key, nbytes, ts in zip(keys[begin:end], lengths[begin:end], times[begin:end]):
+                sums = get(key)
+                if sums is None:
+                    flows[key] = [1, nbytes, ts, ts]
+                else:
+                    sums[0] += 1
+                    sums[1] += nbytes
+                    sums[3] = ts
+
+    def _fold(self, index: int, start: int, complete: bool) -> None:
+        """Append the open epoch's snapshot at every width, as epoch
+        index starting at start, and drop its flow sums."""
+        flows = self._flows
+        for width, buckets in self._folds.items():
+            merged: dict[int, list[int]] = {}
+            get = merged.get
+            for bucket, sums in zip(map(buckets.__getitem__, flows), flows.values()):
+                into = get(bucket)
+                if into is None:
+                    # A copy: every width reads the flows' lists.
+                    merged[bucket] = sums.copy()
+                    continue
+                into[0] += sums[0]
+                into[1] += sums[1]
+                # The flows are in the order of their first packets, so
+                # the bucket's first timestamp is its first flow's.
+                if sums[3] > into[3]:
+                    into[3] = sums[3]
+            order = sorted(merged)
+            rows = list(map(merged.__getitem__, order))
+            counts = list(map(_COUNT, rows))
+            cells = map(
+                tuple.__new__, repeat(BucketSums),
+                zip(counts, map(_BYTES, rows), map(sub, map(_LAST, rows), map(_FIRST, rows)), map(sub, counts, repeat(1))),
+            )
+            self._snapshots[width].append(
+                EpochSnapshot(index, start, complete, 1 << width, tuple(order), tuple(cells))
+            )
+        self._flows = {}
+
+    def finish(self) -> tuple[frozenset[tuple[int, int]], dict[int, list[EpochSnapshot]]]:
+        """The anomalous pairs, and per width the snapshots in epoch
+        order with the trailing partial epoch last (none when no packet
+        was fed).  The pass is closed: feed() and finish() then raise."""
+        snapshots = self._open()
+        clock = self._clock
+        if clock.start is not None:
+            self._fold(clock.index, clock.start, False)
+        self._snapshots = None
+        return frozenset(self._pairs), snapshots
 
 
 # The snapshot file's cell columns, after stage and bucket, in file order,

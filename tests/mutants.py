@@ -41,31 +41,68 @@ class Mutant(NamedTuple):
 
 
 EPOCH_CLOCK = ("tests/test_epoch_clock.py::test_collect_epochs_matches_per_packet_replay",)
+SWEEP_CLOCK = (
+    "tests/test_evaluation.py::test_sweep_opens_an_epoch_at_a_packet_on_its_boundary",
+    "tests/test_sweep_reference.py::test_sweep_matches_per_config_reference",
+)
 ONE_POLICY = "CHANGES.md: the sketch snapshots the epochs it closes"
 ONE_FAILURE = "CHANGES.md: the sweep has one failure for its one stream"
 NO_UNUSED_PATHS = "CHANGES.md: one line grammar, one-stage sweep replays, pps only when asked"
 ONE_FLOW_PASS = "CHANGES.md: every hash width from one flow pass; verdicts built and scored by column"
+ONE_CLOCK = "CHANGES.md: one epoch clock for the sketch and the flow pass"
 
 MUTANTS = (
     Mutant(
         "empty epochs include the one at ts", "sketch.py",
-        "for k in range(1, gap)", "for k in range(1, gap + 1)",
+        "range(self.index - gap, self.index), range(self.start - gap * epoch_ns, self.start, epoch_ns)",
+        "range(self.index - gap, self.index + 1), range(self.start - gap * epoch_ns, self.start + 1, epoch_ns)",
         EPOCH_CLOCK, ONE_POLICY,
     ),
     Mutant(
         "empty epochs start one epoch early", "sketch.py",
-        "start + k * epoch_ns, True", "start + (k - 1) * epoch_ns, True",
+        "EpochSnapshot(i, s, True, bucket_count", "EpochSnapshot(i, s - self._config.epoch_ns, True, bucket_count",
         EPOCH_CLOCK, ONE_POLICY,
     ),
     Mutant(
         "empty epochs' index one low", "sketch.py",
-        "EpochSnapshot(index + k,", "EpochSnapshot(index + k - 1,",
+        "EpochSnapshot(i, s, True, bucket_count", "EpochSnapshot(i - 1, s, True, bucket_count",
         EPOCH_CLOCK, ONE_POLICY,
     ),
     Mutant(
         "one rotation too few across a gap", "sketch.py",
-        "min(gap, self._config.mem_stages)", "min(gap, self._config.mem_stages - 1)",
+        "min(crossed, self._config.mem_stages)", "min(crossed, self._config.mem_stages - 1)",
         EPOCH_CLOCK, ONE_POLICY,
+    ),
+    # Each splitter mutant is listed twice, so that a sketch test and a
+    # sweep test must each kill it on its own.
+    Mutant(
+        "a run ends after the rows on its boundary, seen by the sketch", "sketch.py",
+        "hi = bisect_left(", "hi = __import__('bisect').bisect_right(",
+        EPOCH_CLOCK, ONE_CLOCK,
+    ),
+    Mutant(
+        "a run ends after the rows on its boundary, seen by the sweep", "sketch.py",
+        "hi = bisect_left(", "hi = __import__('bisect').bisect_right(",
+        SWEEP_CLOCK, ONE_CLOCK,
+    ),
+    Mutant(
+        "one epoch too many crossed, seen by the sketch", "sketch.py",
+        "gap = max((times[lo] - self.start) // epoch_ns, 0)", "gap = max((times[lo] - self.start) // epoch_ns + 1, 0)",
+        EPOCH_CLOCK, ONE_CLOCK,
+    ),
+    Mutant(
+        "one epoch too many crossed, seen by the sweep", "sketch.py",
+        "gap = max((times[lo] - self.start) // epoch_ns, 0)", "gap = max((times[lo] - self.start) // epoch_ns + 1, 0)",
+        SWEEP_CLOCK, ONE_CLOCK,
+    ),
+    Mutant(
+        "the rows before a regression dropped", "sketch.py",
+        "        while lo < end:\n", "        while lo < end == len(times):\n",
+        (
+            "tests/test_sketch.py::test_timestamp_regression_rejected",
+            "tests/test_oracle.py::test_anomalous_keys_name_a_regression_as_the_tracker_does",
+        ),
+        ONE_CLOCK,
     ),
     Mutant(
         "sweep failure not put on rows", "evaluation.py",
@@ -151,7 +188,7 @@ MUTANTS = (
         "CHANGES.md: MENDED line on detect checking its setting after the replay",
     ),
     Mutant(
-        "a shared bucket's gaps summed per flow", "oracle.py",
+        "a shared bucket's gaps summed per flow", "sketch.py",
         "                if sums[3] > into[3]:\n                    into[3] = sums[3]\n",
         "                into[3] += sums[3] - sums[2]\n",
         (
@@ -161,9 +198,9 @@ MUTANTS = (
         ONE_FLOW_PASS,
     ),
     Mutant(
-        "every epoch's flow sums held to the end", "oracle.py",
-        "        self._flows = {}\n\n    def _close",
-        "        self._held = [*getattr(self, '_held', []), self._flows]\n        self._flows = {}\n\n    def _close",
+        "every epoch's flow sums held to the end", "sketch.py",
+        "        self._flows = {}\n\n    def finish",
+        "        self._held = [*getattr(self, '_held', []), self._flows]\n        self._flows = {}\n\n    def finish",
         ("tests/test_evaluation.py::test_sweep_holds_the_flow_sums_of_one_open_epoch",),
         ONE_FLOW_PASS,
     ),
@@ -193,7 +230,7 @@ EQUIVALENT = (
     # so a bucket's first timestamp is already its first flow's when a
     # later flow merges in.
     Mutant(
-        "a merged bucket's first timestamp compared too", "oracle.py",
+        "a merged bucket's first timestamp compared too", "sketch.py",
         "                into[1] += sums[1]\n",
         "                into[1] += sums[1]\n                if sums[2] < into[2]:\n                    into[2] = sums[2]\n",
         (
@@ -202,12 +239,24 @@ EQUIVALENT = (
         ),
         ONE_FLOW_PASS,
     ),
+    # The clock's order check falls back to finding the first regression
+    # whenever its fast check fails, so a fast check that misjudges a
+    # tuple column costs time, not a wrong answer.
+    Mutant(
+        "the order fast-checked as a list only", "sketch.py",
+        "sorted(times) == list(times)", "times == sorted(times)",
+        (
+            "tests/test_evaluation.py::test_tuple_columns_match_their_list_twin",
+            "tests/test_oracle.py::test_anomalous_keys_name_a_regression_as_the_tracker_does",
+        ),
+        ONE_CLOCK,
+    ),
 )
 
 # The runner's self-test: it changes nothing, so its tests must pass.
 NO_OP = Mutant(
     "no-op", "sketch.py",
-    "for k in range(1, gap)", "for k in range(1, gap)",
+    "hi = bisect_left(", "hi = bisect_left(",
     EPOCH_CLOCK + ("tests/test_evaluation.py::test_sweep_timestamp_regression_fails_every_row_it_reaches",),
     "tests/mutants.py",
 )

@@ -101,7 +101,8 @@ def test_generate_rejects_a_multiplier_it_cannot_draw(tmp_path, capsys, multipli
 
 # Runs the command in argv[1:] through main() and prints which of the
 # costly standard-library modules it imported, then its exit code and
-# whether it imported evaluation or oracle.
+# whether it imported evaluation or oracle, the reference that no
+# command needs.
 IMPORT_PROBE = (
     "import sys\n"
     "from flowsketch.cli import main\n"
@@ -133,6 +134,7 @@ def test_generate_and_extract_do_not_import_the_scoring_modules(tmp_path):
 
 def test_commands_start_without_the_costly_stdlib_modules(tmp_path):
     # -S keeps site hooks, which may import anything, out of the count.
+    # No command imports the oracle either.
     trace = str(tmp_path / "trace.csv")
     commands = [
         ["generate", "--out", trace, "--flows", "3", "--packets-per-flow", "20",
@@ -150,6 +152,7 @@ def test_commands_start_without_the_costly_stdlib_modules(tmp_path):
         assert proc.returncode == 0, proc.stderr
         heavy, status = proc.stdout.splitlines()[-2:]
         assert status.startswith("0 "), (command[0], proc.stdout)
+        assert "flowsketch.oracle" not in status, (command[0], status)
         assert heavy == "[]", (command[0], heavy)
 
 

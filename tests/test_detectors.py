@@ -22,8 +22,7 @@ from flowsketch.detectors import (
     write_verdicts,
 )
 from flowsketch.ingest import TraceFormatError
-from flowsketch.oracle import BucketSums
-from flowsketch.sketch import EpochSnapshot, StageCell
+from flowsketch.sketch import BucketSums, EpochSnapshot, StageCell
 
 from conftest import count_snapshot, dense_cells, dense_verdicts
 

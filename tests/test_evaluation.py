@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowsketch.detectors import DetectorSetting, EpochVerdicts, Verdict, Verdicts, run_detector
-from flowsketch import evaluation, oracle
+from flowsketch import evaluation, sketch
 from flowsketch.evaluation import (
     REPORT_HEADER,
     GroundTruthGrid,
@@ -32,6 +32,7 @@ from flowsketch.ingest import (
     Label,
     PARSE_CHUNK_ROWS,
     SyntheticProfile,
+    TraceColumns,
     TraceFormatError,
     generate_synthetic,
     open_trace,
@@ -39,8 +40,8 @@ from flowsketch.ingest import (
     read_trace,
     write_trace,
 )
-from flowsketch.oracle import ExactTracker, FlowSums
-from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, Sketch, SketchConfig, collect_epochs
+from flowsketch.oracle import ExactTracker
+from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, EpochCollector, FlowSums, Sketch, SketchConfig, collect_epochs
 
 from conftest import column_chunks, make_packet, random_records
 
@@ -463,6 +464,23 @@ def test_sweep_single_cell():
     assert row.f1 == float(q.f1)
 
 
+def test_sweep_opens_an_epoch_at_a_packet_on_its_boundary():
+    # Epochs of 1000 ns anchor at ts 0, so the anomalous packet at 1000
+    # opens epoch 1, which then holds both of source 2's packets, and
+    # the packet at 2500 closes it.  Threshold 1.5 flags that cell alone,
+    # so the row reads tp 1 only if the boundary packet falls in epoch 1
+    # in both the snapshots and the ground truth.
+    packets = [
+        make_packet(ts=0, src=1),
+        make_packet(ts=1000, src=2, label=Label.ANOMALOUS),
+        make_packet(ts=1200, src=2),
+        make_packet(ts=2500, src=1),
+    ]
+    config = SketchConfig(4, 1, 1000, SRC_KEY)
+    (row,) = sweep(column_chunks(packets), [config], [DetectorSetting("threshold", threshold=1.5)])
+    assert (row.tp, row.fp, row.fn, row.tn) == (1, 0, 0, 31)
+
+
 def test_sweep_grid_cardinality_and_order():
     records = flood_records()
     configs = [
@@ -552,6 +570,35 @@ def test_sweep_timestamp_regression_fails_every_row_it_reaches():
             assert row.error == "config needs 83886080 cells, budget is 67108864"
         else:
             assert row.error == str(regression.value)
+
+
+def test_tuple_columns_match_their_list_twin():
+    # The sketch's record path builds chunks whose columns are tuples;
+    # every consumer of a chunk reads them as it reads lists.
+    records = random_records(random.Random(5), 250, span_ns=20_000, anomalous_rate=0.3)
+    lists = column_chunks(records, rows=100)
+    tuples = [TraceColumns._make(map(tuple, chunk)) for chunk in lists]
+    key = KeySpec(("src_ip", "dst_port"))
+    configs = [SketchConfig(w, 1, 1000, key) for w in (2, 4)]
+    settings_ = [DetectorSetting("threshold", threshold=3.0), DetectorSetting("ewma", k=3.0, alpha=0.3)]
+    rows = sweep(lists, configs, settings_)
+    assert all(r.error is None for r in rows)
+    assert sweep(tuples, configs, settings_) == rows
+
+    def collected(chunks):
+        collector = EpochCollector(Sketch(configs[1]))
+        for chunk in chunks:
+            collector.feed(chunk)
+        return collector.finish()
+
+    def flow_pass(chunks):
+        sums = FlowSums(1000, key.total_bits, (2, 4))
+        for chunk in chunks:
+            sums.feed(chunk, key.key_column(chunk))
+        return sums.finish()
+
+    assert collected(tuples) == collected(lists) == collect_epochs(Sketch(configs[1]), records)
+    assert flow_pass(tuples) == flow_pass(lists)
 
 
 def test_sweep_reads_past_a_failed_pass_to_an_error_in_the_input():
@@ -646,7 +693,7 @@ def test_sweep_holds_the_flow_sums_of_one_open_epoch(monkeypatch):
     # of every epoch would grow with the epoch count; a fold memo of 16
     # keys keeps the memo out of the measure.  At W=1 the snapshots and
     # verdicts add a few hundred bytes an epoch.
-    monkeypatch.setattr(oracle, "FOLD_MEMO_MAX", 16)
+    monkeypatch.setattr(sketch, "FOLD_MEMO_MAX", 16)
     epoch_ns, sources = 10_000, 500
 
     def chunks(epochs):

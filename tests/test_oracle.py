@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flowsketch.hashing import FlowKey, KeySpec, shift_xor_hash
 from flowsketch.ingest import Label, TraceColumns
-from flowsketch.oracle import BucketSums, ExactTracker, FlowStats, FlowSums, merge_flow_stats
-from flowsketch.sketch import Sketch, SketchConfig, StageCell, collect_epochs
+from flowsketch.oracle import ExactTracker, FlowStats, merge_flow_stats
+from flowsketch.sketch import BucketSums, EpochCollector, FlowSums, Sketch, SketchConfig, StageCell, collect_epochs
 
 from conftest import make_packet, random_records
 
@@ -152,13 +152,21 @@ def test_oracle_rejects_regression():
         tr.update(make_packet(ts=49))
 
 
+def chunks_at(packets, cuts):
+    """The packets as column chunks that end at the cuts; a cut may
+    make an empty chunk."""
+    bounds = [0, *cuts, len(packets)]
+    return [
+        TraceColumns._make(map(list, zip(*packets[lo:hi])) if hi > lo else [[]] * 9)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
 def flow_sums(packets, key, epoch_ns, cuts=(), widths=()):
     """FlowSums.finish() of the packets fed in column chunks that end
-    at the cuts; a cut may make an empty chunk."""
+    at the cuts."""
     sums = FlowSums(epoch_ns, key.total_bits, widths)
-    bounds = [0, *cuts, len(packets)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        chunk = TraceColumns._make(map(list, zip(*packets[lo:hi])) if hi > lo else [[]] * 9)
+    for chunk in chunks_at(packets, cuts):
         sums.feed(chunk, key.key_column(chunk))
     return sums.finish()
 
@@ -251,6 +259,24 @@ def test_anomalous_keys_name_a_regression_as_the_tracker_does(seed, at, cuts):
     with pytest.raises(ValueError) as got:
         anomalous_keys(records, SRC_KEY, 1000, sorted(cuts))
     assert str(got.value) == str(want.value)
+    # The flow pass, the epoch collector and update_many read one clock:
+    # each names the regression so too, and keeps the rows before it.
+    config = SketchConfig(4, 2, 1000, SRC_KEY)
+    sums = FlowSums(1000, SRC_KEY.total_bits, (4,))
+    collector, sketch = EpochCollector(Sketch(config)), Sketch(config)
+    chunks = chunks_at(records, sorted(cuts))
+    for feed in (lambda c: sums.feed(c, c.src_ip), collector.feed, lambda c: sketch.update_many(c.records())):
+        with pytest.raises(ValueError) as got:
+            for chunk in chunks:
+                feed(chunk)
+        assert str(got.value) == str(want.value)
+    before = records[:at]
+    assert sums.finish() == flow_sums(before, SRC_KEY, 1000, widths=(4,))
+    assert collector.finish() == collect_epochs(Sketch(config), before)
+    kept = Sketch(config)
+    kept.update_many(before)
+    assert [sketch.stage(s) for s in (0, 1)] == [kept.stage(s) for s in (0, 1)]
+    assert (sketch.epoch_index, sketch.epoch_start_ns) == (kept.epoch_index, kept.epoch_start_ns)
 
 
 def sketch_sums(snapshots):
