@@ -17,10 +17,10 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .detectors import DETECTOR_PARAMS, FEATURES, DetectorSetting, check_setting, run_detector, write_verdicts
-from .hashing import KeySpec
 from .ingest import (
     AnomalyKind,
     AnomalyProfile,
@@ -32,13 +32,15 @@ from .ingest import (
     read_trace,
     write_trace,
 )
-from .sketch import EpochCollector, EpochSnapshot, Sketch, SketchConfig, write_snapshot
 
 # evaluation, and through it fractions, is imported inside the four
 # commands that score or bench, so that generate and extract start
-# without compiling or importing them.  No command imports oracle.
+# without compiling or importing them, and sketch and hashing inside
+# the commands that read a trace, so that generate does not import
+# them.  No command imports oracle.
 if TYPE_CHECKING:
     from .evaluation import ParetoPoint, SweepRow
+    from .sketch import SketchConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,6 +182,9 @@ def _print_front(points: Iterable[ParetoPoint | SweepRow]) -> None:
 
 
 def _sketch_config(args: argparse.Namespace) -> SketchConfig:
+    from .hashing import KeySpec
+    from .sketch import SketchConfig
+
     return SketchConfig(args.hash_width, args.mem_stages, args.epoch_ns, KeySpec.parse(args.key_spec))
 
 
@@ -293,21 +298,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _epoch_snapshots(chunks: Iterable[TraceColumns], sketch: Sketch) -> list[EpochSnapshot]:
-    """The stage-0 snapshot of every elapsed epoch of the chunks, in
-    order, the trailing partial epoch last."""
-    collector = EpochCollector(sketch)
-    for chunk in chunks:
-        collector.feed(chunk)
-    return collector.finish()
-
-
 def _cmd_extract(args: argparse.Namespace) -> int:
+    from .sketch import Sketch, write_snapshot
+
     config = _sketch_config(args)
     # Every row is read before the first file is written, so that an
     # error in the trace leaves no file behind.
     with _trace_chunks(args.trace) as chunks:
-        snapshots = _epoch_snapshots(chunks, Sketch(config))
+        snapshots = list(Sketch(config).epochs(chunks))
     os.makedirs(args.out_dir, exist_ok=True)
     for e, snapshot in enumerate(snapshots):
         suffix = "" if snapshot.complete else "_partial"
@@ -327,6 +325,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     from .evaluation import GroundTruthGrid, score
+    from .sketch import Sketch
 
     config = _sketch_config(args)
     setting = _detector_setting(args)
@@ -334,22 +333,24 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         sketch = Sketch(config)
         # Refused before the replay, and after the budget check.
         check_setting(setting)
-        snapshots = [s for s in _epoch_snapshots(chunks, sketch) if s.complete]
-    verdicts = run_detector(setting, snapshots)
+        verdicts = run_detector(setting, filter(attrgetter("complete"), sketch.epochs(chunks)))
+    epochs = len(verdicts.epochs)
     write_verdicts(args.out, verdicts)
     # score is the one counter of the cells a shared verdict stands for:
     # against a grid with no anomalous cell, flagged cells are its fp.
-    counts = score(verdicts, GroundTruthGrid(config.bucket_count, len(snapshots), frozenset()))
+    counts = score(verdicts, GroundTruthGrid(config.bucket_count, epochs, frozenset()))
     cells, flagged = counts.fp + counts.tn, counts.fp
     print(
         f"{setting.detector_id()}: {cells} verdicts ({flagged} anomalous) "
-        f"over {len(snapshots)} completed epochs, written to {args.out}"
+        f"over {epochs} completed epochs, written to {args.out}"
     )
     return EXIT_OK
 
 
 def _cmd_sweep(*runs: argparse.Namespace) -> int:
     from .evaluation import sweep, write_report_csv, write_report_json
+    from .hashing import KeySpec
+    from .sketch import SketchConfig
 
     # One namespace per detector setting; only their detector options differ.
     args = runs[0]

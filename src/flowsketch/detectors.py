@@ -1,9 +1,9 @@
 """Per-bucket anomaly detectors over epoch snapshot streams.
 
 All detectors consume the stage-0 snapshots produced by the sketch, one
-per epoch, and decide every (bucket, epoch) of the grid.  A verdict is
-anomalous exactly when its score exceeds the detector's threshold (k
-for the model-based detectors).
+per epoch, from a list or as a stream, and decide every (bucket, epoch)
+of the grid.  A verdict is anomalous exactly when its score exceeds the
+detector's threshold (k for the model-based detectors).
 
 Three detectors are provided: a plain threshold on a feature value, a
 z-score against a baseline fitted on a training prefix, and an EWMA
@@ -18,10 +18,11 @@ EWMA buckets whose running mean or deviation is nonzero.  The feature
 column and the verdict rows are built by C-level maps.  The mean alone
 would not do: with alpha 1 a bucket's mean is 0 one idle epoch before
 its deviation is.  Every other bucket shares one verdict, scored once
-per epoch from StageCell() with zero state.  That is exact: such a
-bucket's cell is empty and its state is zero, so scoring it on its own
-would run the very same arithmetic on the very same numbers, whatever
-the threshold, k or alpha (negative ones included).
+per epoch from a feature value of 0.0, every feature of an empty cell,
+with zero state.  That is exact: such a bucket's cell is empty and its
+state is zero, so scoring it on its own would run the very same
+arithmetic on the very same numbers, whatever the threshold, k or alpha
+(negative ones included).
 
 Verdict, EpochVerdicts, BaselineModel and DetectorSetting are immutable
 tuples.  Verdicts is an immutable object, as its iteration and len()
@@ -36,12 +37,14 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, gt, not_, truediv
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .ingest import _Record, csv_line, opt_int, parse_flag, parse_float, parse_uint, read_csv, write_csv
-from .sketch import EpochSnapshot, StageCell
+
+if TYPE_CHECKING:
+    from .sketch import EpochSnapshot
 
 # Each feature as the cell fields it reads: a count or sum alone, or an
 # average's numerator and denominator.
@@ -66,9 +69,6 @@ DETECTOR_PARAMS = {
 EWMA_EPS = 1e-9
 
 _INF = math.inf
-
-# The cell of every bucket a snapshot does not hold.
-_EMPTY = StageCell()
 
 
 def _feature_fields(feature: str) -> tuple[str, ...]:
@@ -165,23 +165,23 @@ def _sparse_verdicts(
 ) -> EpochVerdicts:
     """Decide one epoch.  The buckets the snapshot holds or in stateful,
     ascending, are scored as one column, scores(buckets, xs) with xs
-    their feature values; the shared verdict is scores((None,), (x,))
-    with x an empty cell's value.  A score above limit is anomalous.
-    stateful is read before the first scores call, which may update it."""
+    their feature values; the shared verdict is scores((None,), (0.0,)),
+    0.0 being every feature of an empty cell.  A score above limit is
+    anomalous.  stateful is read before the first scores call, which may
+    update it."""
     buckets = snapshot.buckets
     xs = feature_column(snapshot.cells, feature)
-    empty = feature_value(_EMPTY, feature)
     if stateful:
         by_bucket = dict(zip(buckets, xs))
         buckets = sorted(by_bucket.keys() | stateful)
-        xs = list(map(by_bucket.get, buckets, repeat(empty)))
+        xs = list(map(by_bucket.get, buckets, repeat(0.0)))
     epoch = snapshot.epoch_index
     s = list(scores(buckets, xs))
     explicit = tuple(map(
         tuple.__new__, repeat(Verdict),
         zip(repeat(kind), repeat(epoch), buckets, s, map(gt, s, repeat(limit))),
     ))
-    (shared,) = scores((None,), (empty,))
+    (shared,) = scores((None,), (0.0,))
     return EpochVerdicts(kind, epoch, snapshot.bucket_count, explicit, shared, shared > limit)
 
 
@@ -216,12 +216,12 @@ def fit_baseline(snapshots: Sequence[EpochSnapshot], feature: str) -> BaselineMo
         if snap.bucket_count != bucket_count:
             raise ValueError("training snapshots disagree on bucket count")
     epochs = [dict(zip(snap.buckets, feature_column(snap.cells, feature))) for snap in snapshots]
-    empty = feature_value(_EMPTY, feature)
     means = {}
     stds = {}
     # A bucket no training epoch touched has mean 0 and std 0.
     for b in sorted(set().union(*epochs)):
-        values = [xs.get(b, empty) for xs in epochs]
+        # An untouched bucket's feature is 0.0, as an empty cell's.
+        values = [xs.get(b, 0.0) for xs in epochs]
         mean = sum(values) / n
         var = sum((x - mean) ** 2 for x in values) / n
         std = math.sqrt(var)
@@ -363,27 +363,31 @@ def check_setting(setting: DetectorSetting) -> None:
 
 
 def run_detector(
-    setting: DetectorSetting, snapshots: Sequence[EpochSnapshot]
+    setting: DetectorSetting, snapshots: Iterable[EpochSnapshot]
 ) -> Verdicts:
-    """Apply a detector setting to an epoch snapshot sequence.
+    """Apply a detector setting to epoch snapshots, a list or a stream,
+    read once, in order.
 
-    The z-score detector fits on the first train_epochs snapshots and
-    then scores every snapshot, training prefix included.
+    The z-score detector holds the first train_epochs snapshots, fits on
+    them, and then scores every snapshot, training prefix included.
     """
     check_setting(setting)
+    snapshots = iter(snapshots)
     if setting.kind == "threshold":
         observe = partial(detect_threshold, feature=setting.feature, threshold=setting.threshold)
     elif setting.kind == "zscore":
         train = setting.train_epochs
-        if train > len(snapshots):
+        prefix = list(islice(snapshots, train))
+        if train > len(prefix):
             raise ValueError(
-                f"train_epochs={train} exceeds available epochs ({len(snapshots)})"
+                f"train_epochs={train} exceeds available epochs ({len(prefix)})"
             )
-        model = fit_baseline(snapshots[:train], setting.feature)
+        model = fit_baseline(prefix, setting.feature)
         observe = partial(detect_zscore, model=model, k=setting.k)
+        snapshots = chain(prefix, snapshots)
     else:
         observe = EwmaDetector(setting.feature, setting.alpha, setting.k).observe
-    return Verdicts(tuple(observe(snap) for snap in snapshots))
+    return Verdicts(tuple(map(observe, snapshots)))
 
 
 # A verdict file's columns are Verdict's fields; each has its parser here.

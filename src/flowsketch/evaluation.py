@@ -424,7 +424,7 @@ def sweep(
             outcomes = [failure] * len(detector_settings)
         else:
             pairs, snapshots = finished[key[:2]]
-            completed = [s for s in snapshots.pop(key[2]) if s.complete]
+            completed = snapshots.pop(key[2])
             grid = GroundTruthGrid.from_keys(pairs, configs[0], len(completed))
             for setting in detector_settings:
                 try:

@@ -1,36 +1,39 @@
 """Streaming sketch: hashed per-bucket traffic features over epochs.
 
-The sketch keeps mem_stages equal-length epochs of state as a shift
-register of stages.  Stage 0 accumulates the current epoch; when the
-stream's timestamp crosses an epoch boundary the stages shift (stage 0
-becomes stage 1 and so on), the oldest stage falls off, and a fresh
-stage 0 starts.
+The sketch keeps mem_stages equal-length epochs of state.  Stage 0
+accumulates the current epoch, and stage s holds the epoch s before it.
+The hardware sketch holds them as a shift register that shifts at each
+epoch boundary; this one keys each epoch's cells by its index on the
+epoch clock, so stage s is epoch clock.index - s, and a boundary drops
+only the epochs that leave the window of the last mem_stages.
 
 The modelled footprint, the one the hardware sketch has and that
 evaluation.resource_model costs, is fixed at mem_stages * 2**hash_width
 cells regardless of traffic.  This process holds only the cells that
-traffic touched: each stage maps bucket to cell, a rotation starts an
-empty map, and snapshots carry the touched buckets alone.  Memory and
-per-epoch work therefore grow with traffic, not with 2**hash_width.
+traffic touched, of the last mem_stages epochs that had traffic: each
+epoch maps bucket to cell, and snapshots carry the touched buckets
+alone.  Memory and per-epoch work therefore grow with traffic, not with
+mem_stages or 2**hash_width.
 
 Epochs are anchored at the first packet's timestamp, so boundaries sit
-at first_ts + k * epoch_ns.  Gaps in traffic still shift once per
-elapsed epoch.  Inter-arrival tracking restarts each epoch: the first
-packet a bucket sees in an epoch contributes no gap sample.
+at first_ts + k * epoch_ns.  A gap in traffic still passes one empty
+epoch per elapsed epoch.  Inter-arrival tracking restarts each epoch:
+the first packet a bucket sees in an epoch contributes no gap sample.
 
 EpochClock is the one place that finds epoch boundaries: it cuts each
 column chunk (ingest.TraceColumns) into runs of rows of one epoch.  The
 sketch's one update loop runs over a run's timestamp, length and key
 columns, folds each key to its bucket through a bounded memo, and
 snapshots each epoch it closes into the list it is given.  Column
-chunks reach it through EpochCollector.feed, and packet records,
-transposed to column chunks, through Sketch.update_many and
-collect_epochs.  FlowSums, the sweep's pass, reads the same clock.
+chunks reach it through Sketch.epochs, a stream of those snapshots,
+and packet records, transposed to column chunks, through
+Sketch.update_many and collect_epochs.  FlowSums, the sweep's pass,
+reads the same clock.
 
 A bucket's state is one StageCell of nine raw metrics, a plain mutable
 object whose __dict__ holds them; SketchConfig and EpochSnapshot are
 immutable tuples.  Sketch.stage returns copies of cells.  An epoch
-snapshot holds stage 0's cells themselves, since nothing writes to a
+snapshot holds its epoch's cells themselves, since nothing writes to a
 cell once its epoch has closed.  Derived features such as averages are
 read from a cell by detectors.feature_value.
 """
@@ -184,7 +187,8 @@ class EpochClock:
 
 class Sketch:
     """Feature extractor over a timestamp-sorted stream, holding the
-    touched cells of its mem_stages stages."""
+    touched cells of its mem_stages stages: stage s is epoch
+    epoch_index - s."""
 
     def __init__(self, config: SketchConfig):
         if config.cell_count > DEFAULT_MAX_CELLS:
@@ -192,8 +196,9 @@ class Sketch:
                 f"config needs {config.cell_count} cells, budget is {DEFAULT_MAX_CELLS}"
             )
         self._config = config
-        # Each stage maps bucket to cell; untouched buckets have no entry.
-        self._stages: list[dict[int, StageCell]] = [{} for _ in range(config.mem_stages)]
+        # Epoch index -> bucket -> cell, for the epochs of the last
+        # mem_stages that had traffic; untouched buckets have no entry.
+        self._epochs: dict[int, dict[int, StageCell]] = {}
         self._clock = EpochClock(config.epoch_ns)
         # Raw key value -> bucket: a value is folded once while the memo
         # holds it.
@@ -228,38 +233,52 @@ class Sketch:
         count.  Raises ValueError on a timestamp regression, including
         against packets from earlier calls; the packets before it are
         kept."""
-        return sum(self._update(chunk, None, None) for chunk in self._batches(packets))
+        return sum(self._update(chunk, None) for chunk in self._batches(packets))
 
-    def _update(self, chunk, keys: Sequence[int] | None, closed: list[EpochSnapshot] | None) -> int:
-        """The update loop over a column chunk, whose key column, if
-        already built, is keys, appending to closed, if given, each
-        closing epoch's snapshot.  Returns the row count.
+    def epochs(self, chunks: Iterable[TraceColumns]) -> Iterator[EpochSnapshot]:
+        """Stream timestamp-sorted column chunks (ingest.TraceColumns)
+        through the sketch, yielding each epoch's stage-0 snapshot as it
+        closes, an empty one for each epoch a gap crosses, and then the
+        trailing partial epoch's.  Yields nothing for no rows.
+
+        On a timestamp regression, including against earlier chunks,
+        the epochs closed before the regressing row are yielded, then
+        ValueError names it as ExactTracker does; the rows before it are
+        kept."""
+        for chunk in chunks:
+            closed: list[EpochSnapshot] = []
+            try:
+                self._update(chunk, closed)
+            except ValueError:
+                yield from closed
+                raise
+            yield from closed
+        if self._clock.start is not None:
+            yield self._snapshot(self._clock.index, self._clock.start, False)
+
+    def _update(self, chunk, closed: list[EpochSnapshot] | None) -> int:
+        """The update loop over a column chunk, appending to closed, if
+        given, each closing epoch's snapshot.  Returns the row count.
 
         The clock cuts the chunk into runs of one epoch.  This is the
         hot path: the per-packet work is a memoized hash fold, one cell
         fetch, and nine field updates."""
-        if keys is None:
-            keys = self._config.key_spec.key_column(chunk)
+        keys = self._config.key_spec.key_column(chunk)
         times, lengths = chunk.timestamp_ns, chunk.length_bytes
         clock = self._clock
         buckets = self._buckets
         bucket_get = buckets.get
-        stages = self._stages
-        stage0 = stages[0]
+        epochs = self._epochs
+        stage0 = epochs.setdefault(clock.index, {})
         rows = zip(times, lengths, keys)
-        for crossed, _, _, begin, end in clock.split(times):
+        for crossed, index, _, begin, end in clock.split(times):
             if crossed:
                 # The closing epoch's snapshot, then one per empty epoch
-                # crossed; after mem_stages rotations every stage is empty.
+                # crossed.
                 if closed is not None:
-                    (index, start), *empty = clock.passed(crossed)
-                    closed.append(self._snapshot(index, start, True))
-                    bucket_count = self._config.bucket_count
-                    closed.extend(EpochSnapshot(i, s, True, bucket_count, (), ()) for i, s in empty)
-                for _ in range(min(crossed, self._config.mem_stages)):
-                    stages.pop()
-                    stages.insert(0, {})
-                stage0 = stages[0]
+                    closed.extend(self._snapshot(i, s, True) for i, s in clock.passed(crossed))
+                self._retire(crossed)
+                stage0 = epochs[index] = {}
             for ts, nbytes, v in islice(rows, end - begin):
                 b = bucket_get(v)
                 if b is None:
@@ -290,22 +309,32 @@ class Sketch:
                 cell.last_ts_ns = ts
         return len(times)
 
-    def rotate_epoch(self, new_epoch_start_ns: int) -> None:
-        """Shift the stages by one epoch and start a fresh stage 0.
+    def _retire(self, gap: int) -> None:
+        """Drop the epochs that the clock's move by gap epochs took out
+        of the window of the last mem_stages."""
+        epochs, stages, index = self._epochs, self._config.mem_stages, self._clock.index
+        if gap >= stages:
+            epochs.clear()
+            return
+        for old in range(index - gap - stages + 1, index - stages + 1):
+            epochs.pop(old, None)
 
-        Stage s takes stage s-1's cells bit for bit; the oldest stage is
-        discarded.  The new epoch must start after the current one.
+    def rotate_epoch(self, new_epoch_start_ns: int) -> None:
+        """Move to the next epoch, starting at new_epoch_start_ns, with
+        an empty stage 0.
+
+        Stage s then holds the cells stage s-1 held, bit for bit; the
+        oldest stage's epoch is dropped.  The new epoch must start after
+        the current one.
         """
         clock = self._clock
         if clock.start is None:
             raise ValueError("cannot rotate a sketch with no current epoch")
         if new_epoch_start_ns <= clock.start:
             raise ValueError("new epoch start must be after the current epoch start")
-        stages = self._stages
-        stages.pop()
-        stages.insert(0, {})
         clock.start = new_epoch_start_ns
         clock.index += 1
+        self._retire(1)
 
     def stage(self, stage: int) -> dict[int, StageCell]:
         """Copies of the touched cells of a stage, keyed by bucket in
@@ -313,13 +342,13 @@ class Sketch:
         would be StageCell()."""
         if not 0 <= stage < self._config.mem_stages:
             raise ValueError(f"stage must be in [0, {self._config.mem_stages})")
-        cells = self._stages[stage]
+        cells = self._epochs.get(self._clock.index - stage, {})
         return {bucket: StageCell(**vars(cells[bucket])) for bucket in sorted(cells)}
 
     def _snapshot(self, index: int, start: int, complete: bool) -> EpochSnapshot:
-        """Stage 0's snapshot as epoch index, starting at start: its
-        cells themselves, not copies, buckets ascending."""
-        cells = self._stages[0]
+        """Epoch index's snapshot, starting at start: its cells
+        themselves, not copies, buckets ascending."""
+        cells = self._epochs.get(index, {})
         buckets = sorted(cells)
         return EpochSnapshot(
             index, start, complete, self._config.bucket_count,
@@ -328,8 +357,8 @@ class Sketch:
 
 
 class EpochSnapshot(NamedTuple):
-    """Stage-0 contents of one epoch, taken just before rotation (or at
-    end of stream for the final, possibly partial, epoch).
+    """Stage-0 contents of one epoch, taken as it closes (or at end of
+    stream for the final, possibly partial, epoch).
 
     Only touched buckets are held: buckets ascending, each with its cell
     at the same position in cells.  The other buckets of bucket_count
@@ -347,52 +376,11 @@ class EpochSnapshot(NamedTuple):
     cells: tuple
 
 
-class EpochCollector:
-    """Per-epoch stage-0 snapshots of a stream fed in column chunks:
-    each completed epoch is snapshotted as it closes, and finish() adds
-    the final partial epoch.  Only the snapshots are held, not the
-    packets.
-
-    A snapshot holds stage 0's cells themselves, not copies: nothing
-    writes to a cell once its epoch has closed, and finish() closes the
-    collector, after which feed() and finish() raise."""
-
-    def __init__(self, sketch: Sketch):
-        self._sketch = sketch
-        self._snapshots: list[EpochSnapshot] | None = []
-
-    def _open(self) -> list[EpochSnapshot]:
-        if self._snapshots is None:
-            raise ValueError("the epoch collector is finished")
-        return self._snapshots
-
-    def feed(self, chunk, keys: Sequence[int] | None = None) -> None:
-        """Stream the next timestamp-sorted column chunk (an
-        ingest.TraceColumns), whose key column, if already built, is
-        keys, through the sketch.  Raises ValueError on a timestamp
-        regression, including against earlier chunks; the rows before
-        it are kept."""
-        self._sketch._update(chunk, keys, self._open())
-
-    def finish(self) -> list[EpochSnapshot]:
-        """The snapshots, in epoch order, with the trailing partial
-        epoch last; empty when no packet was fed."""
-        snapshots = self._open()
-        sketch = self._sketch
-        if sketch.epoch_start_ns is not None:
-            snapshots.append(sketch._snapshot(sketch.epoch_index, sketch.epoch_start_ns, False))
-        self._snapshots = None
-        return snapshots
-
-
 def collect_epochs(sketch: Sketch, packets: Iterable) -> list[EpochSnapshot]:
-    """Run a stream of packet records and collect per-epoch stage-0
-    snapshots, one per elapsed epoch, empty ones across gaps included,
+    """Sketch.epochs over a stream of packet records, as a list: one
+    stage-0 snapshot per elapsed epoch, empty ones across gaps included,
     plus the final partial epoch.  Empty traces yield an empty list."""
-    collector = EpochCollector(sketch)
-    for chunk in sketch._batches(packets):
-        collector.feed(chunk)
-    return collector.finish()
+    return list(sketch.epochs(sketch._batches(packets)))
 
 
 class BucketSums(NamedTuple):
@@ -413,8 +401,8 @@ class FlowSums:
     """The sweep's pass for one key spec and epoch length, fed in
     column chunks on an EpochClock: (raw key value, epoch) pairs that
     received at least one anomalous-labelled packet, and per hash width
-    the epoch snapshots that the sketch's update loop would take of
-    stage 0, each cell a BucketSums.
+    the snapshots of the completed epochs that the sketch's update loop
+    would take of stage 0, each cell a BucketSums.
 
     It keeps four sums per raw key of the open epoch: the packet count,
     the byte sum, and the first and last timestamp.  When the epoch
@@ -453,7 +441,7 @@ class FlowSums:
         for crossed, index, _, begin, end in clock.split(times):
             if crossed:
                 (closing, start), *empty = clock.passed(crossed)
-                self._fold(closing, start, True)
+                self._fold(closing, start)
                 for width, snapshots in self._snapshots.items():
                     snapshots.extend(EpochSnapshot(i, s, True, 1 << width, (), ()) for i, s in empty)
             segment = labels[begin:end]
@@ -471,7 +459,7 @@ class FlowSums:
                     sums[1] += nbytes
                     sums[3] = ts
 
-    def _fold(self, index: int, start: int, complete: bool) -> None:
+    def _fold(self, index: int, start: int) -> None:
         """Append the open epoch's snapshot at every width, as epoch
         index starting at start, and drop its flow sums."""
         flows = self._flows
@@ -498,18 +486,15 @@ class FlowSums:
                 zip(counts, map(_BYTES, rows), map(sub, map(_LAST, rows), map(_FIRST, rows)), map(sub, counts, repeat(1))),
             )
             self._snapshots[width].append(
-                EpochSnapshot(index, start, complete, 1 << width, tuple(order), tuple(cells))
+                EpochSnapshot(index, start, True, 1 << width, tuple(order), tuple(cells))
             )
         self._flows = {}
 
     def finish(self) -> tuple[frozenset[tuple[int, int]], dict[int, list[EpochSnapshot]]]:
-        """The anomalous pairs, and per width the snapshots in epoch
-        order with the trailing partial epoch last (none when no packet
-        was fed).  The pass is closed: feed() and finish() then raise."""
+        """The anomalous pairs, and per width the snapshots of the
+        completed epochs in epoch order; the trailing partial epoch has
+        none.  The pass is closed: feed() and finish() then raise."""
         snapshots = self._open()
-        clock = self._clock
-        if clock.start is not None:
-            self._fold(clock.index, clock.start, False)
         self._snapshots = None
         return frozenset(self._pairs), snapshots
 

@@ -50,6 +50,7 @@ ONE_FAILURE = "CHANGES.md: the sweep has one failure for its one stream"
 NO_UNUSED_PATHS = "CHANGES.md: one line grammar, one-stage sweep replays, pps only when asked"
 ONE_FLOW_PASS = "CHANGES.md: every hash width from one flow pass; verdicts built and scored by column"
 ONE_CLOCK = "CHANGES.md: one epoch clock for the sketch and the flow pass"
+KEYED_STAGES = "CHANGES.md: the sketch keeps its epochs by index and streams them"
 
 MUTANTS = (
     Mutant(
@@ -59,19 +60,42 @@ MUTANTS = (
         EPOCH_CLOCK, ONE_POLICY,
     ),
     Mutant(
-        "empty epochs start one epoch early", "sketch.py",
-        "EpochSnapshot(i, s, True, bucket_count", "EpochSnapshot(i, s - self._config.epoch_ns, True, bucket_count",
+        "closed epochs start one epoch early", "sketch.py",
+        "self._snapshot(i, s, True)", "self._snapshot(i, s - self._config.epoch_ns, True)",
         EPOCH_CLOCK, ONE_POLICY,
     ),
     Mutant(
-        "empty epochs' index one low", "sketch.py",
-        "EpochSnapshot(i, s, True, bucket_count", "EpochSnapshot(i - 1, s, True, bucket_count",
+        "closed epochs' index one low", "sketch.py",
+        "self._snapshot(i, s, True)", "self._snapshot(i - 1, s, True)",
         EPOCH_CLOCK, ONE_POLICY,
     ),
+    # The reference replay rotates through the same window, so a test
+    # that states the stages' contents must kill it.
     Mutant(
-        "one rotation too few across a gap", "sketch.py",
-        "min(crossed, self._config.mem_stages)", "min(crossed, self._config.mem_stages - 1)",
-        EPOCH_CLOCK, ONE_POLICY,
+        "the window keeps one stage too few", "sketch.py",
+        "range(index - gap - stages + 1, index - stages + 1)", "range(index - gap - stages + 1, index - stages + 2)",
+        ("tests/test_sketch.py::test_stage_contents_across_five_epochs",), KEYED_STAGES,
+    ),
+    # Stage s reads epoch index - s whatever is held, so only the held
+    # memory shows it.
+    Mutant(
+        "no epoch is ever dropped", "sketch.py",
+        "    def _retire(self, gap: int) -> None:\n", "    def _retire(self, gap: int) -> None:\n        return\n",
+        ("tests/test_sketch.py::test_held_memory_stays_flat_as_epochs_pass",), KEYED_STAGES,
+    ),
+    Mutant(
+        "the stream drops the trailing partial epoch", "sketch.py",
+        "            yield self._snapshot(self._clock.index, self._clock.start, False)\n", "            pass\n",
+        (
+            "tests/test_sketch.py::test_collect_epochs_counts_and_flags",
+            "tests/test_cli.py::test_extract_writes_epoch_snapshots",
+        ),
+        KEYED_STAGES,
+    ),
+    Mutant(
+        "the stream loses the epochs a regressing chunk closed", "sketch.py",
+        "                yield from closed\n                raise\n", "                raise\n",
+        ("tests/test_oracle.py::test_anomalous_keys_name_a_regression_as_the_tracker_does",), KEYED_STAGES,
     ),
     # Each splitter mutant is listed twice, so that a sketch test and a
     # sweep test must each kill it on its own.

@@ -10,13 +10,12 @@ import sys
 
 import pytest
 
-from flowsketch import cli
 from flowsketch.cli import main
 from flowsketch.detectors import Verdict, parse_verdicts
 from flowsketch.evaluation import parse_report_csv
 from flowsketch.hashing import KeySpec, extract_key, shift_xor_hash
 from flowsketch.ingest import read_trace, write_trace
-from flowsketch.sketch import SNAPSHOT_HEADER, Sketch, SketchConfig, parse_snapshot, write_snapshot
+from flowsketch.sketch import DEFAULT_MAX_CELLS, SNAPSHOT_HEADER, Sketch, SketchConfig, parse_snapshot, write_snapshot
 
 from conftest import dense_verdicts, make_packet, per_packet_replay
 
@@ -101,14 +100,13 @@ def test_generate_rejects_a_multiplier_it_cannot_draw(tmp_path, capsys, multipli
 
 # Runs the command in argv[1:] through main() and prints which of the
 # costly standard-library modules it imported, then its exit code and
-# whether it imported evaluation or oracle, the reference that no
-# command needs.
+# the flowsketch modules it imported.
 IMPORT_PROBE = (
     "import sys\n"
     "from flowsketch.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "print(sorted(m for m in ('dataclasses', 'inspect', 'statistics') if m in sys.modules))\n"
-    "print(code, sorted(m for m in ('flowsketch.evaluation', 'flowsketch.oracle') if m in sys.modules))\n"
+    "print(code, sorted(m for m in sys.modules if m.startswith('flowsketch.')))\n"
 )
 
 
@@ -117,19 +115,23 @@ def probe_env():
 
 
 def test_generate_and_extract_do_not_import_the_scoring_modules(tmp_path):
+    # Neither imports evaluation or oracle, and generate, which reads no
+    # trace, imports neither sketch nor hashing.
     env = probe_env()
     trace = tmp_path / "trace.csv"
     commands = [
-        ["generate", "--out", str(trace), "--flows", "3", "--packets-per-flow", "20",
-         "--anomaly", "flood", "--seed", "21"],
-        ["extract", "--trace", str(trace), "--out-dir", str(tmp_path / "epochs")],
+        (["generate", "--out", str(trace), "--flows", "3", "--packets-per-flow", "20",
+          "--anomaly", "flood", "--seed", "21"], ["cli", "detectors", "ingest"]),
+        (["extract", "--trace", str(trace), "--out-dir", str(tmp_path / "epochs")],
+         ["cli", "detectors", "hashing", "ingest", "sketch"]),
     ]
-    for command in commands:
+    for command, modules in commands:
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE, *command], capture_output=True, env=env, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []", (command[0], proc.stdout)
+        want = f"0 {[f'flowsketch.{m}' for m in modules]}"
+        assert proc.stdout.splitlines()[-1] == want, (command[0], proc.stdout)
 
 
 def test_commands_start_without_the_costly_stdlib_modules(tmp_path):
@@ -249,7 +251,9 @@ def test_trace_command_edge_values_exit_cleanly(tmp_path, command, option):
     # Each value runs in its own child, one at a time, with a bounded
     # address space and a timeout: it ends in exit 0, 1 (argparse
     # rejects the text), 2 or 3 (a sweep with failed cells), never in a
-    # traceback, and exits 1 and 2 write nothing.
+    # traceback, and exits 1 and 2 write nothing.  The budget's largest
+    # stage count, at W=1, must succeed: state that grew with the stage
+    # count would not fit.
     trace = tmp_path / "tiny.csv"
     assert run("generate", "--out", str(trace), "--flows", "2", "--packets-per-flow", "5",
                "--duration-ns", "3000000000", "--anomaly", "flood", "--seed", "1") == 0
@@ -257,19 +261,24 @@ def test_trace_command_edge_values_exit_cleanly(tmp_path, command, option):
     values, detector = DETECTOR_EDGE_OPTIONS.get(option, (INT_EDGES, None))
     extra = ["--detector", detector] if detector else []
     out_flag = "--out" if command == "detect" else "--out-dir"
-    for value in values:
-        if value in EXCLUDED_EDGE_VALUES.get(option, ()):
-            continue
+    runs = [
+        ([f"{option}={value}"], (0, 1, 2, 3))
+        for value in values if value not in EXCLUDED_EDGE_VALUES.get(option, ())
+    ]
+    if option == "--mem-stages":
+        width = "--hash-widths" if command == "sweep" else "--hash-width"
+        runs.append(([f"{width}=1", f"--mem-stages={DEFAULT_MAX_CELLS >> 1}"], (0,)))
+    for args, codes in runs:
         proc = subprocess.run(
             [sys.executable, "-m", "flowsketch.cli", command, "--trace", str(trace), out_flag, str(out),
-             *extra, f"{option}={value}"],
+             *extra, *args],
             capture_output=True, env=probe_env(), text=True, timeout=60,
             preexec_fn=_limit_address_space,
         )
-        assert proc.returncode in (0, 1, 2, 3), (value, proc.returncode, proc.stderr)
-        assert "Traceback" not in proc.stderr, (value, proc.stderr)
+        assert proc.returncode in codes, (args, proc.returncode, proc.stderr)
+        assert "Traceback" not in proc.stderr, (args, proc.stderr)
         if proc.returncode in (1, 2):
-            assert proc.stdout == "" and not out.exists(), value
+            assert proc.stdout == "" and not out.exists(), args
         if out.is_dir():
             shutil.rmtree(out)
         out.unlink(missing_ok=True)
@@ -575,10 +584,10 @@ def no_replay(monkeypatch):
     """Make detect fail if it replays the trace: a setting refused for
     its own values is refused before the replay."""
 
-    def replay(sketch):
+    def replay(sketch, chunks):
         raise AssertionError("the trace was replayed")
 
-    monkeypatch.setattr(cli, "EpochCollector", replay)
+    monkeypatch.setattr(Sketch, "epochs", replay)
 
 
 def test_detect_rejects_a_negative_train_epochs(tmp_path, capsys, no_replay):

@@ -41,7 +41,7 @@ from flowsketch.ingest import (
     write_trace,
 )
 from flowsketch.oracle import ExactTracker
-from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, EpochCollector, FlowSums, Sketch, SketchConfig, collect_epochs
+from flowsketch.sketch import CELL_BYTES, DEFAULT_MAX_CELLS, FlowSums, Sketch, SketchConfig, collect_epochs
 
 from conftest import column_chunks, make_packet, random_records
 
@@ -586,10 +586,7 @@ def test_tuple_columns_match_their_list_twin():
     assert sweep(tuples, configs, settings_) == rows
 
     def collected(chunks):
-        collector = EpochCollector(Sketch(configs[1]))
-        for chunk in chunks:
-            collector.feed(chunk)
-        return collector.finish()
+        return list(Sketch(configs[1]).epochs(chunks))
 
     def flow_pass(chunks):
         sums = FlowSums(1000, key.total_bits, (2, 4))

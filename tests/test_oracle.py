@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from flowsketch.hashing import FlowKey, KeySpec, shift_xor_hash
 from flowsketch.ingest import Label, TraceColumns
 from flowsketch.oracle import ExactTracker, FlowStats, merge_flow_stats
-from flowsketch.sketch import BucketSums, EpochCollector, FlowSums, Sketch, SketchConfig, StageCell, collect_epochs
+from flowsketch.sketch import BucketSums, FlowSums, Sketch, SketchConfig, StageCell, collect_epochs
 
 from conftest import make_packet, random_records
 
@@ -259,20 +259,26 @@ def test_anomalous_keys_name_a_regression_as_the_tracker_does(seed, at, cuts):
     with pytest.raises(ValueError) as got:
         anomalous_keys(records, SRC_KEY, 1000, sorted(cuts))
     assert str(got.value) == str(want.value)
-    # The flow pass, the epoch collector and update_many read one clock:
+    # The flow pass, the sketch's stream and update_many read one clock:
     # each names the regression so too, and keeps the rows before it.
+    # The stream first yields every epoch closed before the regression.
     config = SketchConfig(4, 2, 1000, SRC_KEY)
-    sums = FlowSums(1000, SRC_KEY.total_bits, (4,))
-    collector, sketch = EpochCollector(Sketch(config)), Sketch(config)
+    sums, streamed, sketch = FlowSums(1000, SRC_KEY.total_bits, (4,)), Sketch(config), Sketch(config)
     chunks = chunks_at(records, sorted(cuts))
-    for feed in (lambda c: sums.feed(c, c.src_ip), collector.feed, lambda c: sketch.update_many(c.records())):
+    for feed in (lambda c: sums.feed(c, c.src_ip), lambda c: sketch.update_many(c.records())):
         with pytest.raises(ValueError) as got:
             for chunk in chunks:
                 feed(chunk)
         assert str(got.value) == str(want.value)
+    yielded = []
+    with pytest.raises(ValueError) as got:
+        for snapshot in streamed.epochs(chunks):
+            yielded.append(snapshot)
+    assert str(got.value) == str(want.value)
     before = records[:at]
     assert sums.finish() == flow_sums(before, SRC_KEY, 1000, widths=(4,))
-    assert collector.finish() == collect_epochs(Sketch(config), before)
+    assert yielded == [s for s in collect_epochs(Sketch(config), before) if s.complete]
+    assert [streamed.stage(s) for s in (0, 1)] == [sketch.stage(s) for s in (0, 1)]
     kept = Sketch(config)
     kept.update_many(before)
     assert [sketch.stage(s) for s in (0, 1)] == [kept.stage(s) for s in (0, 1)]
@@ -307,24 +313,25 @@ def test_flow_sums_fold_to_the_sketch_snapshots_at_every_width(seed, cuts, key, 
     assert sorted(snapshots) == sorted(widths)
     for width in widths:
         want = collect_epochs(Sketch(SketchConfig(width, 1, epoch_ns, key)), records)
-        assert snapshots[width] == sketch_sums(want)
+        assert snapshots[width] == sketch_sums(want[:-1])
 
 
 def test_flow_sums_sum_gaps_across_the_flows_of_a_bucket():
     # At W=1 a key's bucket is its bit parity, so sources 1 and 2 share
     # bucket 1.  Their gaps interleave: the bucket's gap sum is its last
     # packet's time minus its first's, 40, not the flows' own gaps,
-    # 20 + 30.
+    # 20 + 30.  A later packet closes the epoch.
     packets = [
         make_packet(ts=0, src=1, length=100),
         make_packet(ts=10, src=2, length=200),
         make_packet(ts=20, src=1, length=100),
         make_packet(ts=30, src=3, length=60),
         make_packet(ts=40, src=2, length=200),
+        make_packet(ts=1000, src=1),
     ]
     (_, snapshots) = flow_sums(packets, SRC_KEY, 1000, widths=(1,))
     (snap,) = snapshots[1]
-    assert (snap.epoch_index, snap.epoch_start_ns, snap.complete, snap.bucket_count) == (0, 0, False, 2)
+    assert (snap.epoch_index, snap.epoch_start_ns, snap.complete, snap.bucket_count) == (0, 0, True, 2)
     assert snap.buckets == (0, 1)
     assert snap.cells == (BucketSums(1, 60, 0, 0), BucketSums(4, 600, 40, 3))
 
@@ -336,8 +343,9 @@ def test_flow_sums_hold_one_open_epoch_and_close_once():
     sums.feed(chunk, chunk.src_ip)
     assert list(sums._flows) == [3]
     pairs, snapshots = sums.finish()
+    # The open epoch 4 has no snapshot.
     assert [(s.epoch_index, s.complete, len(s.buckets)) for s in snapshots[4]] == [
-        (0, True, 2), (1, True, 1), (2, True, 0), (3, True, 0), (4, False, 1)
+        (0, True, 2), (1, True, 1), (2, True, 0), (3, True, 0)
     ]
     for call in (lambda: sums.feed(chunk, chunk.src_ip), sums.finish):
         with pytest.raises(ValueError, match="the flow pass is finished"):

@@ -1,6 +1,7 @@
 """Sketch update, epoch rotation, query, and snapshot behavior."""
 
 import copy
+import gc
 import random
 import tracemalloc
 
@@ -16,7 +17,6 @@ from flowsketch.sketch import (
     CELL_BYTES,
     DEFAULT_MAX_CELLS,
     SNAPSHOT_HEADER,
-    EpochCollector,
     UPDATE_OPS,
     Sketch,
     SketchConfig,
@@ -256,7 +256,7 @@ def test_auto_rotation_skips_empty_epochs():
 
 
 def test_long_gap_equals_repeated_rotation():
-    # A gap of at least the stage count rotates only mem_stages times
+    # A gap of at least the stage count drops every held epoch at once
     # and moves the epoch by arithmetic; it must match rotating once
     # per elapsed epoch.
     for gap_epochs in (3, 5, 50):
@@ -468,47 +468,74 @@ def gapped_records(seed, n=80):
     st.integers(1, 10),
     st.integers(1, 3),
     st.sampled_from(KEY_SPECS),
-    st.booleans(),
 )
-def test_epoch_collector_fed_columns_matches_collect_epochs(seed, cuts, width, stages, key, given_keys):
-    # Chunks end at random cuts, empty ones included; the key column is
-    # either passed in or built by the sketch.
+def test_epochs_of_column_chunks_match_collect_epochs(seed, cuts, width, stages, key):
+    # Chunks end at random cuts, empty ones included.
     records = gapped_records(seed)
     config = cfg(width=width, stages=stages, key=key)
-    collector = EpochCollector(Sketch(config))
     bounds = [0, *sorted(cuts), len(records)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        chunk = TraceColumns._make(map(list, zip(*records[lo:hi])) if hi > lo else [[]] * 9)
-        collector.feed(chunk, key.key_column(chunk) if given_keys else None)
-    assert collector.finish() == collect_epochs(Sketch(config), records)
+    chunks = [
+        TraceColumns._make(map(list, zip(*records[lo:hi])) if hi > lo else [[]] * 9)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    assert list(Sketch(config).epochs(chunks)) == collect_epochs(Sketch(config), records)
 
 
 def test_snapshots_do_not_change_as_later_chunks_are_fed():
     records = gapped_records(7, n=400)
     config = cfg(width=3, stages=2)
-    collector = EpochCollector(Sketch(config))
-    taken = []
-    for chunk in column_chunks(records, 9):
-        collector.feed(chunk)
-        taken.append(copy.deepcopy(collector._snapshots))
-    snapshots = collector.finish()
+    snapshots, taken = [], []
+    for snapshot in Sketch(config).epochs(column_chunks(records, 9)):
+        snapshots.append(snapshot)
+        taken.append(copy.deepcopy(snapshot))
     assert len(snapshots) > 10
-    for earlier in taken:
-        assert snapshots[: len(earlier)] == earlier
+    assert snapshots == taken
     # Each equals the copy of stage 0 that the reference replay takes as
     # its epoch closes.
     assert snapshots == reference_snapshots(Sketch(config), records)
 
 
-def test_epoch_collector_is_closed_by_finish():
-    records = random_records(random.Random(3), 50, span_ns=6_000)
-    (chunk,) = column_chunks(records)
-    collector = EpochCollector(Sketch(cfg()))
-    collector.feed(chunk)
-    snapshots = collector.finish()
-    assert snapshots == collect_epochs(Sketch(cfg()), records)
-    with pytest.raises(ValueError, match="finished"):
-        collector.finish()
-    with pytest.raises(ValueError, match="finished"):
-        collector.feed(chunk)
-    assert snapshots == collect_epochs(Sketch(cfg()), records)
+def held_bytes(sketch, epochs, first=0):
+    """Feed the sketch two packets in each of epochs consecutive 1000-ns
+    epochs from epoch first on, and return the bytes that tracemalloc
+    counts as held after, and at peak during, the feed.  Held bytes are
+    read after a full collection, which empties the interpreter's free
+    lists that tracemalloc counts too."""
+    batches = [
+        [make_packet(ts=e * 1000, src=1), make_packet(ts=e * 1000 + 5, src=2)]
+        for e in range(first, first + epochs)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for batch in batches:
+            sketch.update_many(batch)
+        gc.collect()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_stages_cost_no_memory_until_traffic_fills_them():
+    # At W=1 the budget takes 2**25 stages.  Building the sketch and
+    # feeding 100 busy epochs holds only those epochs' cells.
+    tracemalloc.start()
+    try:
+        sketch = Sketch(cfg(width=1, stages=2**20))
+        built, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < 1 << 16
+    held, peak = held_bytes(sketch, 100)
+    assert held < 1 << 20 and peak < 1 << 20
+    assert [sum(c.pkt_count for c in sketch.stage(s).values()) for s in (0, 99, 100)] == [2, 2, 0]
+
+
+def test_held_memory_stays_flat_as_epochs_pass():
+    # With two stages, the sketch holds two epochs' cells however many
+    # epochs have passed.
+    sketch = Sketch(cfg(stages=2))
+    early, _ = held_bytes(sketch, 20)
+    late, _ = held_bytes(sketch, 1980, first=20)
+    assert late - early < 4096
+    assert sketch.epoch_index == 1999
