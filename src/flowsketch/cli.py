@@ -20,7 +20,6 @@ from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .detectors import DETECTOR_PARAMS, FEATURES, DetectorSetting, check_setting, run_detector, write_verdicts
 from .ingest import (
     AnomalyKind,
     AnomalyProfile,
@@ -34,11 +33,13 @@ from .ingest import (
 )
 
 # evaluation, and through it fractions, is imported inside the four
-# commands that score or bench, so that generate and extract start
-# without compiling or importing them, and sketch and hashing inside
-# the commands that read a trace, so that generate does not import
-# them.  No command imports oracle.
+# commands that score or bench, and detectors inside the two that
+# detect and by the flags only they take (see _Parser), so that
+# generate and extract start without compiling or importing them; sketch
+# and hashing are imported inside the commands that read a trace, so
+# that generate does not import them.  No command imports oracle.
 if TYPE_CHECKING:
+    from .detectors import DetectorSetting
     from .evaluation import ParetoPoint, SweepRow
     from .sketch import SketchConfig
 
@@ -60,9 +61,6 @@ _SECTIONS = {
 # and the document itself.
 _COMMAND_LINE_ONLY = {"config", "trace", "out", "out_dir"}
 
-# The keys of one entry of a sweep's detectors list: one detector setting.
-_DETECTOR_KEYS = {"detector", "feature", *chain.from_iterable(DETECTOR_PARAMS.values())}
-
 
 class _UsageError(Exception):
     def __init__(self, parser: argparse.ArgumentParser, message: str):
@@ -71,6 +69,19 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # add_late, if given, adds the rest of the parser's arguments when it
+    # first parses.  argparse runs a command's parser only for the
+    # command given, so what add_late imports, no other command does.
+    def __init__(self, *args, add_late=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_late = add_late
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_late is not None:
+            add, self._add_late = self._add_late, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
     # Raise rather than exit, so the caller picks the exit code: 1 for a
     # bad command line (argparse would exit 2, which is kept for data
     # errors) and 2 for a bad value in a config document.
@@ -151,11 +162,15 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[argparse.Nam
         return [args.parser.parse_args(tokens + rest)]
     if not isinstance(entries, list) or not entries:
         raise ValueError("config key 'detectors' must be a nonempty list")
+    from .detectors import DETECTOR_PARAMS
+
+    # The keys of one entry: one detector setting.
+    entry_keys = {"detector", "feature", *chain.from_iterable(DETECTOR_PARAMS.values())}
     namespaces = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"a detectors entry must be a JSON object, got {entry!r}")
-        entry_tokens = _config_tokens(args, rest, entry, _DETECTOR_KEYS)
+        entry_tokens = _config_tokens(args, rest, entry, entry_keys)
         namespaces.append(args.parser.parse_args(tokens + entry_tokens + rest))
     return namespaces
 
@@ -189,6 +204,8 @@ def _sketch_config(args: argparse.Namespace) -> SketchConfig:
 
 
 def _detector_setting(args: argparse.Namespace) -> DetectorSetting:
+    from .detectors import DETECTOR_PARAMS, DetectorSetting
+
     params = {name: getattr(args, name) for name in DETECTOR_PARAMS[args.detector]}
     return DetectorSetting(args.detector, args.feature, **params)
 
@@ -205,12 +222,17 @@ def _add_sketch_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
+    """The detector flags, then --config, last as on every command.  It
+    is detect's and sweep's add_late, as their choices import detectors."""
+    from .detectors import DETECTOR_PARAMS, FEATURES
+
     parser.add_argument("--detector", choices=DETECTOR_PARAMS, default="zscore")
     parser.add_argument("--feature", choices=FEATURES, default="pkt_count")
     parser.add_argument("--threshold", type=float)
     parser.add_argument("--k", type=float, default=3.0)
     parser.add_argument("--alpha", type=float, default=0.3)
     parser.add_argument("--train-epochs", type=int, default=2)
+    _add_config_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,23 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     p.set_defaults(func=_cmd_extract, parser=p)
 
-    p = sub.add_parser("detect", help="run one detector over a trace's completed epochs")
+    p = sub.add_parser(
+        "detect", help="run one detector over a trace's completed epochs", add_late=_add_detector_flags
+    )
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     _add_sketch_flags(p)
-    _add_detector_flags(p)
-    _add_config_flag(p)
     p.set_defaults(func=_cmd_detect, parser=p)
 
-    p = sub.add_parser("sweep", help="evaluate a grid of configurations on a labeled trace")
+    p = sub.add_parser(
+        "sweep", help="evaluate a grid of configurations on a labeled trace", add_late=_add_detector_flags
+    )
     p.add_argument("--trace", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--hash-widths", type=_int_list, default=[4, 5])
     p.add_argument("--mem-stages", type=_int_list, default=[1])
     p.add_argument("--epoch-ns", type=_int_list, default=[1_000_000_000])
     p.add_argument("--key-specs", type=_str_list, default=["src_ip"])
-    _add_detector_flags(p)
-    _add_config_flag(p)
     p.set_defaults(func=_cmd_sweep, parser=p)
 
     p = sub.add_parser("bench", help="measure sketch update throughput on a trace")
@@ -324,6 +346,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    from .detectors import check_setting, run_detector, write_verdicts
     from .evaluation import GroundTruthGrid, score
     from .sketch import Sketch
 

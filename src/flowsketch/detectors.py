@@ -14,8 +14,8 @@ Verdicts are stored sparsely, by one function for every detector,
 _sparse_verdicts.  In each epoch it scores, as one column, the buckets
 the snapshot holds (the touched ones) and the buckets with state of
 their own: z-score buckets whose training mean or std is nonzero, and
-EWMA buckets whose running mean or deviation is nonzero.  The feature
-column and the verdict rows are built by C-level maps.  The mean alone
+EWMA buckets whose running mean or deviation is nonzero.  The feature,
+score and flag columns are built by C-level maps.  The mean alone
 would not do: with alpha 1 a bucket's mean is 0 one idle epoch before
 its deviation is.  Every other bucket shares one verdict, scored once
 per epoch from a feature value of 0.0, every feature of an empty cell,
@@ -23,6 +23,10 @@ with zero state.  That is exact: such a bucket's cell is empty and its
 state is zero, so scoring it on its own would run the very same
 arithmetic on the very same numbers, whatever the threshold, k or alpha
 (negative ones included).
+
+An epoch's verdicts are kept as columns: its explicit buckets, their
+scores and their flags.  A Verdict row is built only where rows are the
+format: when Verdicts is iterated, and by parse_verdicts.
 
 Verdict, EpochVerdicts, BaselineModel and DetectorSetting are immutable
 tuples.  Verdicts is an immutable object, as its iteration and len()
@@ -120,14 +124,17 @@ class Verdict(NamedTuple):
 class EpochVerdicts(NamedTuple):
     """One detector's verdicts on one epoch of bucket_count buckets.
 
-    explicit holds the buckets scored one by one, in ascending bucket
-    order; every other bucket has the shared score and flag.
+    buckets holds the buckets scored one by one, in ascending order, and
+    scores and flags their scores and flags, position by position; every
+    other bucket has the shared score and flag.
     """
 
     detector_id: str
     epoch_index: int
     bucket_count: int
-    explicit: tuple[Verdict, ...]
+    buckets: tuple[int, ...]
+    scores: tuple[float, ...]
+    flags: tuple[bool, ...]
     shared_score: float
     shared_anomalous: bool
 
@@ -151,11 +158,12 @@ class Verdicts(_Record):
         return hash(self.epochs)
 
     def __len__(self) -> int:
-        return sum(len(e.explicit) + 1 for e in self.epochs)
+        return sum(len(e.buckets) + 1 for e in self.epochs)
 
     def __iter__(self) -> Iterator[Verdict]:
         for e in self.epochs:
-            yield from e.explicit
+            rows = zip(repeat(e.detector_id), repeat(e.epoch_index), e.buckets, e.scores, e.flags)
+            yield from map(tuple.__new__, repeat(Verdict), rows)
             yield Verdict(e.detector_id, e.epoch_index, None, e.shared_score, e.shared_anomalous)
 
 
@@ -173,16 +181,14 @@ def _sparse_verdicts(
     xs = feature_column(snapshot.cells, feature)
     if stateful:
         by_bucket = dict(zip(buckets, xs))
-        buckets = sorted(by_bucket.keys() | stateful)
+        buckets = tuple(sorted(by_bucket.keys() | stateful))
         xs = list(map(by_bucket.get, buckets, repeat(0.0)))
-    epoch = snapshot.epoch_index
-    s = list(scores(buckets, xs))
-    explicit = tuple(map(
-        tuple.__new__, repeat(Verdict),
-        zip(repeat(kind), repeat(epoch), buckets, s, map(gt, s, repeat(limit))),
-    ))
+    s = tuple(scores(buckets, xs))
+    flags = tuple(map(gt, s, repeat(limit)))
     (shared,) = scores((None,), (0.0,))
-    return EpochVerdicts(kind, epoch, snapshot.bucket_count, explicit, shared, shared > limit)
+    return EpochVerdicts(
+        kind, snapshot.epoch_index, snapshot.bucket_count, buckets, s, flags, shared, shared > limit
+    )
 
 
 def _raw(buckets: Sequence, xs: Sequence[float]) -> Sequence[float]:
@@ -298,7 +304,7 @@ class EwmaDetector:
             for b, x in zip(snapshot.buckets, feature_column(snapshot.cells, self.feature)):
                 if x:
                     self._state[b] = (x, 0.0)
-            return EpochVerdicts("ewma", snapshot.epoch_index, snapshot.bucket_count, (), 0.0, False)
+            return EpochVerdicts("ewma", snapshot.epoch_index, snapshot.bucket_count, (), (), (), 0.0, False)
         if snapshot.bucket_count != self._bucket_count:
             raise ValueError(
                 f"snapshot has {snapshot.bucket_count} buckets, "

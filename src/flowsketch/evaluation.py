@@ -26,7 +26,7 @@ import json
 import time
 from fractions import Fraction
 from itertools import chain, compress
-from operator import attrgetter, countOf
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .detectors import DetectorSetting, EpochVerdicts, Verdicts, run_detector
@@ -84,21 +84,17 @@ class QualityScores(NamedTuple):
     f1: Fraction
 
 
-_EPOCH, _BUCKET, _FLAG = attrgetter("epoch_index"), attrgetter("bucket"), attrgetter("anomalous")
-
-
 def _name_bad_verdict(epoch: EpochVerdicts, bucket_count: int) -> None:
     """Raise ValueError naming the first explicit verdict of the epoch
-    that is outside it or the grid, or repeats a bucket."""
+    that is outside the grid, or repeats a bucket."""
     e = epoch.epoch_index
     seen = set()
-    for v in epoch.explicit:
-        cell = (v.bucket, v.epoch_index)
-        if v.epoch_index != e or not 0 <= v.bucket < bucket_count:
-            raise ValueError(f"verdict for {cell} is outside epoch {e} of the grid")
-        if v.bucket in seen:
-            raise ValueError(f"duplicate verdict for cell {cell}")
-        seen.add(v.bucket)
+    for b in epoch.buckets:
+        if not 0 <= b < bucket_count:
+            raise ValueError(f"verdict for {(b, e)} is outside epoch {e} of the grid")
+        if b in seen:
+            raise ValueError(f"duplicate verdict for cell {(b, e)}")
+        seen.add(b)
 
 
 def score(verdicts: Verdicts, grid: GroundTruthGrid) -> QualityScores:
@@ -106,7 +102,7 @@ def score(verdicts: Verdicts, grid: GroundTruthGrid) -> QualityScores:
 
     The verdicts must cover exactly the grid's (bucket, epoch) domain,
     once each: every grid epoch once, over the grid's buckets, with no
-    explicit verdict outside its epoch or the grid and none repeated.
+    explicit verdict outside the grid and none repeated.
     They may come in any order.  An epoch's explicit verdicts are
     counted as sets of buckets, flagged and all, against its anomalous
     cells.  The other buckets of an epoch share one verdict, and this is
@@ -131,18 +127,12 @@ def score(verdicts: Verdicts, grid: GroundTruthGrid) -> QualityScores:
         if e in seen_epochs:
             raise ValueError(f"duplicate verdicts for epoch {e}")
         seen_epochs.add(e)
-        explicit = epoch.explicit
-        buckets = list(map(_BUCKET, explicit))
+        buckets = epoch.buckets
         seen = set(buckets)
-        valid = (
-            len(seen) == len(buckets)
-            and countOf(map(_EPOCH, explicit), e) == len(buckets)
-            and (not seen or (min(seen) >= 0 and max(seen) < grid.bucket_count))
-        )
-        if not valid:
+        if len(seen) != len(buckets) or (seen and (min(seen) < 0 or max(seen) >= grid.bucket_count)):
             _name_bad_verdict(epoch, grid.bucket_count)
         anomalous = truth.get(e, set())
-        flagged = set(compress(buckets, map(_FLAG, explicit)))
+        flagged = set(compress(buckets, epoch.flags))
         hits = len(seen & anomalous)
         flagged_hits = len(flagged & anomalous)
         tp += flagged_hits

@@ -51,6 +51,7 @@ NO_UNUSED_PATHS = "CHANGES.md: one line grammar, one-stage sweep replays, pps on
 ONE_FLOW_PASS = "CHANGES.md: every hash width from one flow pass; verdicts built and scored by column"
 ONE_CLOCK = "CHANGES.md: one epoch clock for the sketch and the flow pass"
 KEYED_STAGES = "CHANGES.md: the sketch keeps its epochs by index and streams them"
+BY_COLUMN = "CHANGES.md: verdicts by column"
 
 MUTANTS = (
     Mutant(
@@ -239,12 +240,36 @@ MUTANTS = (
     ),
     Mutant(
         "score counts a repeated explicit verdict", "evaluation.py",
-        "            len(seen) == len(buckets)\n            and ", "            ",
+        "len(seen) != len(buckets) or (seen", "(seen",
         (
             "tests/test_evaluation.py::test_score_counts_as_the_per_verdict_loop",
             "tests/test_evaluation.py::test_score_domain_validation",
         ),
         ONE_FLOW_PASS,
+    ),
+    Mutant(
+        "verdict rows take the shared flag", "detectors.py",
+        "e.buckets, e.scores, e.flags)", "e.buckets, e.scores, repeat(e.shared_anomalous))",
+        (
+            "tests/test_detectors.py::test_verdict_file_holds_the_stored_rows",
+            "tests/test_pipeline_equivalence.py::test_stateful_buckets_absent_from_a_snapshot_match_dense_reference",
+        ),
+        BY_COLUMN,
+    ),
+    Mutant(
+        "score reads the flags one position late", "evaluation.py",
+        "compress(buckets, epoch.flags)", "compress(buckets, epoch.flags[1:])",
+        (
+            "tests/test_evaluation.py::test_score_frozen_counts",
+            "tests/test_evaluation.py::test_score_counts_as_the_per_verdict_loop",
+        ),
+        BY_COLUMN,
+    ),
+    Mutant(
+        "the stateful union kept as a list", "detectors.py",
+        "buckets = tuple(sorted(by_bucket.keys() | stateful))", "buckets = sorted(by_bucket.keys() | stateful)",
+        ("tests/test_detectors.py::test_detector_verdicts_are_hashable_columns",),
+        BY_COLUMN,
     ),
 )
 

@@ -114,20 +114,28 @@ def probe_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
-def test_generate_and_extract_do_not_import_the_scoring_modules(tmp_path):
-    # Neither imports evaluation or oracle, and generate, which reads no
-    # trace, imports neither sketch nor hashing.
-    env = probe_env()
-    trace = tmp_path / "trace.csv"
-    commands = [
-        (["generate", "--out", str(trace), "--flows", "3", "--packets-per-flow", "20",
-          "--anomaly", "flood", "--seed", "21"], ["cli", "detectors", "ingest"]),
-        (["extract", "--trace", str(trace), "--out-dir", str(tmp_path / "epochs")],
-         ["cli", "detectors", "hashing", "ingest", "sketch"]),
+def probed_commands(tmp_path):
+    """Every command but bench, each reading what the one before wrote,
+    with the flowsketch modules it imports, no more and no fewer."""
+    trace = str(tmp_path / "trace.csv")
+    scoring = ["cli", "detectors", "evaluation", "hashing", "ingest", "sketch"]
+    return [
+        (["generate", "--out", trace, "--flows", "3", "--packets-per-flow", "20",
+          "--anomaly", "flood", "--seed", "21"], ["cli", "ingest"]),
+        (["extract", "--trace", trace, "--out-dir", str(tmp_path / "epochs"), "--mem-stages", "2"],
+         ["cli", "hashing", "ingest", "sketch"]),
+        (["detect", "--trace", trace, "--out", str(tmp_path / "verdicts.csv"), "--detector", "ewma"], scoring),
+        (["sweep", "--trace", trace, "--out-dir", str(tmp_path / "sweep"), "--hash-widths", "4,6"], scoring),
+        (["pareto", "--report", str(tmp_path / "sweep" / "report.csv")], scoring),
     ]
-    for command, modules in commands:
+
+
+def test_generate_and_extract_do_not_import_the_scoring_modules(tmp_path):
+    # Neither imports evaluation, detectors or oracle, and generate,
+    # which reads no trace, imports neither sketch nor hashing.
+    for command, modules in probed_commands(tmp_path)[:2]:
         proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, *command], capture_output=True, env=env, text=True,
+            [sys.executable, "-c", IMPORT_PROBE, *command], capture_output=True, env=probe_env(), text=True,
         )
         assert proc.returncode == 0, proc.stderr
         want = f"0 {[f'flowsketch.{m}' for m in modules]}"
@@ -136,25 +144,15 @@ def test_generate_and_extract_do_not_import_the_scoring_modules(tmp_path):
 
 def test_commands_start_without_the_costly_stdlib_modules(tmp_path):
     # -S keeps site hooks, which may import anything, out of the count.
-    # No command imports the oracle either.
-    trace = str(tmp_path / "trace.csv")
-    commands = [
-        ["generate", "--out", trace, "--flows", "3", "--packets-per-flow", "20",
-         "--anomaly", "flood", "--seed", "21"],
-        ["extract", "--trace", trace, "--out-dir", str(tmp_path / "epochs"), "--mem-stages", "2"],
-        ["detect", "--trace", trace, "--out", str(tmp_path / "verdicts.csv"), "--detector", "ewma"],
-        ["sweep", "--trace", trace, "--out-dir", str(tmp_path / "sweep"), "--hash-widths", "4,6"],
-        ["pareto", "--report", str(tmp_path / "sweep" / "report.csv")],
-    ]
-    for command in commands:
+    # Each command imports its own modules only, and none the oracle.
+    for command, modules in probed_commands(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-S", "-c", IMPORT_PROBE, *command], capture_output=True, env=probe_env(),
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
         heavy, status = proc.stdout.splitlines()[-2:]
-        assert status.startswith("0 "), (command[0], proc.stdout)
-        assert "flowsketch.oracle" not in status, (command[0], status)
+        assert status == f"0 {[f'flowsketch.{m}' for m in modules]}", (command[0], proc.stdout)
         assert heavy == "[]", (command[0], heavy)
 
 

@@ -437,6 +437,21 @@ def test_verdict_file_holds_the_stored_rows(tmp_path):
         ]
 
 
+def test_detector_verdicts_are_hashable_columns():
+    # Every column is a tuple, the stateful detectors' sorted union of
+    # touched and stateful buckets included, so verdicts hash by value.
+    snaps = [count_snapshot(0, [0, 7, 2]), count_snapshot(1, [3, 0, 0]), count_snapshot(2, [0, 5, 0])]
+    for setting in (
+        DetectorSetting("threshold", threshold=4.0),
+        DetectorSetting("zscore", k=1.0, train_epochs=2),
+        DetectorSetting("ewma", k=1.0, alpha=0.5),
+    ):
+        verdicts = run_detector(setting, snaps)
+        assert hash(verdicts) == hash(run_detector(setting, snaps)), setting.kind
+        for epoch in verdicts.epochs:
+            assert {type(c) for c in (epoch.buckets, epoch.scores, epoch.flags)} == {tuple}, setting.kind
+
+
 @pytest.mark.parametrize("bad", ["zscore,1,0", "zscore,1,0,0.5,maybe", "zscore,1,x,0.5,true"])
 def test_parse_verdicts_names_bad_line(bad):
     with pytest.raises(TraceFormatError) as err:

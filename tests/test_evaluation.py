@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowsketch.detectors import DetectorSetting, EpochVerdicts, Verdict, Verdicts, run_detector
+from flowsketch.detectors import DetectorSetting, EpochVerdicts, Verdicts, run_detector
 from flowsketch import evaluation, sketch
 from flowsketch.evaluation import (
     REPORT_HEADER,
@@ -58,12 +58,14 @@ def make_verdicts(grid, flagged, shape="dense"):
     cells explicit and shares an anomalous one among the flagged."""
     epochs = []
     for e in range(grid.epoch_count):
-        explicit = tuple(
-            Verdict("test", e, b, 1.0, (b, e) in flagged)
-            for b in range(grid.bucket_count)
+        buckets = tuple(
+            b for b in range(grid.bucket_count)
             if shape == "dense" or (((b, e) in flagged) == (shape == "flagged"))
         )
-        epochs.append(EpochVerdicts("test", e, grid.bucket_count, explicit, 0.0, shape == "benign"))
+        flags = tuple((b, e) in flagged for b in buckets)
+        epochs.append(EpochVerdicts(
+            "test", e, grid.bucket_count, buckets, (1.0,) * len(buckets), flags, 0.0, shape == "benign",
+        ))
     return Verdicts(tuple(epochs))
 
 
@@ -108,9 +110,11 @@ def test_score_permutation_invariance():
         verdicts = make_verdicts(grid, {(0, 0), (1, 1)}, shape)
         shuffled = []
         for epoch in verdicts.epochs:
-            explicit = list(epoch.explicit)
-            rng.shuffle(explicit)
-            shuffled.append(epoch._replace(explicit=tuple(explicit)))
+            # The three columns move together, position by position.
+            rows = list(zip(epoch.buckets, epoch.scores, epoch.flags))
+            rng.shuffle(rows)
+            buckets, scores, flags = (tuple(c) for c in zip(*rows)) if rows else ((), (), ())
+            shuffled.append(epoch._replace(buckets=buckets, scores=scores, flags=flags))
         rng.shuffle(shuffled)
         assert score(Verdicts(tuple(shuffled)), grid) == score(verdicts, grid)
 
@@ -125,15 +129,14 @@ def test_score_domain_validation():
     bad = epochs[-1]._replace(epoch_index=9)
     with pytest.raises(ValueError, match="outside the grid"):
         score(Verdicts(epochs[:-1] + (bad,)), grid)
-    # explicit verdicts: repeated, outside the buckets, filed under another epoch
+    # explicit verdicts: repeated, outside the buckets
     last = epochs[-1]
-    for explicit, message in (
-        (last.explicit[:-1] + last.explicit[:1], "duplicate verdict for cell"),
-        (last.explicit[:-1] + (Verdict("test", 1, 4, 0.0, False),), "outside"),
-        (last.explicit[:-1] + (Verdict("test", 0, 3, 0.0, False),), "outside"),
+    for buckets, message in (
+        (last.buckets[:-1] + last.buckets[:1], "duplicate verdict for cell"),
+        (last.buckets[:-1] + (4,), "outside"),
     ):
         with pytest.raises(ValueError, match=message):
-            score(Verdicts(epochs[:-1] + (last._replace(explicit=explicit),)), grid)
+            score(Verdicts(epochs[:-1] + (last._replace(buckets=buckets),)), grid)
     # an epoch over a different bucket count
     with pytest.raises(ValueError, match="outside the grid"):
         score(Verdicts(tuple(e._replace(bucket_count=8) for e in epochs[:1])), grid)
@@ -157,15 +160,15 @@ def per_verdict_score(verdicts, grid):
             raise ValueError(f"duplicate verdicts for epoch {e}")
         seen_epochs.add(e)
         seen = set()
-        for v in epoch.explicit:
-            cell = (v.bucket, v.epoch_index)
-            if v.epoch_index != e or not 0 <= v.bucket < grid.bucket_count:
+        for bucket in epoch.buckets:
+            cell = (bucket, e)
+            if not 0 <= bucket < grid.bucket_count:
                 raise ValueError(f"verdict for {cell} is outside epoch {e} of the grid")
-            if v.bucket in seen:
+            if bucket in seen:
                 raise ValueError(f"duplicate verdict for cell {cell}")
-            seen.add(v.bucket)
+            seen.add(bucket)
         for b in range(grid.bucket_count):
-            explicit = [v.anomalous for v in epoch.explicit if v.bucket == b]
+            explicit = [flag for bucket, flag in zip(epoch.buckets, epoch.flags) if bucket == b]
             flagged = explicit[0] if explicit else epoch.shared_anomalous
             hit = (b, e) in grid.anomalous
             tp += flagged and hit
@@ -179,8 +182,7 @@ def per_verdict_score(verdicts, grid):
 def faulty_verdicts(draw):
     """Verdicts over a small grid, explicit ones in any order, epochs in
     any order, and now and then one bad explicit verdict: a repeated
-    bucket, a bucket outside the grid, or one filed under another
-    epoch."""
+    bucket or a bucket outside the grid."""
     bucket_count = 1 << draw(st.integers(1, 4))
     epoch_count = draw(st.integers(1, 4))
     cells = st.tuples(st.integers(0, bucket_count - 1), st.integers(0, epoch_count - 1))
@@ -188,18 +190,19 @@ def faulty_verdicts(draw):
     epochs = []
     for e in range(epoch_count):
         buckets = draw(st.permutations(sorted(draw(st.sets(st.integers(0, bucket_count - 1))))))
-        explicit = [Verdict("test", e, b, 0.0, draw(st.booleans())) for b in buckets]
-        fault = draw(st.sampled_from((None, None, None, "repeat", "epoch", "below", "above")))
-        if explicit and fault is not None:
-            i = draw(st.integers(0, len(explicit) - 1))
-            v = explicit[i]
+        flags = [draw(st.booleans()) for _ in buckets]
+        fault = draw(st.sampled_from((None, None, None, "repeat", "below", "above")))
+        if buckets and fault is not None:
+            i = draw(st.integers(0, len(buckets) - 1))
             if fault == "repeat":
-                explicit.insert(draw(st.integers(0, len(explicit))), v._replace(anomalous=draw(st.booleans())))
-            elif fault == "epoch":
-                explicit[i] = v._replace(epoch_index=draw(st.sampled_from((e - 1, e + 1, epoch_count))))
+                j = draw(st.integers(0, len(buckets)))
+                buckets.insert(j, buckets[i])
+                flags.insert(j, draw(st.booleans()))
             else:
-                explicit[i] = v._replace(bucket=-1 if fault == "below" else bucket_count + draw(st.integers(0, 2)))
-        epochs.append(EpochVerdicts("test", e, bucket_count, tuple(explicit), 0.0, draw(st.booleans())))
+                buckets[i] = -1 if fault == "below" else bucket_count + draw(st.integers(0, 2))
+        epochs.append(EpochVerdicts(
+            "test", e, bucket_count, tuple(buckets), (0.0,) * len(buckets), tuple(flags), 0.0, draw(st.booleans()),
+        ))
     return Verdicts(tuple(draw(st.permutations(epochs)))), grid
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowsketch import ingest
-from flowsketch.detectors import EpochVerdicts, Verdict, Verdicts, parse_verdicts, write_verdicts
+from flowsketch.detectors import EpochVerdicts, Verdicts, parse_verdicts, write_verdicts
 from flowsketch.evaluation import SweepRow, parse_report_csv, write_report_csv
 from flowsketch.ingest import (
     MAX_LENGTH_BYTES,
@@ -396,8 +396,7 @@ def _format_lines(tmp_path, name):
         write_snapshot(path, [(0, 1, cell), (0, 3, StageCell(1, 60, 60, 60, 9))])
         reader = parse_snapshot
     elif name == "verdicts":
-        explicit = (Verdict("threshold", 0, 1, 5.0, True),)
-        write_verdicts(path, Verdicts((EpochVerdicts("threshold", 0, 4, explicit, 0.0, False),)))
+        write_verdicts(path, Verdicts((EpochVerdicts("threshold", 0, 4, (1,), (5.0,), (True,), 0.0, False),)))
         reader = parse_verdicts
     else:
         write_report_csv(path, [SweepRow("a", 4, 1, 1000, "src_ip", "zscore", "feature=pkt_count"),

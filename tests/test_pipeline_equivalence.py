@@ -246,5 +246,5 @@ def test_stateful_buckets_absent_from_a_snapshot_match_dense_reference():
             (DetectorSetting("ewma", feature, k=1, alpha=0.5), dense_ewma(reference, feature, 0.5, 1)),
         ):
             got = run_detector(setting, snaps)
-            assert [v.bucket for v in got.epochs[2].explicit] == [0, 2]
+            assert got.epochs[2].buckets == (0, 2)
             assert exact_bits(dense_verdicts(got, 4)) == exact_bits(want)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowsketch.detectors import BaselineModel, DetectorSetting, EpochVerdicts, Verdict, Verdicts
+from flowsketch.detectors import BaselineModel, DetectorSetting, EpochVerdicts, Verdicts
 from flowsketch.evaluation import BenchResult, GroundTruthGrid, ParetoPoint, QualityScores, ResourceCost, SweepRow
 from flowsketch.hashing import FlowKey, KeySpec
 from flowsketch.ingest import AnomalyKind, AnomalyProfile, SyntheticProfile, TraceMeta
@@ -16,7 +16,7 @@ from conftest import make_packet
 
 SPEC = KeySpec(("src_ip", "dst_port"))
 CONFIG = SketchConfig(4, 2, 1000, SPEC)
-EPOCH = EpochVerdicts("ewma", 0, 16, (Verdict("ewma", 0, 3, 1.0, False),), 0.0, False)
+EPOCH = EpochVerdicts("ewma", 0, 16, (3,), (1.0,), (False,), 0.0, False)
 
 # One instance of every immutable type, with a field to assign to.
 FROZEN = [
@@ -27,7 +27,7 @@ FROZEN = [
     (FlowKey(5, 8), "value"),
     (CONFIG, "hash_width"),
     (EpochSnapshot(0, 0, True, 16, (3,), (StageCell(1),)), "cells"),
-    (EPOCH, "explicit"),
+    (EPOCH, "buckets"),
     (Verdicts((EPOCH,)), "epochs"),
     (BaselineModel("pkt_count", 2, 16, {3: 1.0}, {3: 0.5}), "means"),
     (DetectorSetting("threshold", threshold=5.0), "threshold"),
